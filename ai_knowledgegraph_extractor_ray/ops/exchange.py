@@ -1,148 +1,232 @@
-"""Raw-Ray hash exchange: the partition-keyed all-to-all behind the fused
-KG job, replacing ``groupby(partition_id).map_groups``.
+"""The engine's one all-to-all: a raw-Ray two-wave map/reduce shuffle.
 
 Why not Ray Data's groupby: its sort-based shuffle inserts a sample /
 sort-map / sort-reduce barrier that measured ~6 s of nearly-serial wall for
 ~3.6 CPU-s of work at 32 CPUs (the dominant non-compute cost of the fused
-job, and the main 8->32 scaling-efficiency sink — see BASELINE.md). The
-exchange here is the classic two-wave map/reduce shuffle expressed as raw
-Ray tasks — the documented "drop to raw Ray when the Dataset API can't
-express it" case:
-
-* map wave: each task takes a group of input blocks, stamps
-  ``crc32(key) % P`` partition ids, sorts the concatenated block once by
-  pid (numpy argsort), and returns P table slices via ``num_returns=P`` —
-  zero-copy Arrow slices, no per-row Python;
-* reduce wave: one task per partition concatenates its slices from every
-  map task and runs ``reduce_fn`` — launched all at once, each blocked only
-  on its own inputs by Ray's dependency resolution.
-
+KG job, and the main 8->32 scaling-efficiency sink — see BASELINE.md).
 Measured at sf0.1 x 192 (6.24M turns): 8->32 CPU scaling efficiency ~0.65
 vs ~0.50 for the sort-based groupby, with both legs faster in absolute
 terms (median 198k -> 516k turns/s at 8 -> 32 CPUs).
 
-Scale notes for a real cluster:
-* driver holds W x P ObjectRefs (W = map tasks). ``blocks_per_map`` tunes W
-  down; at 10^4+ nodes use a hierarchical exchange (maps -> per-node
-  combiners -> reducers) to keep the ref count at O(nodes x P) — the same
-  multi-stage-recursive shape as Hyper Dimension Shuffle (VLDB 2019) and
-  Spark's shuffle-service aggregation. The single-level wave here is the
-  right shape up to W x P ~ 10^7.
-* map outputs live in the object store until their reduce consumes them —
-  normal shuffle footprint; Ray spills when it exceeds the store.
-* a reduce task starts only after every map finished (it may receive rows
-  from any input block) — inherent to any all-to-all, and the map wave
-  pipelines with the input scan because maps launch as the Dataset's
-  blocks stream out of ``iter_internal_ref_bundles``.
+Two pieces, shared by every shuffle in the package:
+
+* the MAP PRIMITIVE (``launch_map``): one task per group of input blocks
+  concatenates them, computes a partition id per row with a picklable
+  ``route(table) -> pids``, stable-sorts by pid and returns ``n``
+  zero-copy slices plus a ``(rows, bytes)`` size matrix — always
+  ``n + 1`` returns, so no caller special-cases ``n == 1``;
+* the DRIVER LOOP (``run_maps``): streams the Dataset's blocks out of
+  ``iter_internal_ref_bundles`` in groups of ``blocks_per_map``, launches
+  the maps as blocks arrive (the map wave pipelines with the input scan)
+  and returns the slice refs per pid plus the folded size matrix.
+
+Reduces run as ``reduce_slices(fn, *slices)``. The routes and their users:
+
+* ``HashRoute`` — ``crc32(key) % P`` with optional skew splitting
+  (``hashing.effective_pids``): ``hash_exchange`` (the fused KG job),
+  ``hash_exchange_dataset`` (``bucketed_groupby``, partitioned sinks) and
+  ``pagerank_distributed``'s edge/state bucketing and contribution split;
+* ``HashRoute(group=g)`` — the same pids integer-divided by ``g``: the
+  coarse level of the two-level exchange. Maps return P/g pid-RANGE slices
+  and one level-2 task per range re-splits by fine pid in-task, so the
+  driver holds W x P/g refs instead of W x P (the multi-level shape of
+  Hyper Dimension Shuffle, VLDB 2019). ``hash_exchange`` selects it itself
+  above ``TWO_LEVEL_ABOVE`` partitions;
+* ``sort.RangeRoute`` — sampled range cuts: ``range_sort``.
+
+Scale notes: map outputs live in the object store until their reduce
+consumes them (Ray spills beyond the store); a reduce starts only after
+every map finished, inherent to any all-to-all.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
+from collections.abc import Callable, Iterable
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
 
-# Internal partition-stamp column. Collision-proof on purpose: the exchange
-# shuffles arbitrary user payloads (bucketed_groupby), and a payload column
-# legitimately named "partition_id" must survive the trip (ADVICE round 2).
-XPID = "__xpid"
+from .hashing import crc32_column, effective_num_partitions, effective_pids
+
+# Above this many (effective) partitions hash_exchange runs two levels with
+# COARSE level-1 ranges: W x P driver refs stay bounded near W x COARSE.
+TWO_LEVEL_ABOVE = 1024
+COARSE = 256
 
 
-def _split_by_pid(block_refs, key: str, num_partitions: int,
-                  split_map: dict | None = None):
-    import pandas as pd
+class HashRoute:
+    """``crc32(key) % num_partitions`` under an optional skew ``split_map``
+    (``hashing.effective_pids``), integer-divided by ``group``."""
 
-    from .hashing import crc32_column, effective_num_partitions, effective_pids
-    n_eff = effective_num_partitions(num_partitions, split_map)
-    blocks = [pa.Table.from_pandas(b, preserve_index=False)
-              if isinstance(b, pd.DataFrame) else b
-              for b in ray.get(list(block_refs))]   # pandas-block datasets
-    tbl = pa.concat_tables(blocks, promote_options="permissive")
-    if key not in tbl.column_names:
-        if tbl.num_rows:
+    def __init__(self, key: str, num_partitions: int,
+                 split_map: dict[int, tuple[int, int]] | None = None,
+                 group: int = 1):
+        self.key, self.num_partitions = key, num_partitions
+        self.split_map, self.group = split_map, group
+        self.n_fine = effective_num_partitions(num_partitions, split_map)
+        self.n = -(-self.n_fine // group)
+
+    def fine(self, tbl: pa.Table) -> np.ndarray:
+        if self.key not in tbl.column_names:
             # an upstream schema mistake must not become silent data loss
             raise KeyError(
-                f"exchange key column {key!r} missing from input blocks "
-                f"(columns: {tbl.column_names})")
-        # schema-less empty blocks (e.g. an upstream filter emptied them)
-        return tbl.slice(0, 0), np.zeros(n_eff + 1, dtype=np.int64)
-    if XPID in tbl.column_names:
-        raise ValueError(
-            f"input already carries the exchange's internal column {XPID!r}")
-    if tbl.num_rows == 0:
-        return tbl.slice(0, 0), np.zeros(n_eff + 1, dtype=np.int64)
-    pids = effective_pids(crc32_column(tbl[key]), num_partitions, split_map)
+                f"exchange key column {self.key!r} missing from input "
+                f"blocks (columns: {tbl.column_names})")
+        return effective_pids(crc32_column(tbl[self.key]),
+                              self.num_partitions, self.split_map)
+
+    def __call__(self, tbl: pa.Table) -> np.ndarray:
+        pids = self.fine(tbl)
+        return pids // self.group if self.group > 1 else pids
+
+
+def split_table(tbl: pa.Table, route: Callable[[pa.Table], np.ndarray],
+                n: int) -> tuple[list[pa.Table], np.ndarray]:
+    """Stable-sort ``tbl`` by ``route(tbl)`` and cut it into ``n`` zero-copy
+    slices; also returns the ``(2, n)`` matrix of slice rows and bytes.
+    An empty table is never routed (it may lack the key column entirely,
+    e.g. after an upstream filter emptied a block)."""
+    pids = route(tbl) if tbl.num_rows else np.zeros(0, dtype=np.int64)
     order = np.argsort(pids, kind="stable")
-    tbl = tbl.append_column(XPID, pa.array(pids)).take(order)
-    cuts = np.searchsorted(pids[order], np.arange(n_eff + 1))
-    return tbl, cuts
+    tbl = tbl.take(order)
+    cuts = np.searchsorted(pids[order], np.arange(n + 1))
+    slices = [tbl.slice(int(cuts[i]), int(cuts[i + 1] - cuts[i]))
+              for i in range(n)]
+    rows = np.diff(cuts).astype(np.int64)
+    nbytes = np.array([s.nbytes for s in slices], dtype=np.int64)
+    # nonzero rows always report >= 1 byte so empty-skip keys off rows,
+    # not Arrow buffer accounting edge cases
+    return slices, np.stack([rows, np.where(rows > 0, np.maximum(nbytes, 1),
+                                            0)])
 
 
-def _for_reduce(tbl: pa.Table) -> pa.Table:
-    """Present the internal stamp to ``reduce_fn`` as the documented
-    ``partition_id`` column (erroring earlier if the input had its own)."""
+def fetch_tables(block_refs) -> list[pa.Table]:
+    """Fetch blocks as Arrow tables (pandas-block datasets converted)."""
+    return [pa.Table.from_pandas(b, preserve_index=False)
+            if isinstance(b, pd.DataFrame) else b
+            for b in ray.get(list(block_refs))]
+
+
+@ray.remote
+def _map(block_refs, route, n: int, combine=None):
+    tables = fetch_tables(block_refs)
+    tbl = (combine(*tables) if combine is not None
+           else pa.concat_tables(tables, promote_options="permissive"))
+    slices, sizes = split_table(tbl, route, n)
+    return (*slices, sizes)
+
+
+def launch_map(block_refs: list, route, n: int, combine=None):
+    """Submit one map task over ``block_refs``: returns its ``n`` slice refs
+    and its size-matrix ref. ``combine(*tables)`` replaces the default
+    concatenation of the fetched blocks."""
+    outs = _map.options(num_returns=n + 1).remote(block_refs, route, n,
+                                                   combine)
+    return outs[:n], outs[n]
+
+
+@ray.remote
+def reduce_slices(fn, *parts: pa.Table):
+    """``fn`` over the concatenation of one partition's slices (``None``:
+    the table itself). Empty slices are dropped unless all are — a
+    zero-row concat keeps the schema."""
+    tbl = pa.concat_tables([p for p in parts if p.num_rows] or parts[:1],
+                           promote_options="permissive")
+    return tbl if fn is None else fn(tbl)
+
+
+def block_groups(blocks: Iterable, per_group: int):
+    """Consecutive groups of ``per_group`` items (the last may be short)."""
+    group: list = []
+    for blk in blocks:
+        group.append(blk)
+        if len(group) == per_group:
+            yield group
+            group = []
+    if group:
+        yield group
+
+
+def _stream(ds: rd.Dataset):
+    for bundle in ds.iter_internal_ref_bundles():
+        yield from bundle.blocks                     # (ref, BlockMetadata)
+
+
+def buffer_blocks(ds: rd.Dataset) -> tuple[list, int]:
+    """Every block ref of ``ds`` plus their total bytes, for callers that
+    size the exchange before mapping (losing map/scan overlap)."""
+    blocks = list(_stream(ds))
+    return [r for r, _ in blocks], sum(m.size_bytes for _, m in blocks)
+
+
+def run_maps(source: rd.Dataset | list, route, n: int,
+             blocks_per_map: int = 4) -> tuple[list[list], np.ndarray]:
+    """The map wave: one map per ``blocks_per_map`` blocks of ``source``
+    (a Dataset, streamed, or a list of block refs). Returns the slice refs
+    per pid and the ``(2, n)`` rows/bytes matrix summed over maps."""
+    blocks = ((r for r, _ in _stream(source))
+              if isinstance(source, rd.Dataset) else source)
+    refs_per_pid: list[list] = [[] for _ in range(n)]
+    size_refs: list = []
+    for group in block_groups(blocks, blocks_per_map):
+        slices, size_ref = launch_map(group, route, n)
+        for p, r in enumerate(slices):
+            refs_per_pid[p].append(r)
+        size_refs.append(size_ref)
+    sizes = (np.sum(ray.get(size_refs), axis=0) if size_refs
+             else np.zeros((2, n), dtype=np.int64))
+    return refs_per_pid, sizes
+
+
+def _stamp_pids(tbl: pa.Table, pids: np.ndarray) -> pa.Table:
+    """Present the partition ids to ``reduce_fn`` as a ``partition_id``
+    column."""
     if "partition_id" in tbl.column_names:
         raise ValueError(
             "hash_exchange input already has a 'partition_id' column; the "
             "reduce contract stamps one (use hash_exchange_dataset for "
             "payloads that carry their own)")
-    i = tbl.column_names.index(XPID)
-    return tbl.set_column(i, "partition_id", tbl.column(i))
+    return tbl.append_column("partition_id", pa.array(pids))
 
 
-@ray.remote
-def _exchange_map(block_refs, key: str, num_partitions: int,
-                  split_map: dict | None = None):
-    from .hashing import effective_num_partitions
-    n_eff = effective_num_partitions(num_partitions, split_map)
-    tbl, cuts = _split_by_pid(block_refs, key, num_partitions, split_map)
-    if n_eff == 1:               # num_returns=1 returns the bare value
-        return tbl
-    return tuple(tbl.slice(int(cuts[i]), int(cuts[i + 1] - cuts[i]))
-                 for i in range(n_eff))
+def _reduce_range(reduce_fn, route: HashRoute, c: int, skip: frozenset,
+                  tbl: pa.Table) -> list:
+    """Run ``reduce_fn`` for every non-skipped, non-empty fine partition
+    of coarse pid ``c`` (just ``c`` itself when ``route.group == 1``)."""
+    lo = c * route.group
+    if route.group == 1:
+        pieces = [_stamp_pids(tbl, np.full(tbl.num_rows, c, dtype=np.int32))]
+    else:
+        fine = route.fine(tbl)
+        pieces, _ = split_table(_stamp_pids(tbl, fine), lambda t: fine - lo,
+                                min(route.group, route.n_fine - lo))
+    out = []
+    for pid, piece in enumerate(pieces, lo):
+        if pid not in skip and piece.num_rows:
+            r = reduce_fn(pid, piece)
+            if r is not None:
+                out.append(r)
+    return out
 
 
-@ray.remote
-def _exchange_map_counted(block_refs, key: str, num_partitions: int):
-    """Like _exchange_map but with a per-partition row-count vector as the
-    LAST return — lets the driver skip reduces for empty partitions without
-    fetching any data."""
-    tbl, cuts = _split_by_pid(block_refs, key, num_partitions)
-    slices = tuple(tbl.slice(int(cuts[i]), int(cuts[i + 1] - cuts[i]))
-                   for i in range(num_partitions))
-    return (*slices, np.diff(cuts).astype(np.int64))
-
-
-@ray.remote
-def _exchange_map_sized(block_refs, key: str, num_partitions: int,
-                        split_map: dict | None = None):
-    """_exchange_map plus a per-partition BYTE-size vector as the LAST
-    return — the driver uses the folded sizes to (a) skip empty
-    partitions without submitting a task and (b) submit reduces
-    largest-first (LPT packing), which shrinks the reduce-wave tail when
-    partition costs are uneven."""
-    from .hashing import effective_num_partitions
-    n_eff = effective_num_partitions(num_partitions, split_map)
-    tbl, cuts = _split_by_pid(block_refs, key, num_partitions, split_map)
-    slices = tuple(tbl.slice(int(cuts[i]), int(cuts[i + 1] - cuts[i]))
-                   for i in range(n_eff))
-    rows = np.diff(cuts).astype(np.int64)
-    nb = np.array([s.nbytes for s in slices], dtype=np.int64)
-    # nonzero rows always report >= 1 byte so the driver's empty-skip
-    # keys off row presence, not Arrow buffer accounting edge cases
-    return (*slices, np.where(rows > 0, np.maximum(nb, 1), 0))
-
-
-@ray.remote
-def _exchange_reduce(reduce_fn, pid: int, *parts):
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return None
-    return reduce_fn(pid, _for_reduce(pa.concat_tables(
-        parts, promote_options="permissive")))
+def _hash_exchange(ds: rd.Dataset, route: HashRoute, reduce_fn,
+                   blocks_per_map: int, skip) -> list:
+    refs, (rows, nbytes) = run_maps(ds, route, route.n, blocks_per_map)
+    todo = []
+    for c in np.argsort(-nbytes, kind="stable"):       # largest first
+        fine = range(c * route.group,
+                     min((c + 1) * route.group, route.n_fine))
+        if rows[c] and any(p not in skip for p in fine):
+            todo.append((int(c), frozenset(p for p in fine if p in skip)))
+    futures = [reduce_slices.remote(
+        functools.partial(_reduce_range, reduce_fn, route, c, s), *refs[c])
+        for c, s in todo]
+    results = dict(zip((c for c, _ in todo), ray.get(futures)))
+    return [r for c in sorted(results) for r in results[c]]
 
 
 def hash_exchange(ds: rd.Dataset, num_partitions: int,
@@ -150,97 +234,27 @@ def hash_exchange(ds: rd.Dataset, num_partitions: int,
                   key: str = "conv_id", blocks_per_map: int = 4,
                   skip: frozenset[int] | set[int] = frozenset(),
                   split_map: dict[int, tuple[int, int]] | None = None) -> list:
-    """Run ``reduce_fn(pid, table)`` once per non-skipped partition, where
-    ``table`` holds every input row with ``crc32(key) % num_partitions ==
-    pid`` (stamped as a ``partition_id`` column). Returns the non-None
-    reduce results in partition order. ``skip`` suppresses the reduce for
-    already-committed partitions (resume) — their slices are produced but
-    never fetched, and are freed with the map outputs.
+    """Run ``reduce_fn(pid, table)`` once per non-skipped, non-empty
+    partition, where ``table`` holds every input row with ``crc32(key) %
+    num_partitions == pid`` (stamped as a ``partition_id`` column). Returns
+    the non-None reduce results in partition order. ``skip`` suppresses
+    the reduce for already-committed partitions (resume).
 
     ``split_map`` ({base_pid: (offset, n_subsplits)}) is the straggler
     mitigation: rows of an oversized base partition are re-hashed across
     ``n_subsplits`` effective partitions ``num_partitions + offset + j``
-    (``hashing.effective_pids``), each its own parallel reduce — whole keys
-    stay together, only the partition fans out.
+    (``hashing.effective_pids``), each its own reduce — whole keys stay
+    together, only the partition fans out.
 
-    Reduce scheduling (round 4): maps also return a per-partition byte
-    vector; the driver folds it (tiny — n_eff ints per map, available the
-    moment the maps finish, which is when reduces could first run anyway)
-    and submits reduces LARGEST-FIRST (longest-processing-time packing —
-    the classic 4/3-bound on the makespan tail vs arbitrary order), and
-    EMPTY partitions never get a task at all."""
-    from .hashing import effective_num_partitions
-    n_eff = effective_num_partitions(num_partitions, split_map)
-    refs_per_pid: list[list] = [[] for _ in range(n_eff)]
-    size_refs: list = []
-    pending: list = []
-
-    def launch(blocks) -> None:
-        outs = _exchange_map_sized.options(num_returns=n_eff + 1).remote(
-            blocks, key, num_partitions, split_map)
-        for p, r in enumerate(outs[:n_eff]):
-            refs_per_pid[p].append(r)
-        size_refs.append(outs[n_eff])
-
-    for bundle in ds.iter_internal_ref_bundles():
-        for blk in bundle.block_refs:
-            pending.append(blk)
-            if len(pending) >= blocks_per_map:
-                launch(pending)
-                pending = []
-    if pending:
-        launch(pending)
-
-    sizes = (np.sum(ray.get(size_refs), axis=0) if size_refs
-             else np.zeros(n_eff, dtype=np.int64))
-    order = np.argsort(-sizes, kind="stable")
-    pids = [int(p) for p in order if int(p) not in skip and sizes[p] > 0]
-    futures = [_exchange_reduce.remote(reduce_fn, p, *refs_per_pid[p])
-               for p in pids]
-    results = dict(zip(pids, ray.get(futures)))
-    return [results[p] for p in sorted(results)
-            if results[p] is not None]
-
-
-@ray.remote
-def _exchange_map_coarse(block_refs, key: str, num_partitions: int,
-                         coarse: int):
-    """Level-1 map for the hierarchical exchange: rows bucketed on the FINE
-    partition id but returned as ``coarse`` contiguous pid-range slices
-    (pids stay sorted inside each slice)."""
-    tbl, cuts = _split_by_pid(block_refs, key, num_partitions)
-    group = -(-num_partitions // coarse)          # pids per coarse slice
-    bounds = [cuts[min(c * group, num_partitions)] for c in range(coarse + 1)]
-    out = tuple(tbl.slice(int(bounds[c]), int(bounds[c + 1] - bounds[c]))
-                for c in range(coarse))
-    return out if coarse > 1 else out[0]
-
-
-@ray.remote
-def _exchange_reduce_coarse(reduce_fn, num_partitions: int, coarse_idx: int,
-                            coarse: int, skip, *parts):
-    """Level-2 task: all maps' slices for ONE coarse pid range — re-split by
-    fine pid (rows arrive pid-sorted per slice) and run ``reduce_fn`` for
-    each non-skipped fine partition in the range."""
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return []
-    tbl = pa.concat_tables(parts, promote_options="permissive")
-    pids = tbl[XPID].to_numpy()
-    order = np.argsort(pids, kind="stable")       # merge the sorted runs
-    tbl = _for_reduce(tbl.take(order))
-    group = -(-num_partitions // coarse)
-    lo = coarse_idx * group
-    hi = min(lo + group, num_partitions)
-    cuts = np.searchsorted(pids[order], np.arange(lo, hi + 1))
-    out = []
-    for i, p in enumerate(range(lo, hi)):
-        if p in skip or cuts[i + 1] == cuts[i]:
-            continue
-        r = reduce_fn(p, tbl.slice(int(cuts[i]), int(cuts[i + 1] - cuts[i])))
-        if r is not None:
-            out.append(r)
-    return out
+    Reduces are submitted LARGEST-FIRST by the folded byte sizes
+    (longest-processing-time packing shrinks the reduce-wave tail) and
+    empty partitions get no task. Above ``TWO_LEVEL_ABOVE`` effective
+    partitions the exchange runs two levels (module docstring)."""
+    n = effective_num_partitions(num_partitions, split_map)
+    group = 1 if n <= TWO_LEVEL_ABOVE else -(-n // COARSE)
+    return _hash_exchange(ds, HashRoute(key, num_partitions, split_map,
+                                        group), reduce_fn, blocks_per_map,
+                          skip)
 
 
 def hash_exchange_hierarchical(
@@ -248,46 +262,13 @@ def hash_exchange_hierarchical(
         reduce_fn: Callable[[int, pa.Table], object], *,
         key: str = "conv_id", blocks_per_map: int = 4, coarse: int = 64,
         skip: frozenset[int] | set[int] = frozenset()) -> list:
-    """Two-level exchange for very large P: maps return ``coarse`` pid-RANGE
-    slices instead of P fine slices, and one level-2 task per coarse range
-    merges its slices and runs every fine reduce in the range. Driver ref
-    count drops from W x P to W x coarse + coarse (the multi-stage shape of
-    Hyper Dimension Shuffle, VLDB 2019) — at P=10^5 and W=10^4 that is
-    ~10^6 refs instead of ~10^9. Results identical to ``hash_exchange``;
-    pick ``coarse`` >= cluster slots so the level-2 wave still fills the
-    cluster (each level-2 task runs P/coarse reduces sequentially)."""
-    coarse = min(coarse, num_partitions)
-    refs_per_coarse: list[list] = [[] for _ in range(coarse)]
-    pending: list = []
-
-    def launch(blocks) -> None:
-        outs = _exchange_map_coarse.options(num_returns=coarse).remote(
-            blocks, key, num_partitions, coarse)
-        if coarse == 1:
-            outs = [outs]
-        for c, r in enumerate(outs):
-            refs_per_coarse[c].append(r)
-
-    for bundle in ds.iter_internal_ref_bundles():
-        for blk in bundle.block_refs:
-            pending.append(blk)
-            if len(pending) >= blocks_per_map:
-                launch(pending)
-                pending = []
-    if pending:
-        launch(pending)
-
-    futures = [_exchange_reduce_coarse.remote(
-        reduce_fn, num_partitions, c, coarse, frozenset(skip),
-        *refs_per_coarse[c]) for c in range(coarse)]
-    return [r for group in ray.get(futures) for r in group]
-
-
-@ray.remote
-def _exchange_merge(merge_fn, *parts) -> pa.Table:
-    parts = [p for p in parts if p.num_rows]
-    tbl = pa.concat_tables(parts, promote_options="permissive")
-    return merge_fn(tbl.drop_columns([XPID]))
+    """``hash_exchange`` forced onto the two-level shape with ``coarse``
+    level-1 ranges. Pick ``coarse`` >= cluster slots so the level-2 wave
+    still fills the cluster (each level-2 task runs P/coarse reduces
+    sequentially)."""
+    group = -(-num_partitions // min(coarse, num_partitions))
+    return _hash_exchange(ds, HashRoute(key, num_partitions, None, group),
+                          reduce_fn, blocks_per_map, skip)
 
 
 # Auto-sizing bounds for hash_exchange_dataset(num_partitions=None).
@@ -334,76 +315,31 @@ def hash_exchange_dataset(ds: rd.Dataset, num_partitions: int | None,
     """Dataset-to-Dataset hash exchange: ``merge_fn(table) -> table`` runs
     once per non-empty partition and the outputs become a new Dataset
     WITHOUT driver collection (``from_arrow_refs`` over the reduce task
-    refs — blocks stay in the object store). Empty partitions are skipped
-    using the map wave's per-partition row counts (a tiny vector per map
-    task, the only thing the driver fetches).
+    refs — blocks stay in the object store).
 
     ``num_partitions=None`` auto-sizes the partition count from the input's
-    streamed block metadata (total Arrow bytes / 128 MiB, min 8): small
-    inputs pay ~8 merge tasks of fixed cost instead of 64+, and raw-row
-    inputs can't concentrate unbounded bytes into one merge frame. Sizing
-    buffers the block refs before launching the map wave (losing map/scan
-    overlap), so callers that know their volume should pass an explicit
-    count.
+    block metadata (``auto_partitions``), buffering the block refs before
+    the map wave; callers that know their volume should pass a count.
 
     This is the exchange behind ``ops/agg.bucketed_groupby``: same
     semantics as Ray Data's sort-based ``groupby().map_groups`` for
     hash-bucketed keys, without the sort barrier's near-serial section."""
+    source: rd.Dataset | list = ds
     if num_partitions is None:
-        block_refs: list = []
-        total_bytes = 0
-        for bundle in ds.iter_internal_ref_bundles():
-            block_refs.extend(bundle.block_refs)
-            total_bytes += bundle.size_bytes() or 0
+        source, total_bytes = buffer_blocks(ds)
         num_partitions = auto_partitions(total_bytes)
-        bundles_iter: list = [block_refs]
-    else:
-        bundles_iter = None  # stream below, pipelining maps with the scan
-
-    refs_per_pid: list[list] = [[] for _ in range(num_partitions)]
-    count_refs: list = []
-    pending: list = []
-
-    def launch(blocks) -> None:
-        outs = _exchange_map_counted.options(
-            num_returns=num_partitions + 1).remote(blocks, key,
-                                                   num_partitions)
-        for p in range(num_partitions):
-            refs_per_pid[p].append(outs[p])
-        count_refs.append(outs[num_partitions])
-
-    if bundles_iter is None:
-        source = (blk for bundle in ds.iter_internal_ref_bundles()
-                  for blk in bundle.block_refs)
-    else:
-        source = (blk for blocks in bundles_iter for blk in blocks)
-    for blk in source:
-        pending.append(blk)
-        if len(pending) >= blocks_per_map:
-            launch(pending)
-            pending = []
-    if pending:
-        launch(pending)
-
-    if not count_refs:
-        return rd.from_items([])
-    totals = np.sum(ray.get(count_refs), axis=0)
-    out_refs = [_exchange_merge.remote(merge_fn, *refs_per_pid[p])
-                for p in range(num_partitions) if totals[p] > 0]
-    if not out_refs:
-        # Zero qualifying rows anywhere: preserve the OUTPUT schema by
-        # running the merge once over a schema-typed empty partition table
-        # from the map wave (Dataset.schema() is unreliable on empty
-        # object-dtype inputs), so empty results stay column-compatible
-        # with non-empty ones.
-        first = next((refs[0] for refs in refs_per_pid if refs), None)
-        if first is not None:
-            try:
-                empty = ray.get(first)
-                if XPID in empty.column_names:   # absent on all-empty maps
-                    empty = empty.drop_columns([XPID])
-                return rd.from_arrow(merge_fn(empty))
-            except Exception:   # merge_fn not empty-safe: schemaless path
-                pass
-        return rd.from_items([])
-    return rd.from_arrow_refs(out_refs)
+    refs, (rows, _) = run_maps(source, HashRoute(key, num_partitions),
+                               num_partitions, blocks_per_map)
+    out_refs = [reduce_slices.remote(merge_fn, *refs[p])
+                for p in range(num_partitions) if rows[p]]
+    if out_refs:
+        return rd.from_arrow_refs(out_refs)
+    if refs[0]:
+        # Zero rows anywhere: preserve the OUTPUT schema by running the
+        # merge once over a schema-typed empty slice from the map wave
+        # (Dataset.schema() is unreliable on empty object-dtype inputs).
+        try:
+            return rd.from_arrow(merge_fn(ray.get(refs[0][0])))
+        except Exception:   # merge_fn not empty-safe: schemaless path
+            pass
+    return rd.from_items([])

@@ -143,60 +143,17 @@ def pagerank(edges: rd.Dataset, *, src_col: str = "canonical_src",
     return out.sort_values("node", kind="mergesort").reset_index(drop=True)
 
 
-def _pr_bucket_tables(ds: rd.Dataset, key: str, P: int) -> dict[int, object]:
-    """Hash-bucket a dataset's rows into P object-store Arrow tables keyed
-    by ``crc32(key) % P``. Returns {pid: ObjectRef[pa.Table]} for ALL P
-    partitions (empty buckets are schema-typed empty tables); nothing
-    lands on the driver but the refs.
+def _pr_bucket_tables(ds: rd.Dataset, key: str, P: int) -> list:
+    """The P ``crc32(key) % P`` buckets of ``ds`` as object-store Arrow
+    tables (empty buckets schema-typed), or ``[]`` for a block-less input.
+    Each is a driver-launched task return, so Ray can lineage-reconstruct
+    a lost bucket."""
+    from .exchange import HashRoute, reduce_slices, run_maps
 
-    Every ref is a TASK RETURN of a task launched from the driver — the
-    driver owns them and Ray can lineage-reconstruct a lost bucket — not
-    a worker-side ``ray.put`` (whose object dies unrecoverably with its
-    owning worker: the failure mode a many-iteration run on a real
-    cluster would eventually hit)."""
-    import pyarrow as pa
-    import ray
-
-    from .hashing import crc32_column
-
-    @ray.remote
-    def bmap(*blocks):
-        tbls = [b if isinstance(b, pa.Table)
-                else pa.Table.from_pandas(b, preserve_index=False)
-                for b in blocks]
-        t = pa.concat_tables(tbls, promote_options="permissive")
-        pid = crc32_column(t.column(key)) % P
-        order = np.argsort(pid, kind="stable")
-        t = t.take(order)
-        pid = pid[order]
-        bounds = np.searchsorted(pid, np.arange(P + 1))
-        return tuple(t.slice(bounds[i], bounds[i + 1] - bounds[i])
-                     for i in range(P))
-
-    @ray.remote
-    def breduce(*parts: pa.Table) -> pa.Table:
-        # empties included on purpose: a zero-row concat keeps the schema
-        return pa.concat_tables(parts, promote_options="permissive")
-
-    refs_per_pid: list[list] = [[] for _ in range(P)]
-    pending: list = []
-
-    def launch(blocks) -> None:
-        outs = bmap.options(num_returns=P).remote(*blocks)
-        for p, r in enumerate(outs):
-            refs_per_pid[p].append(r)
-
-    for bundle in ds.iter_internal_ref_bundles():
-        for blk in bundle.block_refs:
-            pending.append(blk)
-            if len(pending) >= 4:
-                launch(pending)
-                pending = []
-    if pending:
-        launch(pending)
-    if not refs_per_pid[0]:
-        return {}
-    return {p: breduce.remote(*refs_per_pid[p]) for p in range(P)}
+    refs, _ = run_maps(ds, HashRoute(key, P), P)
+    if not refs[0]:
+        return []
+    return [reduce_slices.remote(None, *refs[p]) for p in range(P)]
 
 
 def pagerank_distributed(edges: rd.Dataset, *,
@@ -231,7 +188,7 @@ def pagerank_distributed(edges: rd.Dataset, *,
     import pyarrow as pa
     import ray
 
-    from .hashing import crc32_column
+    from .exchange import HashRoute, launch_map
 
     edges = edges.materialize()
     if deg is None:   # the pagerank() dispatch passes its own through —
@@ -275,8 +232,7 @@ def pagerank_distributed(edges: rd.Dataset, *,
         return rdm.from_arrow(pa.table({"node": pa.array([], pa.string()),
                                         "rank": pa.array([], pa.float64())}))
 
-    @ray.remote
-    def contrib(edges_t: pa.Table, state_t: pa.Table):
+    def contrib(edges_t: pa.Table, state_t: pa.Table) -> pa.Table:
         e = edges_t.to_pandas()
         s = state_t.to_pandas().rename(columns={"node": src_col})
         # vectorized hash join, not a Python-dict .map — the per-bucket
@@ -290,20 +246,11 @@ def pagerank_distributed(edges: rd.Dataset, *,
             c = np.where(ow > 0, w * r / ow, 0.0)
         part = (pd.DataFrame({"node": e[dst_col], "c": c})
                 .groupby("node", as_index=False).sum())
-        if not len(part):     # empty bucket: typed empty slices (an
-            # all-object empty frame would arrow-infer a null column and
-            # break the dst hash)
-            t0 = pa.table({"node": pa.array([], pa.string()),
-                           "c": pa.array([], pa.float64())})
-            return tuple(t0 for _ in range(P))
-        t = pa.Table.from_pandas(part, preserve_index=False)
-        pid = crc32_column(t.column("node")) % P
-        order = np.argsort(pid, kind="stable")
-        t = t.take(order)
-        pid = pid[order]
-        bounds = np.searchsorted(pid, np.arange(P + 1))
-        return tuple(t.slice(bounds[i], bounds[i + 1] - bounds[i])
-                     for i in range(P))
+        if not len(part):     # empty bucket: a typed empty table (an
+            # all-object empty frame would arrow-infer a null column)
+            return pa.table({"node": pa.array([], pa.string()),
+                             "c": pa.array([], pa.float64())})
+        return pa.Table.from_pandas(part, preserve_index=False)
 
     @ray.remote
     def update(state_t: pa.Table, *slices: pa.Table) -> pa.Table:
@@ -319,21 +266,19 @@ def pagerank_distributed(edges: rd.Dataset, *,
         return pa.Table.from_pandas(s[["node", "rank", "out_w"]],
                                     preserve_index=False)
 
+    by_dst = HashRoute("node", P)
     for _ in range(iters):
-        slice_refs: dict[int, list] = {p: [] for p in state_parts}
-        for p, eref in edge_parts.items():
-            if p not in state_parts:
-                continue  # impossible by construction (every src has state)
-            outs = contrib.options(num_returns=P).remote(
-                eref, state_parts[p])
-            for q, ref in enumerate(outs):
-                if q in slice_refs:
-                    slice_refs[q].append(ref)
-        state_parts = {p: update.remote(state_parts[p], *slice_refs[p])
-                       for p in state_parts}
+        # each join task partial-sums by dst and splits by crc32(dst) % P
+        slice_refs: list[list] = [[] for _ in range(P)]
+        for eref, sref in zip(edge_parts, state_parts):
+            slices, _ = launch_map([eref, sref], by_dst, P, combine=contrib)
+            for q, ref in enumerate(slices):
+                slice_refs[q].append(ref)
+        state_parts = [update.remote(sref, *slice_refs[p])
+                       for p, sref in enumerate(state_parts)]
 
     import ray.data as rdm
-    out = rdm.from_arrow_refs(list(state_parts.values()))
+    out = rdm.from_arrow_refs(state_parts)
     return out.select_columns(["node", "rank"])
 
 

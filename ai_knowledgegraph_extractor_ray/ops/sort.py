@@ -1,32 +1,25 @@
-"""Range-partitioned total-order sort — the classic sample-sort /
-TeraSort shape, built on the same raw-Ray two-wave exchange as
-``ops/exchange.py`` but routed by SAMPLED RANGE CUTS instead of a hash:
+"""Range-partitioned total-order sort — the sample-sort / TeraSort shape
+on the ``ops/exchange.py`` map primitive, routed by SAMPLED RANGE CUTS:
 
-* sample wave: strided primary-key samples per block (driver fetches a
-  few hundred scalars per map group, never rows);
-* map wave: each task stamps ``searchsorted(cuts, key)`` partition ids —
-  all rows with EQUAL primary keys land in one partition (``side=
-  'right'`` interval semantics), so ties never straddle a boundary and
-  tiebreak columns stay partition-local;
-* reduce wave: one task per non-empty partition sorts its slice by the
-  full composite order and (optionally) stamps a GLOBAL row number from
-  the prefix sum of the map wave's per-partition counts — available the
-  moment the maps finish, so the offsets cost no extra pass.
+* sample wave: strided primary-key samples per block (the driver fetches
+  a few hundred scalars per map group, never rows);
+* map wave: ``RangeRoute`` assigns ``searchsorted(cuts, key, 'right')``
+  — rows with EQUAL primary keys land in one partition, so ties never
+  straddle a boundary and tiebreak columns stay partition-local;
+* reduce wave: each non-empty partition sorts by the full composite order
+  and (optionally) stamps a GLOBAL row number offset by the prefix sum of
+  the map wave's per-partition row counts.
 
-Output blocks come back in key-range order (``from_arrow_refs`` keeps
-order), i.e. the returned Dataset is globally sorted. This is the
-engine's answer to ``ROW_NUMBER() OVER (ORDER BY ...)`` — a global
-window no hash groupby can express.
-
-Scale notes: the exchange moves every row once (inherent to a total
-sort); partition count auto-sizes from input bytes. Heavy skew on ONE
-primary value concentrates that value's rows in a single partition —
-unavoidable for exact global ranks (salting would split equal keys
-across reducers and break the tie order); mitigate by adding a
-higher-cardinality leading order column.
+Output blocks come back in key-range order, so the returned Dataset is
+globally sorted: ``ROW_NUMBER() OVER (ORDER BY ...)`` without a hash
+groupby. Heavy skew on ONE primary value concentrates its rows in one
+partition (exact global ranks forbid splitting equal keys); add a
+higher-cardinality leading order column to spread it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -34,16 +27,45 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .exchange import auto_partitions
+from .exchange import (
+    auto_partitions,
+    block_groups,
+    buffer_blocks,
+    fetch_tables,
+    reduce_slices,
+    run_maps,
+)
+
+
+class RangeRoute:
+    """Partition id of each row: the primary value's interval among the
+    sorted ``cuts`` (``side='right'``)."""
+
+    def __init__(self, primary: str, cuts: np.ndarray):
+        self.primary, self.cuts = primary, cuts
+
+    def __call__(self, tbl: pa.Table) -> np.ndarray:
+        if tbl.column(self.primary).null_count:
+            # a null has no place in a total order; fail loudly instead of
+            # a TypeError deep inside searchsorted
+            raise ValueError(
+                f"range_sort: primary order column {self.primary!r} "
+                "contains nulls; filter or fill them first")
+        v = tbl.column(self.primary).to_pandas().to_numpy()
+        if v.dtype.kind == "f" and np.isnan(v).any():
+            # NaN compares unordered: it would route to the top partition
+            # and a descending sort would emit it FIRST
+            raise ValueError(
+                f"range_sort: primary order column {self.primary!r} "
+                "contains NaN; filter or fill them first")
+        return (pd.Index(self.cuts).searchsorted(v, side="right")
+                .astype(np.int64))
 
 
 @ray.remote
 def _sample_primary(block_refs, primary: str, per_block: int):
-    blocks = [pa.Table.from_pandas(b, preserve_index=False)
-              if isinstance(b, pd.DataFrame) else b
-              for b in ray.get(list(block_refs))]
     out = []
-    for t in blocks:
+    for t in fetch_tables(block_refs):
         n = t.num_rows
         if not n:
             continue
@@ -52,47 +74,8 @@ def _sample_primary(block_refs, primary: str, per_block: int):
     return pd.concat(out, ignore_index=True) if out else pd.Series([])
 
 
-@ray.remote
-def _range_map(block_refs, primary: str, cuts, num_partitions: int):
-    blocks = [pa.Table.from_pandas(b, preserve_index=False)
-              if isinstance(b, pd.DataFrame) else b
-              for b in ray.get(list(block_refs))]
-    tbl = pa.concat_tables(blocks, promote_options="permissive")
-    if tbl.num_rows == 0:
-        e = tbl.slice(0, 0)
-        return (*[e] * num_partitions,
-                np.zeros(num_partitions, dtype=np.int64))
-    if tbl.column(primary).null_count:
-        # a null has no place in a total order; fail loudly instead of a
-        # TypeError deep inside searchsorted (same contract as ops/window
-        # rank after the round-3 null-rank advice)
-        raise ValueError(
-            f"range_sort: primary order column {primary!r} contains "
-            "nulls; filter or fill them first")
-    v = tbl.column(primary).to_pandas().to_numpy()
-    if v.dtype.kind == "f" and np.isnan(v).any():
-        # NaN compares unordered: searchsorted would route it to the
-        # top partition and a descending sort would emit it FIRST —
-        # reject like nulls instead of silently misordering
-        raise ValueError(
-            f"range_sort: primary order column {primary!r} contains "
-            "NaN; filter or fill them first")
-    pids = pd.Index(cuts).searchsorted(v, side="right").astype(np.int64)
-    order = np.argsort(pids, kind="stable")
-    tbl = tbl.take(pa.array(order))
-    bounds = np.searchsorted(pids[order], np.arange(num_partitions + 1))
-    return (*[tbl.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-              for i in range(num_partitions)],
-            np.diff(bounds).astype(np.int64))
-
-
-@ray.remote
-def _range_reduce(order_cols, ascending, out_col, offset, *parts):
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return None
-    df = (pa.concat_tables(parts, promote_options="permissive")
-          .replace_schema_metadata(None).to_pandas())
+def _sort_run(order_cols, ascending, out_col, offset, tbl: pa.Table):
+    df = tbl.replace_schema_metadata(None).to_pandas()
     df = df.sort_values(order_cols, ascending=ascending,
                         kind="mergesort").reset_index(drop=True)
     if out_col is not None:
@@ -118,48 +101,33 @@ def range_sort(ds: rd.Dataset, order_cols: list[str], *,
         ascending = [ascending] * len(order_cols)
     primary = order_cols[0]
 
-    block_refs: list = []
-    total_bytes = 0
-    for bundle in ds.iter_internal_ref_bundles():
-        block_refs.extend(bundle.block_refs)
-        total_bytes += bundle.size_bytes() or 0
+    block_refs, total_bytes = buffer_blocks(ds)
     if not block_refs:
         return rd.from_items([])
     if num_partitions is None:
         num_partitions = auto_partitions(total_bytes)
 
-    groups = [block_refs[i:i + blocks_per_map]
-              for i in range(0, len(block_refs), blocks_per_map)]
     samples = pd.concat(ray.get([
         _sample_primary.remote(g, primary, sample_per_block)
-        for g in groups]), ignore_index=True).sort_values(
-        kind="mergesort").to_numpy()
+        for g in block_groups(block_refs, blocks_per_map)]),
+        ignore_index=True).sort_values(kind="mergesort").to_numpy()
     if len(samples) == 0:
         return rd.from_items([])
     cut_idx = np.linspace(0, len(samples) - 1,
                           num_partitions + 1)[1:-1].astype(np.int64)
-    cuts = samples[cut_idx]
+    refs, (rows, _) = run_maps(block_refs, RangeRoute(primary,
+                                                      samples[cut_idx]),
+                               num_partitions, blocks_per_map)
 
-    refs_per_pid: list[list] = [[] for _ in range(num_partitions)]
-    count_refs: list = []
-    for g in groups:
-        outs = _range_map.options(num_returns=num_partitions + 1).remote(
-            g, primary, cuts, num_partitions)
-        for p in range(num_partitions):
-            refs_per_pid[p].append(outs[p])
-        count_refs.append(outs[num_partitions])
-
-    totals = np.sum(ray.get(count_refs), axis=0)
     visit = (range(num_partitions) if ascending[0]
              else range(num_partitions - 1, -1, -1))
     out_refs = []
     offset = 0
     for p in visit:
-        if totals[p] > 0:
-            out_refs.append(_range_reduce.remote(
-                order_cols, ascending, out_col, int(offset),
-                *refs_per_pid[p]))
-            offset += int(totals[p])
+        if rows[p]:
+            out_refs.append(reduce_slices.remote(functools.partial(
+                _sort_run, order_cols, ascending, out_col, offset), *refs[p]))
+            offset += int(rows[p])
     if not out_refs:
         return rd.from_items([])
     return rd.from_arrow_refs(out_refs)

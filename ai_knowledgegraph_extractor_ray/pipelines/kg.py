@@ -1,26 +1,33 @@
-"""The flagship pipeline: transcripts -> knowledge graph parquet.
+"""The two-phase KG job: transcripts -> knowledge-graph parquet lake.
 
-Streaming DAG (reference lifecycle analogue: SURVEY.md §3; reference
-entry point main.py:81-132 re-expressed Ray-Data-first):
+Phase 1 (``run_kg_job``), rules backend — ONE all-to-all over the raw
+turns (reference lifecycle analogue: SURVEY.md §3; reference entry point
+main.py:81-132):
 
     read transcripts (column-pruned)
-      -> stamp partition_id = crc32(conv_id) % P        [vectorized]
-      -> [resume] drop turns of already-committed partitions
-      -> groupby(partition_id).map_groups(assemble)     [shuffle #1: the only
-           wide exchange over raw text; sorts within group on
-           (conv_id, turn_idx) — never a global sort]
-      -> map_batches(Extractor, actor pool)             [stateful stage]
-      -> groupby(partition_id).map_groups(write_partition)
-                                                        [shuffle #2: over
-           extracted graph rows (much smaller than text); commits each
-           partition atomically with a lineage manifest]
+      -> [resume] link unchanged partitions of the prior version, drop
+         rows of committed/linked partitions (fingerprint-validated)
+      -> hash exchange on crc32(conv_id) % P           [ops/exchange.py;
+           optional skew split map, two levels above 1024 partitions]
+      -> one fused reduce per partition: sort-within-conversation ->
+         assemble -> extract -> renumber -> write the partition's three
+         tables + lineage manifest (atomic per-partition commit)
       -> manifests (tiny) -> job summary
 
-Everything streams with backpressure; nothing materializes driver-side
-except the P manifest rows.
+Stateful extractors (the LLM backend's actor pool) still take the second,
+staged plan: ``groupby(partition_id).map_groups(assemble)`` -> actor-pool
+extract -> ``groupby(partition_id).map_groups(write)`` — two sort-based
+shuffles, without the exchange plan's skew splitting, largest-first
+reduce order or committed-row prefilter.
+
+Phase 2 (``run_canonicalize_job``): mention counts -> blocking -> verify
+-> union-find -> alias table -> edge rewrite, written under
+``version=K/canonical/`` with its own manifest.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -155,12 +162,7 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     # committed partition ids were assigned under it); a fresh run computes
     # one when cfg.auto_split_skew and persists it before any commit.
     split_map: dict[int, tuple[int, int]] = {}
-    if (cfg.auto_split_skew and cfg.backend == "rules"
-            and cfg.num_partitions <= 1024):
-        # NOT wired for the hierarchical exchange (P > 1024): computing a
-        # map there would persist a layout the exchange never applies,
-        # breaking lookups and resume validation — at that P the remedy
-        # for an oversized partition is simply a higher P.
+    if cfg.auto_split_skew and cfg.backend == "rules":
         split_map = load_split_map(out_dir, cfg.version) if resume else {}
         if not split_map:
             prev_v = (_latest_prior_version(out_dir, cfg.version)
@@ -280,19 +282,9 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
                 started_at=t_start,
                 config_sig=_config_sig(cfg)).to_dict("records")[0]
 
-        if cfg.num_partitions > 1024:
-            # very large P: two-level exchange keeps driver refs at
-            # W x coarse instead of W x P (ops/exchange.py scale notes).
-            # Skew splitting is not wired here — at that P the remedy for
-            # an oversized partition is simply a higher P.
-            from ..ops.exchange import hash_exchange_hierarchical
-            records = hash_exchange_hierarchical(
-                transcripts, cfg.num_partitions, reduce_fn,
-                coarse=256, skip=frozenset(committed))
-        else:
-            records = hash_exchange(transcripts, cfg.num_partitions,
-                                    reduce_fn, skip=frozenset(committed),
-                                    split_map=split_map or None)
+        records = hash_exchange(transcripts, cfg.num_partitions, reduce_fn,
+                                skip=frozenset(committed),
+                                split_map=split_map or None)
         fresh = (pd.DataFrame(records)[lineage.MANIFEST_COLS]
                  if records else lineage.empty_manifest_frame())
     else:
@@ -384,9 +376,13 @@ def read_versions_harmonized(out_dir: str, versions: list[int],
     lake analogue of the reference's Alembic migration
     alembic/versions/60875d8d58f2). ``table`` is ``nodes``/``edges``/
     ``convs`` (phase-1 partition tables) or ``aliases``/
-    ``canonical_nodes``/``canonical_edges`` (phase-2 canonical dirs);
-    each row keeps its ``version`` column for provenance."""
+    ``canonical_nodes``/``canonical_edges`` (phase-2 canonical dirs).
+    Every row carries a ``version`` column for provenance: tables written
+    without one (the canonical dirs) get their version stamped at read
+    time."""
     import glob
+
+    import pyarrow.parquet as pq
 
     from ..state import schema_evo
 
@@ -403,7 +399,24 @@ def read_versions_harmonized(out_dir: str, versions: list[int],
         raise FileNotFoundError(
             f"read_versions_harmonized: no committed partitions for "
             f"version(s) {empty} under {out_dir}")
-    return schema_evo.read_harmonized(groups)
+    parts, schemas = [], []
+    for v, g in zip(versions, groups):
+        group_schemas = [pq.read_schema(f) for f in g]
+        # no hive parsing of the version=K path segment: the stamp below
+        # is typed like the phase-1 column, not as the path's string
+        ds = rd.read_parquet(g, partitioning=None)
+        if not any("version" in s.names for s in group_schemas):
+            group_schemas.append(pa.schema([("version", pa.int32())]))
+            ds = ds.map_batches(functools.partial(_stamp_version, v),
+                                batch_format="pyarrow")
+        parts.append(ds)
+        schemas += group_schemas
+    return schema_evo.union_harmonized(parts, schemas)
+
+
+def _stamp_version(version: int, t: pa.Table) -> pa.Table:
+    return t.append_column("version", pa.array(
+        np.full(t.num_rows, version, dtype=np.int32)))
 
 
 def schema_report(out_dir: str) -> pd.DataFrame:

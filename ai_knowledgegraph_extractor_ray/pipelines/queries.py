@@ -898,27 +898,9 @@ def q_canon_sql(sf_dir: str) -> rd.Dataset:
     return out.map_batches(fmt, batch_format="pandas")
 
 
-_CANON_CACHE: dict[str, rd.Dataset] = {}
-
-
 def _canon_edges(sf_dir: str) -> rd.Dataset:
-    """The canonical-edge input every kg_* query consumes. BENCH-HARNESS
-    PLUMBING, not an operator: when ``GRAFT_BENCH_SHARE_CANON=1`` (set
-    only by bench.py's sweep) the extract→canonicalize chain is
-    materialized once per process and shared, so each kg_* bench wall
-    measures its OWN graph operator instead of re-paying the upstream
-    chain 8×. Unset (the driver gate, check_oracle, tests) every call
-    recomputes independently — semantics identical either way, only the
-    caching differs."""
-    import os
-
-    if os.environ.get("GRAFT_BENCH_SHARE_CANON") != "1":
-        return q_canon_sql(sf_dir)
-    ds = _CANON_CACHE.get(sf_dir)
-    if ds is None:
-        ds = q_canon_sql(sf_dir).materialize()
-        _CANON_CACHE[sf_dir] = ds
-    return ds
+    """The canonical-edge input every kg_* query consumes."""
+    return q_canon_sql(sf_dir)
 
 
 def q_kg_degrees(sf_dir: str) -> rd.Dataset:

@@ -116,8 +116,14 @@ def read_harmonized(file_groups: list[list[str]]) -> rd.Dataset:
     groups = [g for g in file_groups if g]
     if not groups:
         raise ValueError("read_harmonized: no input files")
-    schemas = [pq.read_schema(f) for g in groups for f in g]
+    return union_harmonized([rd.read_parquet(g) for g in groups],
+                            [pq.read_schema(f) for g in groups for f in g])
+
+
+def union_harmonized(parts: list[rd.Dataset],
+                     schemas: list[pa.Schema]) -> rd.Dataset:
+    """Union ``parts`` under ``union_schema(schemas)`` — the schemas every
+    part's rows were written with."""
     target = union_schema(schemas)
-    parts = [harmonize(rd.read_parquet(g), target) for g in groups]
-    out = parts[0]
-    return out.union(*parts[1:]) if len(parts) > 1 else out
+    parts = [harmonize(ds, target) for ds in parts]
+    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]

@@ -99,28 +99,67 @@ def test_hierarchical_exchange_matches_single_level():
 
 
 def test_exchange_property_random_layouts():
-    """Property test: for random corpora, partition counts, block layouts
-    and map grouping, the exchange's per-partition row multisets equal a
-    driver-side reference partitioning."""
+    """Property test over every route: for random corpora, partition
+    counts, block layouts and map grouping, the per-partition row
+    multisets equal a driver-side reference partitioning — plain hash,
+    hash + skew split map, the two-level coarse route (P > 1024) and
+    range cuts."""
     import random
     import zlib
 
+    import numpy as np
+    import ray
+
+    from ai_knowledgegraph_extractor_ray.ops.exchange import run_maps
+    from ai_knowledgegraph_extractor_ray.ops.sort import RangeRoute
+
+    def ref_pid(k: str, P: int, split_map: dict) -> int:
+        crc = zlib.crc32(k.encode())
+        if crc % P in split_map:
+            off, s = split_map[crc % P]
+            return P + off + (crc // P) % s
+        return crc % P
+
     rng = random.Random(0xE0)
-    for trial in range(5):
+    for trial in range(12):
+        route = ("hash", "split", "two-level", "range")[trial % 4]
         n = rng.randint(1, 400)
-        P = rng.choice([1, 2, 5, 16, 63])
+        P = (rng.choice([1025, 1500, 2100]) if route == "two-level"
+             else rng.choice([1, 2, 5, 16, 63]))
+        split_map: dict = {}
+        if route == "split":
+            off = 0
+            for p in rng.sample(range(P), rng.randint(1, min(P, 3))):
+                split_map[p] = (off, rng.randint(1, 4))
+                off += split_map[p][1]
         keys = [f"key-{rng.randint(0, 50)}-{rng.choice('abc')}"
                 for _ in range(n)]
-        df = pd.DataFrame({"conv_id": keys,
-                           "val": list(range(n))})
-        want: dict[int, list] = {}
-        for k, v in zip(keys, df["val"]):
-            want.setdefault(zlib.crc32(k.encode()) % P, []).append(v)
+        df = pd.DataFrame({"conv_id": keys, "val": list(range(n))})
         ds = rd.from_pandas(df).repartition(rng.randint(1, 9))
-        got = {r["pid"]: r["vals"] for r in hash_exchange(
-            ds, P, collect_rows, blocks_per_map=rng.randint(1, 6))}
+        bpm = rng.randint(1, 6)
+        want: dict[int, list] = {}
+        if route == "range":
+            cuts = np.sort(np.array(rng.sample(range(n + 5), min(P - 1,
+                                                                 n + 5))))
+            for v in df["val"]:
+                want.setdefault(int(np.searchsorted(cuts, v, "right")),
+                                []).append(v)
+            refs, sizes = run_maps(ds, RangeRoute("val", cuts), P, bpm)
+            got = {p: sorted(v for t in ray.get(r) for v in
+                             t["val"].to_pylist())
+                   for p, r in enumerate(refs)}
+            got = {p: v for p, v in got.items() if v}
+            assert list(sizes[0]) == [len(want.get(p, []))
+                                      for p in range(P)], trial
+        else:
+            for k, v in zip(keys, df["val"]):
+                want.setdefault(ref_pid(k, P, split_map), []).append(v)
+            out = hash_exchange(ds, P, collect_rows, blocks_per_map=bpm,
+                                split_map=split_map or None)
+            assert all(r["stamped"] == [r["pid"]] for r in out), trial
+            got = {r["pid"]: r["vals"] for r in out}
         assert got == {p: sorted(v) for p, v in want.items()}, \
-            (trial, n, P)
+            (trial, route, n, P)
 
 
 def test_exchange_dataset_variant():
@@ -138,12 +177,12 @@ def test_exchange_dataset_variant():
         return pa.Table.from_pandas(out.rename(columns={"val": "total"}),
                                     preserve_index=False)
 
-    ds = hash_exchange_dataset(_corpus(20, 3), 64, merge, key="conv_id")
-    out = ds.to_pandas()
-    assert len(out) == 20                       # one row per key
     want = {f"k{i:04d}": sum(range(i * 3, i * 3 + 3)) for i in range(20)}
-    got = dict(zip(out["conv_id"], out["total"]))
-    assert got == want
+    for P in (64, 1):
+        out = hash_exchange_dataset(_corpus(20, 3), P, merge,
+                                    key="conv_id").to_pandas()
+        assert len(out) == 20                   # one row per key
+        assert dict(zip(out["conv_id"], out["total"])) == want, P
 
 
 def test_exchange_dataset_empty_input():

@@ -1138,10 +1138,12 @@ def test_pagerank_distributed_matches_driver_state_path():
     ds = rd.from_pandas(edges).repartition(5)
 
     want = pagerank(ds, iters=4)
-    got = (pagerank_distributed(ds, iters=4, num_partitions=7)
-           .to_pandas().sort_values("node").reset_index(drop=True))
-    assert list(got["node"]) == list(want["node"])
-    np.testing.assert_allclose(got["rank"], want["rank"], rtol=0, atol=1e-12)
+    for P in (7, 1):        # P=1: every exchange still fans out n + 1 refs
+        got = (pagerank_distributed(ds, iters=4, num_partitions=P)
+               .to_pandas().sort_values("node").reset_index(drop=True))
+        assert list(got["node"]) == list(want["node"]), P
+        np.testing.assert_allclose(got["rank"], want["rank"], rtol=0,
+                                   atol=1e-12)
 
     # dispatch: tiny max_driver_nodes forces the distributed path inside
     # pagerank() itself; result identical shape and values
@@ -2739,9 +2741,10 @@ def test_range_sort_global_order_and_ranks():
         desc[["v", "id"]].reset_index(drop=True), want_d)
     assert list(desc["rn"]) == list(range(1, 501))
 
-    s = range_sort(rd.from_pandas([df.iloc[:100]]), ["id"],
-                   num_partitions=3).to_pandas()
-    assert list(s["id"]) == sorted(df.iloc[:100]["id"])  # string primary
+    for P in (3, 1):
+        s = range_sort(rd.from_pandas([df.iloc[:100]]), ["id"],
+                       num_partitions=P).to_pandas()
+        assert list(s["id"]) == sorted(df.iloc[:100]["id"])  # string primary
 
     empty = rd.from_pandas([df.iloc[:0]])
     assert global_row_number(empty, ["v"]).count() == 0

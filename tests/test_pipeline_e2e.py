@@ -267,19 +267,23 @@ def test_canonicalize_resume(job):
 
 
 def test_kg_job_hierarchical_exchange_path(corpus_path, tmp_path):
-    """num_partitions > 1024 routes through the two-level exchange; the
-    graph equals a small-P run's."""
+    """num_partitions > 1024 routes through the two-level exchange, with
+    and without skew splitting; the graph equals a small-P run's."""
     cfg_small = KGConfig(num_partitions=8, extract_concurrency=2)
     cfg_large = KGConfig(num_partitions=2000, extract_concurrency=2)
-    out_s, out_l = str(tmp_path / "s"), str(tmp_path / "l")
-    kg.run_kg_job(src.read_transcripts(corpus_path), cfg_small, out_s,
-                  resume=False)
-    kg.run_kg_job(src.read_transcripts(corpus_path), cfg_large, out_l,
-                  resume=False)
+    cfg_split = KGConfig(num_partitions=2000, extract_concurrency=2,
+                         auto_split_skew=True)
     key = ["conv_id", "subj", "pred", "obj"]
-    es = kg.read_edges(out_s, 1).to_pandas()[key]
-    el = kg.read_edges(out_l, 1).to_pandas()[key]
-    assert sorted(map(tuple, es.values)) == sorted(map(tuple, el.values))
+    edges = []
+    for name, cfg in (("s", cfg_small), ("l", cfg_large), ("x", cfg_split)):
+        out = str(tmp_path / name)
+        kg.run_kg_job(src.read_transcripts(corpus_path), cfg, out,
+                      resume=False)
+        edges.append(sorted(map(tuple, kg.read_edges(out, 1).to_pandas()
+                                [key].values)))
+    # at P=2000 the ~0.3-row mean marks most non-empty partitions as skewed
+    assert kg.load_split_map(str(tmp_path / "x"), 1)
+    assert edges[0] == edges[1] == edges[2]
 
 
 def test_package_root_api_and_canonical_readers(job):

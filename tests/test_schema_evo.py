@@ -7,6 +7,7 @@ import json
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 
@@ -108,25 +109,42 @@ def test_read_harmonized_mixed_schema_within_one_group(tmp_path, ray_session):
 
 
 def test_read_versions_harmonized_canonical_tables(tmp_path, ray_session):
-    """Phase-2 canonical dirs harmonize across versions too: a v2 engine
-    that added a ``confidence`` column to canonical_edges unions with v1
-    output under one schema."""
+    """Phase-2 canonical dirs union across versions too. The pipeline
+    writes them without a ``version`` column, so the reader stamps each
+    version's rows with their own version."""
+    from ai_knowledgegraph_extractor_ray.config import KGConfig
     from ai_knowledgegraph_extractor_ray.pipelines import kg
+    from ai_knowledgegraph_extractor_ray.sources import transcripts as src
     from ai_knowledgegraph_extractor_ray.state import lineage
 
     out = str(tmp_path / "lake")
-    for v, extra in ((1, {}), (2, {"confidence": [0.5]})):
-        cdir = lineage.version_dir(out, v) / "canonical" / "canonical_edges"
-        cdir.mkdir(parents=True)
-        pd.DataFrame({
-            "canonical_src": [f"e_v{v}"], "pred": ["works_at"],
-            "canonical_dst": ["e_x"], "weight": [1],
-            "version": [v], **extra}).to_parquet(cdir / "part.parquet")
+    ts = src.synthetic_transcripts(n_convs=12, seed=9)
+    for cfg in (KGConfig(num_partitions=3, extract_concurrency=2),
+                KGConfig(num_partitions=3, extract_concurrency=2,
+                         version=2, version_cutoff=1)):
+        kg.run_kg_job(ts, cfg, out, resume=False)
+        kg.run_canonicalize_job(out, cfg)
 
-    got = (kg.read_versions_harmonized(out, [1, 2], "canonical_edges")
-           .to_pandas().sort_values("version").reset_index(drop=True))
-    assert len(got) == 2
-    assert got["confidence"].isna().tolist() == [True, False]
+    for table in ("canonical_edges", "canonical_nodes", "aliases"):
+        per_version = {}
+        for v in (1, 2):
+            files = sorted((lineage.version_dir(out, v) / "canonical"
+                            / table).glob("*.parquet"))
+            assert all("version" not in pq.read_schema(f).names
+                       for f in files)
+            per_version[v] = pd.concat([pq.read_table(f).to_pandas()
+                                        for f in files], ignore_index=True)
+        got = kg.read_versions_harmonized(out, [1, 2], table).to_pandas()
+        assert got["version"].dtype == "int32"
+        for v, want in per_version.items():
+            mine = got[got["version"] == v].drop(columns="version")
+            assert len(mine) == len(want), (table, v)
+            assert (sorted(map(tuple, mine[list(want.columns)].astype(str)
+                               .values))
+                    == sorted(map(tuple, want.astype(str).values))), \
+                (table, v)
+    # v2's turn cutoff changes the tables, so a swapped stamp cannot pass
+    assert len(per_version[1]) != len(per_version[2])
     with pytest.raises(FileNotFoundError, match="version"):
         kg.read_versions_harmonized(out, [3], "canonical_edges")
 
