@@ -35,7 +35,7 @@ def entry() -> Any:
 
     import pyarrow.parquet as pq
 
-    cfg = KGConfig(num_partitions=8, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=8)
     out = tempfile.mkdtemp(prefix="kg_entry_")
     n_convs = pq.ParquetFile(f"{SF_SMOKE}/documents.parquet").metadata.num_rows
     ts = src.synthetic_transcripts(n_convs=n_convs, seed=42)

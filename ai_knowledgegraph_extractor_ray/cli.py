@@ -30,7 +30,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--window-chars", type=int, default=0)
     ap.add_argument("--num-partitions", type=int, default=256)
     ap.add_argument("--backend", default="rules", choices=["rules", "llm"])
-    ap.add_argument("--extract-concurrency", type=int, default=8)
     ap.add_argument("--no-resume", action="store_true")
     ap.add_argument("--canonicalize", action="store_true",
                     help="run phase 2 (alias table + canonical graph) after extraction")
@@ -71,8 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = KGConfig(backend=args.backend, version=args.version,
                        version_cutoff=args.version_cutoff,
                        window_chars=args.window_chars,
-                       num_partitions=args.num_partitions,
-                       extract_concurrency=args.extract_concurrency)
+                       num_partitions=args.num_partitions)
 
         if args.stats:
             print(json.dumps(kg.get_stats(args.out, args.version)))

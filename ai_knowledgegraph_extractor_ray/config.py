@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 @dataclass(frozen=True)
 class KGConfig:
     # --- semantics ---------------------------------------------------------
-    # Extraction backend: "rules" (deterministic oracle) or "llm" (actor pool
-    # with validate -> rules fallback, reference: services.py:85-115).
+    # Extraction backend: "rules" (deterministic oracle) or "llm" (HTTP
+    # client per partition task, validate -> rules fallback, reference:
+    # services.py:85-115). Both run the same exchange plan.
     backend: str = "rules"
     # Window size in characters for windowed extraction mode; the reference
     # truncates LLM input at 2000 chars (services.py:375). 0 = whole
@@ -30,8 +31,6 @@ class KGConfig:
 
     # --- physical ----------------------------------------------------------
     num_partitions: int = 64          # output/commit granularity; hash(conv_id)
-    extract_batch_size: int = 256     # conversations per extractor batch
-    extract_concurrency: int | tuple = 8   # extractor actor pool size
     alias_salt_buckets: int = 16      # salted partial-agg fan-out for hot keys
     link_scorer_concurrency: int = 2  # embedding-scorer actor pool size
     broadcast_vocab_cap: int = 1_000_000  # max unclustered norms in the

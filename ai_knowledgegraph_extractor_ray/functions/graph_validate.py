@@ -78,9 +78,9 @@ def validate_graph_rows(graph_rows: rd.Dataset) -> rd.Dataset:
 
     Returns a violations Dataset (conv_id, window_id, check, detail) —
     empty when the graph is clean. Runs per batch; correctness relies on
-    extraction emitting one conversation-window's rows contiguously within
-    a block (true for both the fused and staged pipelines, which emit per
-    conversation inside one task)."""
+    every row of a conversation-window sitting in one block (true for
+    ``build_graph_rows``, whose blocks are whole partitions, each the
+    output of one reduce task)."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         convs, wins, checks, details = [], [], [], []

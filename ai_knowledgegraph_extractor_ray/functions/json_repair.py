@@ -4,7 +4,8 @@ formatting.
 Reimplements the reference's schema-on-read pipeline for LLM output
 (reference: services.py:233-320 parse/repair, services.py:117-176 structural
 validation, services.py:549-580 coercion + referential-integrity filter).
-Pure functions — they run per row inside the extractor actor.
+Pure functions — they run per row inside the extractor, in each partition's
+reduce task.
 """
 
 from __future__ import annotations

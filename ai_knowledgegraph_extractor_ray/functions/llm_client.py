@@ -11,11 +11,13 @@ services.py:102-115).
 
 Scale deviations from the reference, both deliberate:
 
-* the health probe runs once per client (i.e. once per extractor ACTOR),
-  not once per request — at batch throughput a per-request probe doubles
-  request count for no signal;
+* the health probe runs once per client, i.e. once per partition reduce
+  task (the client travels pickled with the extractor and starts each
+  task unprobed), not once per request — at batch throughput a
+  per-request probe doubles request count for no signal;
 * one ``requests.Session`` per client gives connection keep-alive across
-  the actor's lifetime (the reference opens a fresh connection per call).
+  the partition's conversations (the reference opens a fresh connection
+  per call).
 
 The prompt template is the reference's verbatim (services.py:355-377)
 including the ``text[:2000]`` truncation (configurable via
@@ -23,7 +25,7 @@ including the ``text[:2000]`` truncation (configurable via
 
 No model runtime exists in this sandbox, so CI exercises the client against
 a local stub HTTP server (tests/test_llm_client.py); production use only
-needs ``KGConfig(backend="llm", extra={"base_url": ...})``.
+needs ``KGConfig(backend="llm", llm_base_url=...)``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class LLMUnavailable(Exception):
 
 
 class OllamaClient:
-    """Minimal Ollama generate-API client with per-actor session reuse."""
+    """Minimal Ollama generate-API client with per-task session reuse."""
 
     def __init__(self, base_url: str, model: str,
                  timeout_s: float = 120.0, health_timeout_s: float = 5.0):
@@ -92,9 +94,9 @@ class OllamaClient:
         if self._healthy is None:
             self._healthy = self.health_check()
         if not self._healthy:
-            # re-probe on the NEXT call: an actor started before the service
+            # re-probe on the NEXT call: a task started before the service
             # was up must recover once it is, instead of silently degrading
-            # to rules for its whole lifetime (ADVICE round 2)
+            # to rules for its whole partition (ADVICE round 2)
             self._healthy = None
             raise LLMUnavailable("Ollama service not available")
         try:

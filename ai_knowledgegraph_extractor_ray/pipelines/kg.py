@@ -1,24 +1,25 @@
 """The two-phase KG job: transcripts -> knowledge-graph parquet lake.
 
-Phase 1 (``run_kg_job``), rules backend — ONE all-to-all over the raw
-turns (reference lifecycle analogue: SURVEY.md §3; reference entry point
-main.py:81-132):
+Phase 1 (``run_kg_job``) — ONE all-to-all over the raw turns, for every
+extractor backend (reference lifecycle analogue: SURVEY.md §3; reference
+entry point main.py:81-132):
 
     read transcripts (column-pruned)
       -> [resume] link unchanged partitions of the prior version, drop
          rows of committed/linked partitions (fingerprint-validated)
       -> hash exchange on crc32(conv_id) % P           [ops/exchange.py;
            optional skew split map, two levels above 1024 partitions]
-      -> one fused reduce per partition: sort-within-conversation ->
-         assemble -> extract -> renumber -> write the partition's three
-         tables + lineage manifest (atomic per-partition commit)
+      -> one fused reduce per partition (``partition_graph_rows``):
+         sort-within-conversation -> assemble -> extract -> renumber, then
+         write the partition's three tables + lineage manifest (atomic
+         per-partition commit)
       -> manifests (tiny) -> job summary
 
-Stateful extractors (the LLM backend's actor pool) still take the second,
-staged plan: ``groupby(partition_id).map_groups(assemble)`` -> actor-pool
-extract -> ``groupby(partition_id).map_groups(write)`` — two sort-based
-shuffles, without the exchange plan's skew splitting, largest-first
-reduce order or committed-row prefilter.
+The extractor is built once on the driver and pickled into the reduce
+tasks. An LLM backend's client state (an HTTP session and a one-shot health
+probe) is per task, serving every conversation of the partition, so the
+requests in flight are the running partition tasks. ``build_graph_rows`` is
+the same plan without the sink.
 
 Phase 2 (``run_canonicalize_job``): mention counts -> blocking -> verify
 -> union-find -> alias table -> edge rewrite, written under
@@ -35,32 +36,43 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..config import KGConfig
+from ..ops.exchange import hash_exchange, hash_exchange_dataset
 from ..stages.conversation import add_partition_id, assemble_partition
-from ..stages.extract import Extractor, extract_graphs
+from ..stages.extract import (
+    GRAPH_ROWS,
+    Extractor,
+    renumber_conversation_windows,
+)
 from ..state import lineage
 
 
-def build_graph_rows(transcripts: rd.Dataset, cfg: KGConfig,
-                     skip_partitions: set[int] | None = None) -> rd.Dataset:
-    """transcripts -> unified graph-rows Dataset (no sink)."""
-    ds = add_partition_id(transcripts, cfg.num_partitions)
+def partition_graph_rows(cfg: KGConfig, extractor: Extractor,
+                         tbl: pa.Table) -> pd.DataFrame:
+    """One partition's turns -> its graph rows: assemble -> extract ->
+    conversation-level renumbering when windowed. Empty when the version
+    cutoff filtered the whole partition."""
+    conv = assemble_partition(
+        tbl.to_pandas(), window_chars=cfg.window_chars,
+        version_cutoff=cfg.version_cutoff, version=cfg.version)
+    rows = extractor(pa.Table.from_pandas(conv, preserve_index=False)
+                     ).to_pandas()
+    if cfg.window_chars > 0:
+        rows = renumber_conversation_windows(rows)
+    return rows
 
-    if skip_partitions:
-        skip = pa.array(sorted(skip_partitions), pa.int32())
 
-        def drop_committed(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            return t.filter(pc.invert(pc.is_in(t["partition_id"], value_set=skip)))
+def build_graph_rows(transcripts: rd.Dataset, cfg: KGConfig) -> rd.Dataset:
+    """transcripts -> unified graph-rows Dataset: ``run_kg_job``'s plan
+    without the sink (no resume, skew split or commit)."""
+    extractor = Extractor(cfg)
 
-        ds = ds.map_batches(drop_committed, batch_format="pyarrow")
+    def merge(tbl: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(partition_graph_rows(cfg, extractor, tbl),
+                                    schema=GRAPH_ROWS, preserve_index=False)
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        return assemble_partition(
-            df, window_chars=cfg.window_chars,
-            version_cutoff=cfg.version_cutoff, version=cfg.version)
-
-    conversations = ds.groupby("partition_id").map_groups(fn, batch_format="pandas")
-    return extract_graphs(conversations, cfg)
+    return hash_exchange_dataset(
+        add_partition_id(transcripts, cfg.num_partitions),
+        cfg.num_partitions, merge, key="conv_id")
 
 
 def _compute_split_map(transcripts: rd.Dataset, cfg: KGConfig
@@ -140,16 +152,15 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     """Execute the pipeline with per-partition commit; returns the job
     summary (aggregated manifest counts).
 
-    With the stateless rule backend the whole per-partition chain
-    (sort-within-group -> concat -> extract -> write -> manifest) FUSES into
-    ONE reduce task per partition of a raw-Ray hash exchange
-    (``ops/exchange.py``) — the job has exactly one all-to-all, over the raw
-    turns, with no Ray-Data sort barrier (measured: the sort-based groupby
-    spent ~6 s of near-serial wall on ~3.6 CPU-s of shuffle bookkeeping at
-    32 CPUs; the exchange lifted 8->32 scaling efficiency from ~0.50 to
-    ~0.65 and absolute throughput by ~1.5x). Stateful backends (LLM actor
-    pool) take the staged Dataset path, where the actor pool sits between
-    two groupby shuffles.
+    For every backend the whole per-partition chain (sort-within-group ->
+    concat -> extract -> write -> manifest) FUSES into ONE reduce task per
+    partition of a raw-Ray hash exchange (``ops/exchange.py``) — the job has
+    exactly one all-to-all, over the raw turns, with no Ray-Data sort
+    barrier (measured: the sort-based groupby spent ~6 s of near-serial
+    wall on ~3.6 CPU-s of shuffle bookkeeping at 32 CPUs; the exchange
+    lifted 8->32 scaling efficiency from ~0.50 to ~0.65 and absolute
+    throughput by ~1.5x). The extractor is built here, before any input is
+    read, so a misconfigured LLM provider fails fast.
 
     Resume: trusts only partitions whose manifest exists AND (when
     ``validate_input``) whose recorded input fingerprint matches a freshly
@@ -158,11 +169,13 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     (manifest deleted first, so a crash mid-rerun can't resurrect them) and
     recomputed. ``validate_input=False`` skips the extra read pass for
     immutable inputs."""
+    extractor = Extractor(cfg)
+
     # Skew-split layout: a resumed run MUST reuse the persisted map (the
     # committed partition ids were assigned under it); a fresh run computes
     # one when cfg.auto_split_skew and persists it before any commit.
     split_map: dict[int, tuple[int, int]] = {}
-    if cfg.auto_split_skew and cfg.backend == "rules":
+    if cfg.auto_split_skew:
         split_map = load_split_map(out_dir, cfg.version) if resume else {}
         if not split_map:
             prev_v = (_latest_prior_version(out_dir, cfg.version)
@@ -237,72 +250,44 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
                     linked[int(m["partition_id"])] = m
                 committed.update(linked)
 
-    if cfg.backend == "rules":
-        from ..ops.exchange import hash_exchange
+    # committed/linked partitions' rows never need to enter the exchange:
+    # prefilter them out so the map wave stamps/sorts/ships only the
+    # uncommitted remainder (``skip`` alone only suppresses reduces — the
+    # map cost over skipped rows was pure waste on a mostly-committed resume
+    # or an incremental version build)
+    if committed:
+        from ..ops.hashing import crc32_column, effective_pids
+        skip_arr = np.array(sorted(committed), dtype=np.int64)
 
-        extractor = Extractor(cfg)
+        def drop_committed_rows(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return t
+            pids = effective_pids(crc32_column(t["conv_id"]),
+                                  cfg.num_partitions, split_map or None)
+            keep = ~np.isin(pids, skip_arr)
+            if keep.all():
+                return t
+            return t.filter(pa.array(keep))
 
-        # committed/linked partitions' rows never need to enter the
-        # exchange: prefilter them out so the map wave stamps/sorts/ships
-        # only the uncommitted remainder (``skip`` alone only suppresses
-        # reduces — the map cost over skipped rows was pure waste on a
-        # mostly-committed resume or an incremental version build)
-        if committed:
-            from ..ops.hashing import crc32_column, effective_pids
-            skip_arr = np.array(sorted(committed), dtype=np.int64)
+        transcripts = transcripts.map_batches(
+            drop_committed_rows, batch_format="pyarrow")
 
-            def drop_committed_rows(t: pa.Table) -> pa.Table:
-                if t.num_rows == 0:
-                    return t
-                pids = effective_pids(crc32_column(t["conv_id"]),
-                                      cfg.num_partitions, split_map or None)
-                keep = ~np.isin(pids, skip_arr)
-                if keep.all():
-                    return t
-                return t.filter(pa.array(keep))
+    def reduce_fn(pid: int, tbl: pa.Table):
+        import time as _time
+        t_start = _time.perf_counter()
+        rows = partition_graph_rows(cfg, extractor, tbl)
+        if len(rows) == 0:      # cutoff filtered the whole partition
+            return None
+        return lineage.write_partition(
+            rows, out_dir, cfg.version, input_bytes=tbl.nbytes,
+            started_at=t_start,
+            config_sig=_config_sig(cfg)).to_dict("records")[0]
 
-            transcripts = transcripts.map_batches(
-                drop_committed_rows, batch_format="pyarrow")
-
-        def reduce_fn(pid: int, tbl: pa.Table):
-            import time as _time
-            t_start = _time.perf_counter()
-            conv = assemble_partition(
-                tbl.to_pandas(), window_chars=cfg.window_chars,
-                version_cutoff=cfg.version_cutoff, version=cfg.version)
-            if len(conv) == 0:      # cutoff filtered the whole partition
-                return None
-            rows = extractor(pa.Table.from_pandas(conv, preserve_index=False)
-                             ).to_pandas()
-            if cfg.window_chars > 0:
-                from ..stages.extract import renumber_conversation_windows
-                rows = renumber_conversation_windows(rows)
-            return lineage.write_partition(
-                rows, out_dir, cfg.version, input_bytes=tbl.nbytes,
-                started_at=t_start,
-                config_sig=_config_sig(cfg)).to_dict("records")[0]
-
-        records = hash_exchange(transcripts, cfg.num_partitions, reduce_fn,
-                                skip=frozenset(committed),
-                                split_map=split_map or None)
-        fresh = (pd.DataFrame(records)[lineage.MANIFEST_COLS]
-                 if records else lineage.empty_manifest_frame())
-    else:
-        graph_rows = build_graph_rows(transcripts, cfg,
-                                      skip_partitions=set(committed))
-
-        def write(df: pd.DataFrame) -> pd.DataFrame:
-            if cfg.window_chars > 0:
-                from ..stages.extract import renumber_conversation_windows
-                df = renumber_conversation_windows(df)
-            return lineage.write_partition(df, out_dir, cfg.version,
-                                           config_sig=_config_sig(cfg))
-
-        manifests = graph_rows.groupby("partition_id").map_groups(
-            write, batch_format="pandas")
-        fresh = manifests.to_pandas()  # P rows at most — safe to materialize
-        if "partition_id" not in fresh.columns:
-            fresh = lineage.empty_manifest_frame()
+    records = hash_exchange(transcripts, cfg.num_partitions, reduce_fn,
+                            skip=frozenset(committed),
+                            split_map=split_map or None)
+    fresh = (pd.DataFrame(records)[lineage.MANIFEST_COLS]
+             if records else lineage.empty_manifest_frame())
 
     all_manifests = list(committed.values()) + fresh.to_dict("records")
 

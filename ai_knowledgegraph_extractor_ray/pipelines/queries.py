@@ -26,7 +26,7 @@ from ..sources import transcripts as src
 from ..stages import canonicalize as cz
 from ..stages.conversation import assemble_partition
 
-QCFG = KGConfig(num_partitions=16, extract_concurrency=4)
+QCFG = KGConfig(num_partitions=16)
 
 
 def _documents(sf_dir: str) -> rd.Dataset:

@@ -21,8 +21,6 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..config import KGConfig
-
 
 def partition_of(conv_id: str, num_partitions: int,
                  split_map: dict[int, tuple[int, int]] | None = None) -> int:
@@ -212,16 +210,3 @@ def assemble_partition(df: pd.DataFrame, *, window_chars: int = 0,
     out["conv_fp"] = out["conv_id"].map(fps).astype("uint64")
     return out
 
-
-def assemble_conversations(ds: rd.Dataset, cfg: KGConfig) -> rd.Dataset:
-    """turns Dataset -> conversation/window Dataset. The single wide shuffle
-    of the extraction phase (groupby partition_id); everything downstream is
-    embarrassingly parallel until canonicalization."""
-    ds = add_partition_id(ds, cfg.num_partitions)
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        return assemble_partition(
-            df, window_chars=cfg.window_chars,
-            version_cutoff=cfg.version_cutoff, version=cfg.version)
-
-    return ds.groupby("partition_id").map_groups(fn, batch_format="pandas")

@@ -1,12 +1,13 @@
 """Triple extraction stage: conversation texts -> graph rows.
 
-The per-batch body of the extractor actor pool (SURVEY.md §2.2 M1-M11). Each
-actor holds its backend state (compiled patterns / model client) across
-batches; work happens per batch over Arrow columns. The LLM fallback chain of
-the reference (openai -> ollama -> rules, validation-gated, reference:
-services.py:85-115) becomes a per-row try/validate/fallback inside the actor —
-a poisoned row degrades to the deterministic backend instead of failing the
-partition.
+The per-partition extract step of the KG job's fused reduce (SURVEY.md §2.2
+M1-M11). The ``Extractor`` is built once on the driver and pickled into each
+reduce task, so its backend state (compiled patterns / model client) is
+per task and serves every text unit of the partition; work happens over
+Arrow columns. The LLM fallback chain of the reference (openai -> ollama ->
+rules, validation-gated, reference: services.py:85-115) becomes a per-row
+try/validate/fallback inside the task — a poisoned row degrades to the
+deterministic backend instead of failing the partition.
 
 Output is a single unified "graph rows" Arrow table (kind: node|edge) so one
 streaming pass produces both graph tables; the sink partitions by kind.
@@ -20,7 +21,6 @@ from typing import Protocol
 
 import numpy as np
 import pyarrow as pa
-import ray.data as rd
 
 from ..config import KGConfig
 from ..functions.rules import RuleGraph, extract_rule_graph
@@ -86,11 +86,11 @@ class LLMBackend:
         self.cfg = cfg
         self.fallback = RuleBackend()
         self.fake_responses = fake_responses
-        # Protocol chain, one client per provider per ACTOR (connection
-        # reuse; Ollama's one-shot health probe amortized over the actor's
-        # lifetime). Mirrors the reference's openai -> ollama -> rules
-        # chain (services.py:85-115) with cfg.llm_provider picking the
-        # members and order.
+        # Protocol chain, one client per provider per reduce task
+        # (connection reuse; Ollama's one-shot health probe amortized over
+        # the partition's conversations). Mirrors the reference's openai ->
+        # ollama -> rules chain (services.py:85-115) with cfg.llm_provider
+        # picking the members and order.
         self.clients: list = []
         if fake_responses is None and (cfg.llm_base_url
                                        or cfg.llm_openai_base_url):
@@ -171,9 +171,9 @@ def edge_id_of(conv_id: str, version: int, subj: str, pred: str, obj: str) -> st
 
 
 class Extractor:
-    """map_batches callable class -> actor pool. State (backend, any model
-    client) is built once per actor in __init__; __call__ handles one Arrow
-    batch of assembled conversations/windows."""
+    """Backend state (any model client) is built in __init__ and travels
+    pickled into each reduce task; __call__ handles one Arrow table of
+    assembled conversations/windows."""
 
     def __init__(self, cfg: KGConfig):
         self.cfg = cfg
@@ -290,29 +290,3 @@ def renumber_conversation_windows(df) -> "pd.DataFrame":
     return pd.concat([convs, firsts.drop(columns="_ord"), edges],
                      ignore_index=True)[df.columns]
 
-
-def extract_graphs(conversations: rd.Dataset, cfg: KGConfig) -> rd.Dataset:
-    """Attach the extractor stage.
-
-    The deterministic rule backend is STATELESS (patterns compile at module
-    import in every worker), so it runs as plain tasks — no actor pool to
-    spawn, tasks scale elastically with the cluster, and nothing idles. Only
-    genuinely stateful backends (LLM client / model weights) pay for an
-    actor pool: there the per-actor __init__ cost is what the pool exists to
-    amortize. (Measured: a 30-actor pool on a 32-CPU node costs seconds of
-    spawn time, which inverted the 8->32 CPU scaling curve for short jobs.)
-    """
-    if cfg.backend == "rules":
-        return conversations.map_batches(
-            Extractor(cfg),
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-        )
-    return conversations.map_batches(
-        Extractor,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-        concurrency=cfg.extract_concurrency,
-        num_cpus=1,
-    )

@@ -61,16 +61,11 @@ def run_benchmarks(sf_dir: str, num_cpus: int, kg_only: bool) -> dict:
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     n_convs = int(os.environ.get("GRAFT_BENCH_CONVS_PER_DOC",
                                  str(CONVS_PER_DOC))) * n_docs
-    # Leave >=2 CPUs outside the extractor actor pool: a pool sized to the
-    # whole cluster reserves every slot and starves the upstream read/sort
-    # tasks -> deadlock (observed at num_cpus=8, concurrency=8).
     # num_partitions is FIXED across CPU counts: it is the job's commit/
     # output layout (one resume unit each), and the scaling legs must run
     # the identical job; 256 also packs the reduce wave into even multiples
     # of both 8 and 32 slots.
-    cfg = KGConfig(num_partitions=256,
-                   extract_concurrency=max(2, num_cpus - 2),
-                   extract_batch_size=256)
+    cfg = KGConfig(num_partitions=256)
 
     # corpus generation is benchmark scaffolding, not engine work: land it as
     # parquet once (cached across runs and scaling legs) and time the job

@@ -79,7 +79,7 @@ def test_windowed_mode_covers_all_text(tmp_path):
     p = tmp_path / "t.parquet"
     pq.write_table(table, p)
     out = str(tmp_path / "out")
-    cfg = KGConfig(num_partitions=4, window_chars=120, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=4, window_chars=120)
     kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
 
     convs = rd.read_parquet(
@@ -104,7 +104,7 @@ def test_windowed_graphs_match_per_window_oracle(tmp_path):
     p = tmp_path / "t.parquet"
     pq.write_table(table, p)
     out = str(tmp_path / "out")
-    cfg = KGConfig(num_partitions=2, window_chars=150, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=2, window_chars=150)
     kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
     edges = kg.read_edges(out, 1).to_pandas()
 
@@ -140,7 +140,7 @@ def test_windowed_cross_window_node_numbering(tmp_path):
     p = tmp_path / "t.parquet"
     pq.write_table(table, p)
     out = str(tmp_path / "out")
-    cfg = KGConfig(num_partitions=3, window_chars=150, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=3, window_chars=150)
     kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
     nodes = kg.read_nodes(out, 1).to_pandas()
     edges = kg.read_edges(out, 1).to_pandas()
@@ -182,7 +182,7 @@ def admin_out(tmp_path_factory):
     out = str(tmp / "out")
     for version, cutoff in ((1, 1), (2, 3), (3, None)):
         cfg = KGConfig(num_partitions=4, version=version,
-                       version_cutoff=cutoff, extract_concurrency=2)
+                       version_cutoff=cutoff)
         kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
     return out
 

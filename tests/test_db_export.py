@@ -15,7 +15,7 @@ def test_sqlite_export_round_trip(tmp_path, ray_session):
     from ai_knowledgegraph_extractor_ray.state import db_export
 
     out = str(tmp_path / "lake")
-    cfg = KGConfig(num_partitions=4, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=4)
     ts = src.synthetic_transcripts(n_convs=40, seed=7)
     kg.run_kg_job(ts, cfg, out, resume=False)
 
@@ -76,9 +76,9 @@ def test_sqlite_export_multi_version_latest(tmp_path, ray_session):
 
     out = str(tmp_path / "lake")
     ts = src.synthetic_transcripts(n_convs=12, seed=3)
-    kg.run_kg_job(ts, KGConfig(num_partitions=2, extract_concurrency=2),
+    kg.run_kg_job(ts, KGConfig(num_partitions=2),
                   out, resume=False)
-    kg.run_kg_job(ts, KGConfig(num_partitions=2, extract_concurrency=2,
+    kg.run_kg_job(ts, KGConfig(num_partitions=2,
                                version=2), out, resume=False)
 
     db = str(tmp_path / "export.db")
@@ -112,10 +112,10 @@ def test_sqlite_export_doc_absent_from_newest_version(tmp_path, ray_session):
 
     out = str(tmp_path / "lake")
     kg.run_kg_job(src.synthetic_transcripts(n_convs=10, seed=3),
-                  KGConfig(num_partitions=2, extract_concurrency=2),
+                  KGConfig(num_partitions=2),
                   out, resume=False)
     kg.run_kg_job(src.synthetic_transcripts(n_convs=4, seed=3),
-                  KGConfig(num_partitions=2, extract_concurrency=2,
+                  KGConfig(num_partitions=2,
                            version=2), out, resume=False)
 
     db = str(tmp_path / "export.db")

@@ -39,8 +39,8 @@ def test_each_violation_detected():
     assert "self_loop" in checks
     assert "dangling_source" in checks
     assert "relationship_too_long" in checks
-    # dup of (n1,n2,r): appears once as duplicate (4th edge repeats 1st-style)
-    assert "duplicate_edge" not in checks or True
+    # no two edges share (source, target, relationship)
+    assert "duplicate_edge" not in checks
 
 
 def test_duplicate_edge_detected():
@@ -57,7 +57,7 @@ def test_pipeline_output_is_clean(tmp_path):
     p = tmp_path / "t.parquet"
     pq.write_table(table, p)
     rows = build_graph_rows(src.read_transcripts(str(p)),
-                            KGConfig(num_partitions=4, extract_concurrency=2))
+                            KGConfig(num_partitions=4))
     violations = validate_graph_rows(rows).to_pandas()
     assert len(violations) == 0
 

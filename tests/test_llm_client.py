@@ -172,8 +172,8 @@ def test_backend_falls_back_to_rules_on_unavailable(stub_server):
 
 
 def test_full_pipeline_actor_pool_over_http(stub_server, tmp_path):
-    """run_kg_job with backend='llm' + llm_base_url: the extractor ACTOR
-    POOL connects to the stub server from worker processes; every
+    """run_kg_job with backend='llm' + llm_base_url: the partition reduce
+    tasks connect to the stub server from worker processes; every
     conversation gets the server's graph."""
     import pyarrow.parquet as pq
 
@@ -184,8 +184,7 @@ def test_full_pipeline_actor_pool_over_http(stub_server, tmp_path):
     pq.write_table(src.synthetic_transcripts_table(
         n_convs=6, seed=21, include_golden=False), p)
     cfg = KGConfig(backend="llm", llm_base_url=stub_server,
-                   llm_model="tinyllama", num_partitions=2,
-                   extract_concurrency=2)
+                   llm_model="tinyllama", num_partitions=2)
     out = str(tmp_path / "out")
     summary = kg.run_kg_job(src.read_transcripts(str(p)), cfg, out,
                             resume=False)
@@ -216,8 +215,7 @@ def test_full_pipeline_llm_failures_mid_partition(stub_server, tmp_path):
     pq.write_table(src.synthetic_transcripts_table(
         n_convs=8, seed=33, include_golden=False), p)
     cfg = KGConfig(backend="llm", llm_base_url=stub_server,
-                   llm_model="tinyllama", num_partitions=2,
-                   extract_concurrency=2)
+                   llm_model="tinyllama", num_partitions=2)
     out = str(tmp_path / "out")
     summary = kg.run_kg_job(src.read_transcripts(str(p)), cfg, out,
                             resume=False)
@@ -402,8 +400,8 @@ class StubFlaky(BaseHTTPRequestHandler):
 
 
 def test_llm_pipeline_mid_partition_failures_fall_back_and_commit(tmp_path):
-    """Round-3 VERDICT #7: the staged LLM actor-pool job against a stub
-    server that 500s every second call. Every conversation still gets a
+    """Round-3 VERDICT #7: the LLM-backend job against a stub server that
+    500s every second call. Every conversation still gets a
     graph (failed calls fall back to the rule extractor PER ROW, not per
     partition), every partition commits, and a resume run re-extracts
     nothing (no new HTTP calls)."""
@@ -422,8 +420,7 @@ def test_llm_pipeline_mid_partition_failures_fall_back_and_commit(tmp_path):
         pq.write_table(src.synthetic_transcripts_table(
             n_convs=12, seed=33, include_golden=False), p)
         cfg = KGConfig(backend="llm", llm_base_url=base,
-                       llm_model="tinyllama", num_partitions=3,
-                       extract_concurrency=2)
+                       llm_model="tinyllama", num_partitions=3)
         out = str(tmp_path / "out")
         summary = kg.run_kg_job(src.read_transcripts(str(p)), cfg, out,
                                 resume=False)

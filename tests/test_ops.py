@@ -1220,10 +1220,11 @@ def test_review_regressions_round3():
         hash_inner_join(l, rr, on="k")
 
 
-def test_llm_provider_misconfig_message():
+def test_llm_provider_misconfig_message(tmp_path):
     import pytest
 
     from ai_knowledgegraph_extractor_ray.config import KGConfig
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
     from ai_knowledgegraph_extractor_ray.stages.extract import LLMBackend
 
     # default provider 'ollama' with only the openai URL set: clear error,
@@ -1231,6 +1232,14 @@ def test_llm_provider_misconfig_message():
     cfg = KGConfig(backend="llm", llm_openai_base_url="http://127.0.0.1:9")
     with pytest.raises(ValueError, match="matched no"):
         LLMBackend(cfg)
+
+    # the job builds its extractor on the driver before reading any input
+    def unread(row):
+        raise AssertionError("input was read")
+
+    with pytest.raises(ValueError, match="matched no"):
+        kg.run_kg_job(rd.from_items([{"conv_id": "c"}]).map(unread), cfg,
+                      str(tmp_path / "out"))
 
 
 # --- TF-IDF distinctive terms ------------------------------------------------

@@ -18,6 +18,10 @@ from ai_knowledgegraph_extractor_ray.sources import transcripts as src
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "reference_rule_graphs.json").read_text()
 )
+# the LLM backend with a fake model whose every answer is garbage: each unit
+# takes the deterministic rules fallback, so outputs equal the rules backend's
+LLM_GARBAGE = {"backend": "llm",
+               "extra": {"fake_responses": lambda s: "garbage"}}
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +36,7 @@ def corpus_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def job(corpus_path, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("kg_out"))
-    cfg = KGConfig(num_partitions=8, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=8)
     summary = kg.run_kg_job(src.read_transcripts(corpus_path), cfg, out)
     return cfg, out, summary
 
@@ -98,7 +102,7 @@ def test_partial_resume(corpus_path, tmp_path):
     """Simulate a crash: commit only half the partitions, then resume; the
     final graph must equal a clean run's."""
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    cfg = KGConfig(num_partitions=6, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=6)
     ts = src.read_transcripts(corpus_path)
     kg.run_kg_job(ts, cfg, out_a, resume=False)
 
@@ -125,18 +129,18 @@ def test_partial_resume(corpus_path, tmp_path):
 def test_partition_size_guard_warns(corpus_path, tmp_path):
     """Oversized partitions (num_partitions too low for the data volume)
     raise a ResourceWarning naming the knob, instead of OOMing at scale."""
-    cfg = KGConfig(num_partitions=2, extract_concurrency=2,
-                   partition_bytes_warn=1000)
-    with pytest.warns(ResourceWarning, match="num_partitions"):
-        kg.run_kg_job(src.read_transcripts(corpus_path),
-                      cfg, str(tmp_path / "out"), resume=False)
+    for name, backend in (("rules", {}), ("llm", LLM_GARBAGE)):
+        cfg = KGConfig(num_partitions=2, partition_bytes_warn=1000, **backend)
+        with pytest.warns(ResourceWarning, match="num_partitions"):
+            kg.run_kg_job(src.read_transcripts(corpus_path),
+                          cfg, str(tmp_path / name), resume=False)
 
 
 def test_resume_invalidates_changed_input(corpus_path, tmp_path):
     """Resume over CHANGED input must re-run the affected partition, not
     silently reuse its stale output (lineage fingerprint validation)."""
     out = str(tmp_path / "out")
-    cfg = KGConfig(num_partitions=4, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=4)
     kg.run_kg_job(src.read_transcripts(corpus_path), cfg, out, resume=False)
 
     # mutate one conversation's text and rerun with resume
@@ -175,7 +179,7 @@ def test_reads_skip_uncommitted_partitions(corpus_path, tmp_path):
     num_partitions run) must not be read: paths come from committed
     manifests, not a glob."""
     out = str(tmp_path / "out")
-    cfg = KGConfig(num_partitions=4, extract_concurrency=2)
+    cfg = KGConfig(num_partitions=4)
     kg.run_kg_job(src.read_transcripts(corpus_path), cfg, out, resume=False)
     before = kg.read_nodes(out, cfg.version).to_pandas()
 
@@ -197,8 +201,7 @@ def test_version_cutoff_prefix_semantics(corpus_path, tmp_path):
     semantics, main.py:231-259): cutoff at turn_idx<=1 must equal running
     the oracle on the 2-turn prefix text."""
     out = str(tmp_path / "v2")
-    cfg = KGConfig(num_partitions=4, version=2, version_cutoff=1,
-                   extract_concurrency=2)
+    cfg = KGConfig(num_partitions=4, version=2, version_cutoff=1)
     kg.run_kg_job(src.read_transcripts(corpus_path), cfg, out)
     edges = kg.read_edges(out, 2).to_pandas()
     df = rd.read_parquet(corpus_path).to_pandas()
@@ -241,7 +244,7 @@ def test_deterministic_across_partitioning(corpus_path, tmp_path):
     outs = []
     for i, p in enumerate((3, 11)):
         out = str(tmp_path / f"p{p}")
-        cfg = KGConfig(num_partitions=p, extract_concurrency=2)
+        cfg = KGConfig(num_partitions=p)
         kg.run_kg_job(src.read_transcripts(corpus_path), cfg, out, resume=False)
         e = kg.read_edges(out, cfg.version).to_pandas()
         outs.append(sorted(map(tuple, e[["conv_id", "subj", "pred", "obj"]].values)))
@@ -269,9 +272,9 @@ def test_canonicalize_resume(job):
 def test_kg_job_hierarchical_exchange_path(corpus_path, tmp_path):
     """num_partitions > 1024 routes through the two-level exchange, with
     and without skew splitting; the graph equals a small-P run's."""
-    cfg_small = KGConfig(num_partitions=8, extract_concurrency=2)
-    cfg_large = KGConfig(num_partitions=2000, extract_concurrency=2)
-    cfg_split = KGConfig(num_partitions=2000, extract_concurrency=2,
+    cfg_small = KGConfig(num_partitions=8)
+    cfg_large = KGConfig(num_partitions=2000)
+    cfg_split = KGConfig(num_partitions=2000,
                          auto_split_skew=True)
     key = ["conv_id", "subj", "pred", "obj"]
     edges = []
@@ -300,11 +303,13 @@ def test_package_root_api_and_canonical_readers(job):
     assert pkg.get_stats(out, cfg.version)["total_conversations"] == 60
 
 
-def test_auto_split_skew_rebalances_partitions(tmp_path):
+@pytest.mark.parametrize("backend", [{}, LLM_GARBAGE], ids=["rules", "llm"])
+def test_auto_split_skew_rebalances_partitions(tmp_path, backend):
     """Straggler mitigation (round-3 item 8): a corpus where ~90% of
     conversations hash into ONE base partition fans that partition out into
     sub-partitions sized back to ~the mean — identical graph output, point
-    lookups and resume working under the persisted split layout."""
+    lookups and resume working under the persisted split layout, for both
+    extractor backends."""
     import json
     import zlib
 
@@ -338,9 +343,9 @@ def test_auto_split_skew_rebalances_partitions(tmp_path):
     pq.write_table(tbl, p)
 
     plain_out, split_out = str(tmp_path / "plain"), str(tmp_path / "split")
-    plain_cfg = KGConfig(num_partitions=P, auto_split_skew=False)
+    plain_cfg = KGConfig(num_partitions=P, auto_split_skew=False, **backend)
     split_cfg = KGConfig(num_partitions=P, auto_split_skew=True,
-                         skew_split_threshold=2.0)
+                         skew_split_threshold=2.0, **backend)
     s1 = kg.run_kg_job(src.read_transcripts(str(p)), plain_cfg, plain_out,
                        resume=False)
     s2 = kg.run_kg_job(src.read_transcripts(str(p)), split_cfg, split_out,
@@ -382,7 +387,7 @@ def test_incremental_cross_version_links_unchanged_partitions(tmp_path):
     import pyarrow.parquet as pq
 
     out = str(tmp_path / "kg")
-    cfg1 = KGConfig(num_partitions=8, extract_concurrency=2, version=1)
+    cfg1 = KGConfig(num_partitions=8, version=1)
     base = src.synthetic_transcripts_table(n_convs=60, seed=42)
     p1 = tmp_path / "v1.parquet"
     pq.write_table(base, p1)
@@ -396,7 +401,7 @@ def test_incremental_cross_version_links_unchanged_partitions(tmp_path):
     p2 = tmp_path / "v2.parquet"
     df.to_parquet(p2, index=False)
 
-    cfg2 = KGConfig(num_partitions=8, extract_concurrency=2, version=2)
+    cfg2 = KGConfig(num_partitions=8, version=2)
     s2 = kg.run_kg_job(src.read_transcripts(str(p2)), cfg2, out)
     from ai_knowledgegraph_extractor_ray.stages.conversation import partition_of
     touched_pid = partition_of(touched_conv, 8)
@@ -426,10 +431,10 @@ def test_incremental_cross_version_links_unchanged_partitions(tmp_path):
     # config change (different window_chars) must NOT link
     out3 = str(tmp_path / "kg3")
     kg.run_kg_job(src.read_transcripts(str(p1)),
-                  KGConfig(num_partitions=8, extract_concurrency=2,
+                  KGConfig(num_partitions=8,
                            version=1), out3, resume=False)
     s3 = kg.run_kg_job(
         src.read_transcripts(str(p1)),
-        KGConfig(num_partitions=8, extract_concurrency=2, version=2,
+        KGConfig(num_partitions=8, version=2,
                  window_chars=2000), out3)
     assert s3["partitions_linked"] == 0

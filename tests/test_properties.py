@@ -1,5 +1,6 @@
 """Property tests: extractor invariants on arbitrary text (hypothesis), the
-staged LLM pipeline end-to-end, and the bucketed aggregation helper."""
+KG job with the LLM backend end-to-end, and the bucketed aggregation
+helper."""
 
 import json
 import string
@@ -52,12 +53,12 @@ def test_rules_deterministic(text):
     assert a.labels == b.labels and a.edge_rel == b.edge_rel
 
 
-# --- staged pipeline with the LLM backend ------------------------------------
+# --- KG job with the LLM backend ---------------------------------------------
 
 def test_llm_backend_full_job(tmp_path):
-    """The staged (actor-pool) path end-to-end: a fake LLM that answers with
-    valid JSON for some conversations and garbage for the rest; garbage rows
-    must degrade to the rule backend, not fail the partition."""
+    """The LLM backend through the exchange plan end-to-end: a fake LLM that
+    answers with valid JSON for some conversations and garbage for the rest;
+    garbage rows must degrade to the rule backend, not fail the partition."""
     table = src.synthetic_transcripts_table(n_convs=12, seed=3,
                                             include_golden=False)
     p = tmp_path / "t.parquet"
@@ -71,7 +72,7 @@ def test_llm_backend_full_job(tmp_path):
             return json.dumps(graph)
         return "sorry, no JSON today"
 
-    cfg = KGConfig(backend="llm", num_partitions=4, extract_concurrency=2,
+    cfg = KGConfig(backend="llm", num_partitions=4,
                    extra={"fake_responses": fake})
     out = str(tmp_path / "out")
     summary = kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
@@ -88,10 +89,14 @@ def test_llm_job_resume(tmp_path):
                                             include_golden=False)
     p = tmp_path / "t.parquet"
     pq.write_table(table, p)
-    cfg = KGConfig(backend="llm", num_partitions=4, extract_concurrency=2,
+    cfg = KGConfig(backend="llm", num_partitions=4,
                    extra={"fake_responses": lambda s: "garbage"})
     out = str(tmp_path / "out")
     first = kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
+    # manifests record the real input size, so the size guard sees LLM jobs
+    manifests = kg.lineage.committed_partitions(out, 1)
+    assert manifests
+    assert all(m["input_bytes"] > 0 for m in manifests.values())
     again = kg.run_kg_job(src.read_transcripts(str(p)), cfg, out)
     assert again["partitions_computed"] == 0
     assert again["n_edges"] == first["n_edges"]

@@ -115,7 +115,7 @@ def test_read_raw_documents(doc_dir):
 def test_documents_to_kg_pipeline(doc_dir, tmp_path):
     """Raw files -> transcripts -> KG job: the reference upload flow."""
     ts = rawdocs.documents_as_transcripts(rawdocs.read_raw_documents(doc_dir))
-    cfg = KGConfig(num_partitions=2, extract_concurrency=1)
+    cfg = KGConfig(num_partitions=2)
     out = str(tmp_path / "out")
     summary = kg.run_kg_job(ts, cfg, out, resume=False)
     assert summary["n_conversations"] == 4        # txt + csv + pdf + docx
@@ -134,8 +134,7 @@ def test_latest_version_lookup(tmp_path):
     pq.write_table(src.synthetic_transcripts_table(n_convs=6, seed=2), p)
     out = str(tmp_path / "out")
     for version, cutoff in ((1, 1), (2, None)):
-        cfg = KGConfig(num_partitions=2, version=version, version_cutoff=cutoff,
-                       extract_concurrency=1)
+        cfg = KGConfig(num_partitions=2, version=version, version_cutoff=cutoff)
         kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
     latest = kg.get_conversation_graph(out, None, "conv_00000001", 2)
     explicit = kg.get_conversation_graph(out, 2, "conv_00000001", 2)

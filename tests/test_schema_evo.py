@@ -119,8 +119,8 @@ def test_read_versions_harmonized_canonical_tables(tmp_path, ray_session):
 
     out = str(tmp_path / "lake")
     ts = src.synthetic_transcripts(n_convs=12, seed=9)
-    for cfg in (KGConfig(num_partitions=3, extract_concurrency=2),
-                KGConfig(num_partitions=3, extract_concurrency=2,
+    for cfg in (KGConfig(num_partitions=3),
+                KGConfig(num_partitions=3,
                          version=2, version_cutoff=1)):
         kg.run_kg_job(ts, cfg, out, resume=False)
         kg.run_canonicalize_job(out, cfg)
@@ -159,7 +159,7 @@ def test_schema_report_from_manifests(tmp_path, ray_session):
 
     out = str(tmp_path / "lake")
     ts = src.synthetic_transcripts(n_convs=12, seed=9)
-    kg.run_kg_job(ts, KGConfig(num_partitions=3, extract_concurrency=2),
+    kg.run_kg_job(ts, KGConfig(num_partitions=3),
                   out, resume=False)
     rep = kg.schema_report(out)
     assert set(rep["table"]) == {"nodes", "edges", "convs"}

@@ -47,7 +47,7 @@ if not os.path.exists(corpus + ".done"):
     src.synthetic_transcripts(n_convs=4*n_docs, seed=42,
                               override_num_blocks=64).write_parquet(corpus)
     open(corpus + ".done", "w").write("ok")
-cfg = KGConfig(num_partitions=256, extract_concurrency=30, extract_batch_size=256)
+cfg = KGConfig(num_partitions=256)
 for name in names:
     t0 = time.perf_counter()
     if name == "kg_extract":
