@@ -16,10 +16,15 @@ Scale design (SURVEY.md §7.2, shuffles #2/#3/#4):
   block, not millions of mention rows); ``alias_salt_buckets`` sets the
   merge fan-out of the bucketed reduce.
 * **LSH blocking over *distinct norms*, not mentions.** MinHash signatures of
-  char-3-gram shingles, banded; only norms sharing a band bucket are compared
-  (verified with true Jaccard + an embedding-cosine score from a hash-feature
-  scorer actor pool). Buckets are size-capped: a degenerate bucket (e.g. all
-  empty-shingle norms) degrades to "no link" instead of an O(n^2) blowup.
+  char-3-gram shingles, computed for a whole block at once and banded; ONE
+  exchange co-locates band buckets, and each coarse bucket is verified in
+  one vectorized pass: singleton band buckets drop out there, and a
+  self-join on the band bucket yields each distinct pair of the coarse
+  bucket once however many of its bands collide, so the pair is scored once
+  with true Jaccard (then with an embedding-cosine score from a
+  hash-feature scorer). Band buckets are
+  size-capped: a degenerate bucket (e.g. all empty-shingle norms) degrades
+  to "no link" instead of an O(n^2) blowup.
 * **Cluster merge is driver-side union-find over candidate PAIRS** (tiny:
   bounded by sum of bucket-pair counts), never over mentions or the full
   vocabulary. The alias table itself stays a Dataset end-to-end (root
@@ -38,6 +43,7 @@ Scale design (SURVEY.md §7.2, shuffles #2/#3/#4):
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 import zlib
 from dataclasses import dataclass
@@ -155,6 +161,38 @@ def band_keys(sig: np.ndarray, bands: int) -> list[str]:
     ]
 
 
+def band_keys_batch(norms: list[str], num_perm: int, bands: int) -> list[str]:
+    """Band keys of a whole batch of norms, norm-major: entries
+    ``[i*bands:(i+1)*bands]`` equal
+    ``band_keys(minhash_signature(shingles(norms[i]), num_perm), bands)``.
+    Every shingle hash of the batch sits in one ``uint64`` array, and each
+    permutation is one vectorized pass plus a per-norm segment minimum, so
+    the working set is one ``uint64`` per shingle."""
+    a, b = _minhash_params(num_perm)
+    sets = [shingles(n) for n in norms]
+    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    vals = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.uint64,
+                       count=int(lens.sum()))
+    sig = np.full((len(norms), num_perm), np.iinfo(np.uint64).max,
+                  dtype=np.uint64)
+    nonempty = lens > 0
+    if vals.size:
+        starts = (np.cumsum(lens) - lens)[nonempty]
+        for j in range(num_perm):
+            sig[nonempty, j] = np.minimum.reduceat(
+                (a[j] * vals + b[j]) % _MERSENNE, starts)
+    rows = num_perm // bands
+    width = rows * sig.itemsize
+    crcs = []
+    for band in range(bands):
+        buf = memoryview(np.ascontiguousarray(
+            sig[:, band * rows:(band + 1) * rows]).tobytes())
+        crcs.append([zlib.crc32(buf[i:i + width])
+                     for i in range(0, len(buf), width)])
+    return [f"{band}:{c:08x}" for row in zip(*crcs)
+            for band, c in enumerate(row)]
+
+
 def jaccard(a: set[int], b: set[int]) -> float:
     if not a and not b:
         return 0.0
@@ -250,46 +288,53 @@ class LinkParams:
     typo_tier: bool = False
 
 
+def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
+    """Verify every candidate pair of one coarse bucket of ``(bucket, norm)``
+    rows in one pass: per band bucket the ``p.max_bucket`` smallest distinct
+    norms (the degenerate-bucket guard; buckets with one distinct norm give
+    nothing), self-joined on ``bucket`` into ``norm_a < norm_b`` pairs, each
+    distinct pair scored once with true Jaccard, kept at
+    ``p.jaccard_threshold``. Returns typed (norm_a, norm_b, jaccard)."""
+    df = (df[["bucket", "norm"]].drop_duplicates()
+          .sort_values("norm", kind="mergesort"))
+    by_bucket = df.groupby("bucket", sort=False)["norm"]
+    df = df[(by_bucket.transform("size") >= 2)
+            & (by_bucket.cumcount() < p.max_bucket)]
+    m = df.merge(df, on="bucket")
+    m = m.loc[m["norm_x"] < m["norm_y"], ["norm_x", "norm_y"]].drop_duplicates()
+    a = m["norm_x"].to_numpy(dtype=object)
+    b = m["norm_y"].to_numpy(dtype=object)
+    sh = {n: shingles(n) for n in pd.unique(np.concatenate([a, b]))}
+    jac = np.fromiter((jaccard(sh[x], sh[y]) for x, y in zip(a, b)),
+                      dtype=np.float64, count=len(a))
+    keep = jac >= p.jaccard_threshold
+    return pa.table({"norm_a": pa.array(a[keep], pa.string()),
+                     "norm_b": pa.array(b[keep], pa.string()),
+                     "jaccard": pa.array(jac[keep], pa.float64())})
+
+
 def _candidate_pairs(surfaces: rd.Dataset, p: LinkParams) -> pd.DataFrame:
-    """LSH blocking: norm -> (band bucket) shuffle -> within-bucket pairs with
-    true-Jaccard verification. Returns the (small) verified pair list."""
+    """LSH blocking: norm -> band keys -> ONE (band bucket) exchange ->
+    ``verify_bucket_pairs`` per coarse bucket, which drops singleton band
+    buckets and scores each distinct pair of the coarse bucket once. Returns
+    the (small) verified pair list."""
 
     def to_buckets(t: pa.Table) -> pa.Table:
-        norms, keys = [], []
-        for n in t["norm"].to_pylist():
-            sig = minhash_signature(shingles(n), p.num_perm)
-            for bk in band_keys(sig, p.bands):
-                norms.append(n)
-                keys.append(bk)
+        keys = band_keys_batch(t["norm"].to_pylist(), p.num_perm, p.bands)
+        rep = pa.array(np.repeat(np.arange(t.num_rows), p.bands))
         return pa.table({"bucket": pa.array(keys, pa.string()),
-                         "norm": pa.array(norms, pa.string())})
+                         "norm": t["norm"].take(rep)})
 
-    def pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        ns = sorted(set(df["norm"]))[: p.max_bucket]
-        a_out, b_out, jac = [], [], []
-        sh = {n: shingles(n) for n in ns}
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                jv = jaccard(sh[ns[i]], sh[ns[j]])
-                if jv >= p.jaccard_threshold:
-                    a_out.append(ns[i])
-                    b_out.append(ns[j])
-                    jac.append(jv)
-        return pd.DataFrame({"norm_a": pd.Series(a_out, dtype="string"),
-                             "norm_b": pd.Series(b_out, dtype="string"),
-                             "jaccard": pd.Series(jac, dtype="float64")})
+    from ..ops.agg import bucketed_groupby
 
-    from ..ops.agg import bucketed_groupby, per_group_apply
-    from ..ops.dedup import keep_nonsingleton_buckets
-
-    bucketed = keep_nonsingleton_buckets(
+    pairs = bucketed_groupby(
         surfaces.select_columns(["norm"])
-        .map_batches(to_buckets, batch_format="pyarrow"))
-    pairs = bucketed_groupby(bucketed, ["bucket"],
-                             per_group_apply(["bucket"], pairs_in_bucket))
+        .map_batches(to_buckets, batch_format="pyarrow"),
+        ["bucket"], lambda df: verify_bucket_pairs(df, p))
     df = pairs.to_pandas()  # verified pairs only: tiny vs mention volume
-    if "norm_a" not in df.columns:  # every bucket empty -> schemaless frame
+    if "norm_a" not in df.columns:  # no input rows -> schemaless frame
         return pd.DataFrame(columns=["norm_a", "norm_b", "jaccard"])
+    # a pair colliding in band buckets of two coarse buckets arrives twice
     return df.drop_duplicates(["norm_a", "norm_b"])
 
 
@@ -439,7 +484,7 @@ def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
     # a driver groupby over a tiny frame, not a distributed shuffle
     cl_df = surfaces.map_batches(clustered_rooted,
                                  batch_format="pandas").to_pandas()
-    return unclustered.union(rd.from_pandas(per_root(cl_df)))
+    return unclustered.union(rd.from_arrow(_arrow_out(per_root(cl_df))))
 
 
 def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
@@ -585,8 +630,8 @@ def canonical_nodes_table(alias: rd.Dataset | pd.DataFrame):
     if len(cl_df) == 0:
         return un
     # pair-bounded, same driver-side justification as the alias build
-    return un.union(rd.from_pandas(
-        _canonical_nodes_merge(cl_df.drop(columns="is_clustered"))[cols]))
+    return un.union(rd.from_arrow(_arrow_out(
+        _canonical_nodes_merge(cl_df.drop(columns="is_clustered"))[cols])))
 
 
 # --- fuzzy alias pairing (round 4) ------------------------------------------

@@ -3,6 +3,7 @@ rewrite, global weighted edge dedup."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data as rd
 
@@ -27,6 +28,136 @@ def test_minhash_identical_and_disjoint():
     c = cz.minhash_signature(cz.shingles("zzz totally different"), 32)
     assert (a == b).all()
     assert (a == c).mean() < 0.5
+
+
+def test_band_keys_batch_matches_per_norm():
+    """The block-wide MinHash gives byte-equal band keys to the per-norm
+    signature, in norm-major order, so bucket membership is unchanged."""
+    import random
+    rng = random.Random(7)
+    alphabet = "abcdefgh ijé漢-"
+    norms = ["", "a", "é", "漢字 ü", "x" * 200, "y" * 200] + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        for _ in range(500)]
+    want = [k for n in norms
+            for k in cz.band_keys(cz.minhash_signature(cz.shingles(n), 32), 8)]
+    assert cz.band_keys_batch(norms, 32, 8) == want
+    assert cz.band_keys_batch([], 32, 8) == []
+
+
+def _brute_force_bucket_pairs(df: pd.DataFrame, p: cz.LinkParams) -> set:
+    """Reference: per band bucket, all pairs of the ``max_bucket`` smallest
+    distinct norms, true Jaccard, threshold, deduplicated across buckets."""
+    out = set()
+    for _, g in df.groupby("bucket"):
+        ns = sorted(set(g["norm"]))[: p.max_bucket]
+        for i in range(len(ns)):
+            for j in range(i + 1, len(ns)):
+                jv = cz.jaccard(cz.shingles(ns[i]), cz.shingles(ns[j]))
+                if jv >= p.jaccard_threshold:
+                    out.add((ns[i], ns[j], jv))
+    return out
+
+
+def _random_bucket_frame(seed: int) -> pd.DataFrame:
+    """(bucket, norm) rows with singleton buckets, duplicate rows, a
+    100-norm bucket over the default cap of 64 and a pair that collides in
+    several buckets."""
+    import random
+    rng = random.Random(seed)
+    bases = ["acme corporation", "globex industries", "initech systems",
+             "meridian capital"]
+    vocab = sorted({b[:i] + rng.choice("xyz") + b[i + 1:]
+                    for b in bases for i in range(len(b))} | set(bases))
+    rows = []
+    for k in range(60):
+        size = rng.choice([1, 1, 2, 3, 5, 8])
+        rows += [(f"{k % 8}:{k:08x}", rng.choice(vocab)) for _ in range(size)]
+    rows += rows[:10]                                   # duplicate rows
+    rows += [("0:big", f"acme corporation {i:03d}") for i in range(100)]
+    rows += [(f"{k}:multi", n) for k in range(5)
+             for n in ("acme corporation", "acme corporatio")]
+    rng.shuffle(rows)
+    return pd.DataFrame(rows, columns=["bucket", "norm"])
+
+
+def test_verify_bucket_pairs_matches_brute_force():
+    p = cz.LinkParams()
+    for seed in range(4):
+        df = _random_bucket_frame(seed)
+        out = cz.verify_bucket_pairs(df, p)
+        got = list(zip(*(out[c].to_pylist()
+                         for c in ("norm_a", "norm_b", "jaccard"))))
+        assert len(got) == len(set(got))        # each pair scored once
+        want = _brute_force_bucket_pairs(df, p)
+        assert set(got) == want
+        # the over-cap bucket contributes pairs, but only below the cap
+        assert any(a.startswith("acme corporation 0") for a, _, _ in got)
+        # "acme corporation 099" sits past the cap of the 100-norm bucket
+        assert not any("099" in a + b for a, b, _ in got)
+        assert ("acme corporatio", "acme corporation") in {
+            (a, b) for a, b, _ in got}
+
+    empty = cz.verify_bucket_pairs(
+        pd.DataFrame({"bucket": pd.Series([], dtype=object),
+                      "norm": pd.Series([], dtype=object)}), p)
+    assert empty.num_rows == 0
+    assert empty.schema == pa.schema([("norm_a", pa.string()),
+                                      ("norm_b", pa.string()),
+                                      ("jaccard", pa.float64())])
+
+
+def test_alias_table_matches_brute_force_reference():
+    """Ray-level ``build_alias_table`` over a ~2k-label vocabulary with
+    planted variants and an 80-label shared-prefix block (a band bucket
+    over ``max_bucket``) equals a driver-side reference: per-norm band
+    keys, the brute-force per-bucket pair list, the same embed-score
+    filter and ``_union_find_clusters``."""
+    import random
+    rng = random.Random(11)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    labels = []
+    for _ in range(1800):
+        w = " ".join("".join(rng.choice(letters)
+                             for _ in range(rng.randint(3, 9)))
+                     for _ in range(rng.randint(1, 3)))
+        labels.append(w.title())
+        r = rng.random()
+        if r < 0.1:
+            labels.append("  " + w.upper().replace(" ", "   ") + " ")
+        elif r < 0.3 and len(w) > 4:
+            i = rng.randrange(len(w))
+            labels.append(w[:i] + rng.choice(letters) + w[i + 1:])
+    prefix = ("Consolidated Amalgamated Holdings of the Northern Territories"
+              " and Associated Mercantile Interests")
+    labels += [f"{prefix} {i:02d}" for i in range(80)]
+    p = cz.LinkParams()
+
+    norms = sorted({cz.normalize_surface(x) for x in labels})
+    bucket_rows = pd.DataFrame(
+        [(k, n) for n in norms
+         for k in cz.band_keys(cz.minhash_signature(cz.shingles(n),
+                                                    p.num_perm), p.bands)],
+        columns=["bucket", "norm"])
+    sizes = bucket_rows.groupby("bucket")["norm"].nunique()
+    assert sizes.max() > p.max_bucket
+    pairs = pd.DataFrame(sorted(_brute_force_bucket_pairs(bucket_rows, p)),
+                         columns=["norm_a", "norm_b", "jaccard"])
+    scored = cz.HashEmbedScorer()(
+        pa.Table.from_pandas(pairs, preserve_index=False)).to_pandas()
+    pairs = scored[scored["cos_sim"] >= p.cosine_threshold]
+    root_of = cz._union_find_clusters(pairs)
+    clustered = set(pairs["norm_a"]) | set(pairs["norm_b"])
+    want = {(n, cz.canonical_id_of(root_of.get(n, n)), n in clustered)
+            for n in norms}
+    assert len(clustered) > 50
+
+    alias = cz.build_alias_table(nodes_ds(labels).repartition(4),
+                                 CFG, link=p).to_pandas()
+    got = {(n, c, bool(k)) for n, c, k in zip(
+        alias["norm"], alias["canonical_id"], alias["is_clustered"])}
+    assert len(alias) == len(norms)
+    assert got == want
 
 
 def test_surface_table_counts_and_variant_pick():
