@@ -22,21 +22,33 @@ requests in flight are the running partition tasks. ``build_graph_rows`` is
 the same plan without the sink.
 
 Phase 2 (``run_canonicalize_job``): mention counts -> blocking -> verify
--> union-find -> alias table -> edge rewrite, written under
-``version=K/canonical/`` with its own manifest.
+-> union-find -> alias table -> edge rewrite, under ``version=K/canonical/``.
+The alias table's unclustered rows stay a Dataset and its clustered rows
+are one driver frame, which feeds the aliases, the canonical nodes and the
+rewrite broadcast. The tasks that hold the unclustered-alias and
+canonical-edge blocks write them (and the alias blocks' 1:1 canonical
+nodes) as deterministic ``part-{i:05d}.parquet`` files, so a retried task
+overwrites its own part; the driver writes the clustered parts. The
+manifest's counts are the row counts those writes return, and the
+manifest, written last via a tmp file and a rename, is the commit point —
+the same shape as phase 1's per-partition commit.
 """
 
 from __future__ import annotations
 
 import functools
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from ..config import KGConfig
 from ..ops.exchange import hash_exchange, hash_exchange_dataset
+from ..stages import canonicalize as cz
 from ..stages.conversation import add_partition_id, assemble_partition
 from ..stages.extract import (
     GRAPH_ROWS,
@@ -44,6 +56,8 @@ from ..stages.extract import (
     renumber_conversation_windows,
 )
 from ..state import lineage
+
+CANONICAL_TABLES = ("aliases", "canonical_nodes", "canonical_edges")
 
 
 def partition_graph_rows(cfg: KGConfig, extractor: Extractor,
@@ -228,8 +242,6 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
                     if pid not in committed
                     and m.get("config_sig") == sig}
             if cand:
-                import ray
-
                 from ..stages.conversation import partition_fingerprints
                 cur_fps = partition_fingerprints(
                     add_partition_id(transcripts, cfg.num_partitions,
@@ -367,12 +379,9 @@ def read_versions_harmonized(out_dir: str, versions: list[int],
     time."""
     import glob
 
-    import pyarrow.parquet as pq
-
     from ..state import schema_evo
 
-    canonical = {"aliases", "canonical_nodes", "canonical_edges"}
-    if table in canonical:
+    if table in CANONICAL_TABLES:
         groups = [sorted(glob.glob(str(
             lineage.version_dir(out_dir, v) / "canonical" / table
             / "*.parquet"))) for v in versions]
@@ -432,6 +441,38 @@ def schema_report(out_dir: str) -> pd.DataFrame:
                           kind="mergesort").reset_index(drop=True)
 
 
+def _part_name(i: int) -> str:
+    return f"part-{i:05d}.parquet"
+
+
+@ray.remote
+def _write_part(block: pa.Table, path: str, nodes_path: str | None = None
+                ) -> int:
+    """Commit one block of a canonical table from the task that holds it:
+    the block as the part file ``path`` and, for an unclustered alias
+    block, its canonical-node projection as ``nodes_path`` (1:1, so the
+    same row count). Part names are deterministic, so a retried task
+    overwrites its own file. Returns the rows written."""
+    if block.num_rows:
+        pq.write_table(block, path)
+        if nodes_path is not None:
+            pq.write_table(cz.unclustered_nodes(block.to_pandas()),
+                           nodes_path)
+    return block.num_rows
+
+
+def _write_parts(ds: rd.Dataset, out: Path, nodes_out: Path | None = None
+                 ) -> list:
+    """One ``_write_part`` task per block of the materialized ``ds``, part
+    ``i`` for block ``i``; returns the row-count refs."""
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+    return [_write_part.remote(
+        ref, str(out / _part_name(i)),
+        None if nodes_out is None else str(nodes_out / _part_name(i)))
+        for i, ref in enumerate(refs)]
+
+
 def run_canonicalize_job(out_dir: str, cfg: KGConfig,
                          link=None, use_embed_scorer: bool = True,
                          resume: bool = True) -> dict:
@@ -440,18 +481,30 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
     Reads the committed node/edge partitions of a version, builds the alias
     table (LSH-blocked entity linking over distinct surface forms), rewrites
     edges onto canonical ids with a broadcast join, and writes the canonical
-    tables under ``version=K/canonical/``. The alias table is vocabulary-sized
-    (distinct entity names), so materializing/broadcasting it is the cheap
-    side; the mention/edge stream never collects on the driver."""
-    import json
+    tables under ``version=K/canonical/``. The mention/edge stream never
+    collects on the driver; the alias table is vocabulary-sized and splits
+    in two (``canonicalize.alias_parts``): the unclustered rows stay a
+    Dataset, and the pair-bounded clustered rows are one driver frame that
+    feeds the alias table, the canonical nodes and the rewrite broadcast.
 
-    from ..stages import canonicalize as cz
+    Commit: the tables are written by the tasks that hold their blocks —
+    one task per unclustered-alias block writes its ``aliases`` part and
+    its ``canonical_nodes`` part, one task per canonical-edge block its
+    ``canonical_edges`` part, and the driver the clustered alias and node
+    parts. Part names are deterministic (``part-{i:05d}.parquet``), so a
+    retried task overwrites its own file. The manifest's ``n_*`` counts are
+    the row counts the writes return, and the manifest, written last via a
+    tmp file and a rename, is the commit point: a rerun clears any output
+    it does not cover."""
+    import hashlib
+    import json
+    import shutil
+
+    from ..state import schema_evo
 
     # phase-2 commit point: a manifest fingerprinting phase 1's committed
     # partitions. A resume with unchanged inputs skips the whole phase; a
     # changed phase-1 output invalidates rather than silently reusing.
-    import hashlib
-
     phase1 = lineage.committed_partitions(out_dir, cfg.version)
     fp = hashlib.sha256("\n".join(
         f"{pid}:{m['input_fingerprint']}:{m['n_edges']}:{m['n_nodes']}"
@@ -467,53 +520,52 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
         except json.JSONDecodeError:
             pass  # torn manifest == uncommitted
 
-    nodes = read_nodes(out_dir, cfg.version)
-    edges = read_edges(out_dir, cfg.version)
-    # alias build stays distributed; materialized (object store, not driver)
-    # because it feeds three consumers: parquet sink, canonical nodes, and
-    # the frequency-thresholded rewrite broadcast
-    alias = cz.build_alias_table(nodes, cfg, link=link,
-                                 use_embed_scorer=use_embed_scorer).materialize()
-    canon_edges = cz.canonicalize_edges(edges, alias, cfg)
+    unclustered, clustered = cz.alias_parts(
+        read_nodes(out_dir, cfg.version), cfg, link=link,
+        use_embed_scorer=use_embed_scorer)
+    unclustered = unclustered.materialize()
 
-    # clear any uncommitted/stale phase-2 output first: write_parquet APPENDS
-    # into an existing directory, so a rerun over changed input would
-    # otherwise double-count (manifest deleted first = uncommit order)
-    import shutil
+    # clear any uncommitted/stale phase-2 output (manifest first = uncommit
+    # order): a previous run may have left parts this one does not rewrite
     cmanifest.unlink(missing_ok=True)
-    for sub in ("aliases", "canonical_nodes", "canonical_edges"):
+    for sub in CANONICAL_TABLES:
         shutil.rmtree(cdir / sub, ignore_errors=True)
+        (cdir / sub).mkdir(parents=True)
     (cdir / "aliases.parquet").unlink(missing_ok=True)          # pre-r2 layout
     (cdir / "canonical_nodes.parquet").unlink(missing_ok=True)
+    adir, ndir, edir = (cdir / sub for sub in CANONICAL_TABLES)
 
-    cdir.mkdir(parents=True, exist_ok=True)
-    alias.write_parquet(str(cdir / "aliases"))
-    cz.canonical_nodes_table(alias).write_parquet(str(cdir / "canonical_nodes"))
-    canon_edges.write_parquet(str(cdir / "canonical_edges"))
+    alias_rows = _write_parts(unclustered, adir, ndir)
+    n_clustered_nodes = 0
+    if len(clustered):
+        name = _part_name(len(alias_rows))
+        pq.write_table(cz.arrow_out(clustered), adir / name)
+        cl_nodes = cz.clustered_nodes(clustered)
+        pq.write_table(cl_nodes, ndir / name)
+        n_clustered_nodes = cl_nodes.num_rows
 
-    n_edges = rd.read_parquet(str(cdir / "canonical_edges")).count()
-    n_aliases = alias.count()
-    n_entities = rd.read_parquet(str(cdir / "canonical_nodes")).count()
-    from ..state import schema_evo
-    import pyarrow.parquet as _pq
-    import glob as _glob
+    broadcast = cz.concat_frames([clustered, cz.hot_alias_frame(
+        unclustered, cfg.broadcast_vocab_cap)])
+    canon_edges = cz.canonicalize_edges(read_edges(out_dir, cfg.version),
+                                        broadcast, cfg).materialize()
+    n_edges = sum(ray.get(_write_parts(canon_edges, edir)))
+    n_unclustered = sum(ray.get(alias_rows))
 
     def _sig(sub: str) -> str:
-        files = sorted(_glob.glob(str(cdir / sub / "*.parquet")))
-        return schema_evo.schema_sig(_pq.read_schema(files[0])) \
+        files = sorted((cdir / sub).glob("*.parquet"))
+        return schema_evo.schema_sig(pq.read_schema(files[0])) \
             if files else ""
 
     summary = {
         "version": cfg.version,
-        "n_aliases": int(n_aliases),
-        "n_canonical_entities": int(n_entities),
-        "n_canonical_edges": int(n_edges),
+        "n_aliases": n_unclustered + len(clustered),
+        "n_canonical_entities": n_unclustered + n_clustered_nodes,
+        "n_canonical_edges": n_edges,
         "input_fp": fp,
         # phase-2 schema signatures (footer-only): the canonical tables'
         # analogue of the per-partition schema_sig — one engine version
         # writes phase 2 atomically, so one sig per table suffices
-        "schema_sig": {s: _sig(s) for s in
-                       ("aliases", "canonical_nodes", "canonical_edges")},
+        "schema_sig": {s: _sig(s) for s in CANONICAL_TABLES},
     }
     tmp = cmanifest.with_suffix(".json.tmp")   # manifest written LAST = commit
     tmp.write_text(json.dumps(summary))
@@ -560,7 +612,6 @@ def get_stats(out_dir: str, version: int) -> dict:
 def list_versions(out_dir: str) -> list[dict]:
     """Committed versions, newest first (reference get_document_versions,
     database_service.py:237-258). Metadata-only: reads manifests."""
-    from pathlib import Path
     out = []
     for vdir in Path(out_dir).glob("version=*"):
         try:

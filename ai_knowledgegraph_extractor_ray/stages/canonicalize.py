@@ -27,14 +27,18 @@ Scale design (SURVEY.md §7.2, shuffles #2/#3/#4):
   to "no link" instead of an O(n^2) blowup.
 * **Cluster merge is driver-side union-find over candidate PAIRS** (tiny:
   bounded by sum of bucket-pair counts), never over mentions or the full
-  vocabulary. The alias table itself stays a Dataset end-to-end (root
-  assignment + per-root reduce are distributed; it streams to parquet);
-  only a FREQUENCY-THRESHOLDED slice — clustered norms plus the
-  ``broadcast_vocab_cap`` hottest — is broadcast via ``ray.put`` into the
-  rewrite stage, the long tail falling back to identity hashing (which
-  yields the identical canonical id for unclustered norms). A shuffle join
-  on surface form would move the (large) edge table for the benefit of the
-  (small) alias side.
+  vocabulary. The alias table comes in two parts (``alias_parts``): the
+  UNCLUSTERED rows stay a Dataset (a per-block map over the surface table,
+  root = the norm itself), and the pair-bounded CLUSTERED rows are one
+  driver frame from the per-root reduce. That one clustered frame feeds
+  the alias table, the canonical nodes (unclustered rows project 1:1) and
+  the rewrite broadcast. The broadcast via ``ray.put`` is
+  FREQUENCY-THRESHOLDED — clustered norms plus the ``broadcast_vocab_cap``
+  hottest unclustered ones, which below the cap is the whole table — and
+  the long tail falls back to identity hashing (which yields the identical
+  canonical id for unclustered norms). A shuffle join on surface form
+  would move the (large) edge table for the benefit of the (small) alias
+  side.
 * **Canonical edge dedup** is the same partial-count trick keyed on the
   canonical (src, pred, dst) triple; ``weight`` = number of supporting
   extractions, matching the north star's "deduplicated edge IDs".
@@ -54,6 +58,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from ..config import KGConfig
 
@@ -372,7 +377,7 @@ def _union_find_clusters(pairs: pd.DataFrame) -> dict[str, str]:
     return {x: find(x) for x in parent}
 
 
-def _arrow_out(df: pd.DataFrame) -> pa.Table:
+def arrow_out(df: pd.DataFrame) -> pa.Table:
     """pandas UDF output -> Arrow with object columns cast to pandas
     'string' first: an EMPTY object column would infer pa.null (schema
     drift vs non-empty blocks) and trips Ray's pandas size estimator into
@@ -387,22 +392,36 @@ ALIAS_COLS = ["norm", "canonical_id", "canonical_label", "cluster_mentions",
               "is_clustered"]
 
 
-def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
-                      link: LinkParams | None = None,
-                      use_embed_scorer: bool = True) -> rd.Dataset:
-    """Full linking pass: mention partials -> surface table -> LSH candidate
-    pairs -> (optional) embedding-cosine verification -> union-find clusters
-    -> alias DATASET (norm, canonical_id, canonical_label, cluster_mentions,
-    is_clustered), one row per distinct norm.
+def concat_frames(frames: list[pd.DataFrame]) -> pd.DataFrame:
+    """``pd.concat`` of the non-empty frames (the first one when all are
+    empty): pandas deprecates letting an empty frame take part in the
+    result dtypes."""
+    return pd.concat([f for f in frames if len(f)] or frames[:1],
+                     ignore_index=True)
 
-    The surface vocabulary is never fully collected on the driver: only the
-    VERIFIED candidate pairs (duplicate-volume-sized) come back for the
-    union-find, their root map is broadcast, and the per-root reduce
-    (representative label, total mentions) runs as a bucketed distributed
-    groupby over the surface Dataset. ``is_clustered`` marks norms that are
-    members of a multi-norm cluster — the rewrite stage must always have
-    those in its broadcast map; everything else can fall back to identity
-    hashing."""
+
+def alias_parts(nodes: rd.Dataset, cfg: KGConfig,
+                link: LinkParams | None = None,
+                use_embed_scorer: bool = True
+                ) -> tuple[rd.Dataset, pd.DataFrame]:
+    """The linking pass behind every alias consumer: mention partials ->
+    surface table -> LSH candidate pairs -> (optional) embedding-cosine
+    verification -> union-find clusters. Returns the alias table (columns
+    ``ALIAS_COLS``, one row per distinct norm) in its two parts:
+
+    * the UNCLUSTERED rows (singleton clusters, the overwhelming majority)
+      as a lazy per-block map over the materialized surface table — root =
+      the norm itself, so no shuffle;
+    * the CLUSTERED rows (members of a multi-norm cluster) as one driver
+      frame, empty when nothing clusters: they are bounded by 2x|verified
+      pairs|, already a driver-side quantity (the union-find ran on them),
+      so their per-root reduce is a driver groupby over a tiny frame.
+
+    The surface vocabulary is never collected on the driver: only the
+    verified pairs come back for the union-find, and its root map is
+    broadcast to the per-block maps. ``is_clustered`` marks the clustered
+    rows — the rewrite stage must always have those in its broadcast map;
+    everything else can fall back to identity hashing."""
     link = link or LinkParams()
     # materialize: consumed twice (candidate blocking + root assignment);
     # vocabulary-sized but stays distributed in the object store
@@ -426,21 +445,14 @@ def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
         pairs = scored[scored["cos_sim"] >= link.cosine_threshold]
 
     if link.typo_tier:
-        pairs = pd.concat(
-            [pairs[["norm_a", "norm_b", "jaccard"]],
-             _typo_pairs(surfaces)],
-            ignore_index=True).drop_duplicates(["norm_a", "norm_b"])
+        pairs = concat_frames([pairs[["norm_a", "norm_b", "jaccard"]],
+                               _typo_pairs(surfaces)]
+                              ).drop_duplicates(["norm_a", "norm_b"])
 
     root_of = _union_find_clusters(pairs)
     clustered = frozenset(pairs["norm_a"]) | frozenset(pairs["norm_b"])
     root_ref = ray.put((root_of, clustered))
 
-    # Split streams: UNCLUSTERED norms (the overwhelming majority) are
-    # singleton clusters — root = self, representative label = own variant,
-    # totals = own mentions — a pure per-block map, NO shuffle. Only the
-    # CLUSTERED norms (duplicate-volume-sized) need a cross-row reduce, and
-    # only they ride the bucketed groupby. This removes a full-vocabulary
-    # shuffle from the alias build.
     def unclustered_alias(df: pd.DataFrame) -> pd.DataFrame:
         rmap, members = ray.get(root_ref)
         # vectorized (a list-comprehension mask on an EMPTY batch would be
@@ -453,17 +465,17 @@ def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
             "cluster_mentions": df["n_mentions"].astype("int64"),
         })
         out["is_clustered"] = False
-        return _arrow_out(out[ALIAS_COLS])
+        return arrow_out(out[ALIAS_COLS])
 
     def clustered_rooted(df: pd.DataFrame) -> pa.Table:
         rmap, members = ray.get(root_ref)
         df = df[df["norm"].isin(members)]
-        return _arrow_out(df.assign(
+        return arrow_out(df.assign(
             root=pd.Series([rmap.get(n, n) for n in df["norm"]],
                            index=df.index, dtype="string")))
 
     def per_root(df: pd.DataFrame) -> pd.DataFrame:
-        # whole clusters land in one bucket (keyed on root); vectorized pick
+        # whole clusters in one frame; vectorized pick
         df = df.sort_values(["n_mentions", "norm"], ascending=[False, True],
                             kind="mergesort")
         rep = df.groupby("root", sort=False)["canonical_label"].first()
@@ -478,13 +490,23 @@ def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
     unclustered = surfaces.map_batches(unclustered_alias,
                                        batch_format="pandas")
     if not clustered:
+        return unclustered, pd.DataFrame(columns=ALIAS_COLS)
+    return unclustered, per_root(
+        surfaces.map_batches(clustered_rooted,
+                             batch_format="pandas").to_pandas())
+
+
+def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
+                      link: LinkParams | None = None,
+                      use_embed_scorer: bool = True) -> rd.Dataset:
+    """Full linking pass -> alias DATASET (norm, canonical_id,
+    canonical_label, cluster_mentions, is_clustered), one row per distinct
+    norm: the union of ``alias_parts``' unclustered Dataset and clustered
+    frame."""
+    unclustered, clustered = alias_parts(nodes, cfg, link, use_embed_scorer)
+    if not len(clustered):
         return unclustered
-    # clustered rows are bounded by 2x|verified pairs| — already a driver-
-    # side quantity (the union-find ran on them) — so the per-root reduce is
-    # a driver groupby over a tiny frame, not a distributed shuffle
-    cl_df = surfaces.map_batches(clustered_rooted,
-                                 batch_format="pandas").to_pandas()
-    return unclustered.union(rd.from_arrow(_arrow_out(per_root(cl_df))))
+    return unclustered.union(rd.from_arrow(arrow_out(clustered)))
 
 
 def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
@@ -492,8 +514,13 @@ def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
     mapping is semantic — identity fallback would break cluster unification)
     plus the ``cap`` most-mentioned unclustered norms (the hot vocabulary;
     broadcasting them keeps the overwhelmingly common surfaces off the
-    fallback path). Per-block top-``cap`` partials bound the driver collect
-    to clustered + cap x num_blocks rows, never the full vocabulary."""
+    fallback path).
+
+    Under the cap — a materialized ``alias`` whose row count (block
+    metadata, no pass) is at most ``cap`` — the slice is the whole table,
+    collected as is. Above it, per-block top-``cap`` partials bound the
+    driver collect to clustered + cap x num_blocks rows, never the full
+    vocabulary."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[df["is_clustered"]]
@@ -504,7 +531,10 @@ def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
         top = un.nlargest(min(cap, len(un)), "cluster_mentions")
         return (pd.concat([keep, top]).drop_duplicates("norm")[ALIAS_COLS])
 
-    parts = alias.map_batches(partial, batch_format="pandas").to_pandas()
+    if isinstance(alias, MaterializedDataset) and alias.count() <= cap:
+        parts = alias.to_pandas()
+    else:
+        parts = alias.map_batches(partial, batch_format="pandas").to_pandas()
     if "norm" not in parts.columns:
         return pd.DataFrame(columns=ALIAS_COLS)
     parts = parts.drop_duplicates("norm")
@@ -589,6 +619,23 @@ def canonicalize_edges(edges: rd.Dataset, alias: rd.Dataset | pd.DataFrame,
     return bucketed_groupby(partials, keys3, merge)
 
 
+CANON_NODE_COLS = ["canonical_id", "canonical_label", "n_mentions",
+                   "n_aliases"]
+
+
+def unclustered_nodes(df: pd.DataFrame) -> pa.Table:
+    """Canonical nodes of a batch's UNCLUSTERED alias rows: a 1:1
+    projection (each is its own entity with one alias), no shuffle."""
+    df = df[~df["is_clustered"]]
+    out = pd.DataFrame({
+        "canonical_id": df["canonical_id"],
+        "canonical_label": df["canonical_label"],
+        "n_mentions": df["cluster_mentions"].astype("int64"),
+    })
+    out["n_aliases"] = 1
+    return arrow_out(out[CANON_NODE_COLS])
+
+
 def _canonical_nodes_merge(df: pd.DataFrame) -> pd.DataFrame:
     g = df.groupby(["canonical_id", "canonical_label"], sort=False)
     out = g.agg(n_mentions=("cluster_mentions", "max"),
@@ -596,32 +643,26 @@ def _canonical_nodes_merge(df: pd.DataFrame) -> pd.DataFrame:
     return out.sort_values("canonical_id", kind="mergesort").reset_index(drop=True)
 
 
+def clustered_nodes(clustered: pd.DataFrame) -> pa.Table:
+    """Canonical nodes of the CLUSTERED alias rows: the cross-row reduce
+    per entity, driver-side (the rows are pair-bounded)."""
+    return arrow_out(_canonical_nodes_merge(
+        clustered.drop(columns="is_clustered"))[CANON_NODE_COLS])
+
+
 def canonical_nodes_table(alias: rd.Dataset | pd.DataFrame):
     """Distinct canonical entities (id, label, total mentions, n_aliases).
     Dataset in -> Dataset out; DataFrame in -> DataFrame out. Same
-    split-stream shape as the alias build: unclustered aliases map 1:1 to
-    canonical nodes with no shuffle; only clustered aliases (pair-bounded)
-    need a cross-row reduce, done driver-side."""
+    split-stream shape as the alias build: ``unclustered_nodes`` per block
+    plus ``clustered_nodes`` over the collected clustered rows."""
     if isinstance(alias, pd.DataFrame):
         return _canonical_nodes_merge(alias.drop(columns="is_clustered",
                                                  errors="ignore"))
-    cols = ["canonical_id", "canonical_label", "n_mentions", "n_aliases"]
-
-    def unclustered_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[~df["is_clustered"]]
-        out = pd.DataFrame({
-            "canonical_id": df["canonical_id"],
-            "canonical_label": df["canonical_label"],
-            "n_mentions": df["cluster_mentions"].astype("int64"),
-        })
-        out["n_aliases"] = 1
-        return _arrow_out(out[cols])
 
     def clustered_only(t):
         # Arrow in/out: a pandas filter here returned empty object-dtype
         # blocks that Ray's size estimator warns on ("vectorize on size 0
         # inputs") — Arrow empties carry their schema silently
-        import pyarrow.compute as pc
         return t.filter(pc.fill_null(t["is_clustered"], False))
 
     un = alias.map_batches(unclustered_nodes, batch_format="pandas")
@@ -629,9 +670,7 @@ def canonical_nodes_table(alias: rd.Dataset | pd.DataFrame):
                               batch_format="pyarrow").to_pandas()
     if len(cl_df) == 0:
         return un
-    # pair-bounded, same driver-side justification as the alias build
-    return un.union(rd.from_arrow(_arrow_out(
-        _canonical_nodes_merge(cl_df.drop(columns="is_clustered"))[cols])))
+    return un.union(rd.from_arrow(clustered_nodes(cl_df)))
 
 
 # --- fuzzy alias pairing (round 4) ------------------------------------------

@@ -478,3 +478,159 @@ def test_typo_tier_links_short_aliases():
     assert int(fn.loc["ibm", "cluster_mentions"]) == 7
     assert (fn.loc["globex industries", "canonical_id"]
             != fn.loc["ibm", "canonical_id"])
+
+
+# --- the phase-2 job against the public stage composition -------------------
+
+TABLES = ("aliases", "canonical_nodes", "canonical_edges")
+
+
+def _planted_transcripts(n_convs: int = 120, seed: int = 5) -> pa.Table:
+    """'A acquired B.' turns over a ~400-name vocabulary; every 8th name
+    also appears as a variant (whitespace, upper case or a one-character
+    edit, so some variants have their own norm and cluster with the base)."""
+    import random
+    rng = random.Random(seed)
+    syl = ["zor", "vex", "qui", "bly", "tan", "mor", "ke", "lin", "dra",
+           "pex", "sol", "unt", "fra", "gem", "hol", "rix"]
+    suffix = ["Holdings", "Systems", "Industries", "Labs", "Partners",
+              "Group"]
+    vocab = sorted({"".join(rng.choice(syl) for _ in range(3)).capitalize()
+                    + " " + rng.choice(suffix) for _ in range(400)})
+    variant = {}
+    for k, name in enumerate(vocab[::8]):
+        first, rest = name.split(" ", 1)
+        i = rng.randrange(1, len(first))
+        variant[name] = ("  ".join((first, rest)), name.upper(),
+                         first[:i] + ("e" if first[i] == "a" else "a")
+                         + first[i + 1:] + " " + rest)[k % 3]
+    rows = {"conv_id": [], "turn_idx": [], "text": []}
+    for c in range(n_convs):
+        for t in range(rng.randint(2, 5)):
+            a, b = rng.sample(vocab, 2)
+            if rng.random() < 0.5:
+                a = variant.get(a, a)
+            rows["conv_id"].append(f"conv_{c:05d}")
+            rows["turn_idx"].append(t)
+            rows["text"].append(f"{a} acquired {b}.")
+    return pa.table({"conv_id": rows["conv_id"],
+                     "turn_idx": pa.array(rows["turn_idx"], pa.int32()),
+                     "text": rows["text"]})
+
+
+@pytest.fixture(scope="module")
+def planted_lake(tmp_path_factory):
+    """A committed phase-1 lake (P=4) over the planted corpus."""
+    import pyarrow.parquet as pq
+
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
+    from ai_knowledgegraph_extractor_ray.sources import transcripts as src
+    root = tmp_path_factory.mktemp("planted")
+    pq.write_table(_planted_transcripts(), root / "t.parquet")
+    out = root / "lake"
+    kg.run_kg_job(src.read_transcripts(str(root / "t.parquet")),
+                  KGConfig(num_partitions=4), str(out))
+    return out
+
+
+def _fresh_lake(planted_lake, dst):
+    """A copy of the phase-1 lake with no phase-2 output."""
+    import shutil
+    shutil.copytree(planted_lake, dst)
+    return str(dst)
+
+
+def _row_set(df: pd.DataFrame, cols: list[str]) -> list[tuple]:
+    return sorted(df[cols].astype(object).itertuples(index=False, name=None))
+
+
+def _job_tables(out: str, version: int = 1) -> dict[str, pd.DataFrame]:
+    cdir = f"{out}/version={version}/canonical"
+    return {t: pd.read_parquet(f"{cdir}/{t}") for t in TABLES}
+
+
+@pytest.mark.parametrize("cap", [None, 40], ids=["default_cap", "cap40"])
+def test_canonicalize_job_matches_public_composition(planted_lake, tmp_path,
+                                                     cap):
+    """``run_canonicalize_job`` and the public stages it shares its helpers
+    with — ``build_alias_table`` -> ``canonicalize_edges`` ->
+    ``canonical_nodes_table`` — give the same three tables, at the default
+    broadcast cap (the job collects the whole alias table) and with the cap
+    below the vocabulary (the top-``cap`` pass runs). The manifest counts
+    equal the rows on disk, and every part file carries the manifest's
+    ``schema_sig``."""
+    import glob
+    from dataclasses import replace
+
+    import pyarrow.parquet as pq
+
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
+    from ai_knowledgegraph_extractor_ray.state import schema_evo
+
+    cfg = KGConfig(num_partitions=4, alias_salt_buckets=4)
+    if cap is not None:
+        cfg = replace(cfg, broadcast_vocab_cap=cap)
+    out = _fresh_lake(planted_lake, tmp_path / "lake")
+    summary = kg.run_canonicalize_job(out, cfg)
+
+    alias = cz.build_alias_table(kg.read_nodes(out, 1), cfg).materialize()
+    want = {"aliases": alias.to_pandas(),
+            "canonical_nodes": cz.canonical_nodes_table(alias).to_pandas(),
+            "canonical_edges": cz.canonicalize_edges(
+                kg.read_edges(out, 1), alias, cfg).to_pandas()}
+    assert want["aliases"]["is_clustered"].sum() >= 4   # clusters planted
+    if cap is not None:
+        assert len(want["aliases"]) > cap
+
+    got = _job_tables(out)
+    for t in TABLES:
+        cols = list(want[t].columns)
+        assert sorted(got[t].columns) == sorted(cols), t
+        assert _row_set(got[t], cols) == _row_set(want[t], cols), t
+    assert summary["n_aliases"] == len(got["aliases"])
+    assert summary["n_canonical_entities"] == len(got["canonical_nodes"])
+    assert summary["n_canonical_edges"] == len(got["canonical_edges"])
+    for t in TABLES:
+        files = glob.glob(f"{out}/version=1/canonical/{t}/*.parquet")
+        assert files, t
+        assert {schema_evo.schema_sig(pq.read_schema(f))
+                for f in files} == {summary["schema_sig"][t]}, t
+
+
+def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
+                                                           tmp_path):
+    """Crash-matrix cell of the phase-2 commit: the manifest is gone, a
+    torn ``_manifest.json.tmp`` is left behind and every canonical
+    directory holds a foreign part. A ``resume=True`` rerun recommits
+    tables equal to a clean run's with no stale rows and correct counts."""
+    import json
+
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
+
+    cfg = KGConfig(num_partitions=4, alias_salt_buckets=4)
+    clean_out = _fresh_lake(planted_lake, tmp_path / "clean")
+    clean = kg.run_canonicalize_job(clean_out, cfg)
+    out = _fresh_lake(planted_lake, tmp_path / "crashed")
+    kg.run_canonicalize_job(out, cfg)
+
+    cdir = tmp_path / "crashed" / "version=1" / "canonical"
+    (cdir / "_manifest.json").unlink()
+    (cdir / "_manifest.json.tmp").write_text('{"version": 1, "n_ali')
+    for t, df in _job_tables(out).items():
+        df.head(3).assign(**{c: "stale" for c in df.columns
+                             if df[c].dtype != bool
+                             and not pd.api.types.is_numeric_dtype(df[c])}
+                          ).to_parquet(cdir / t / "part-99999.parquet",
+                                       index=False)
+
+    again = kg.run_canonicalize_job(out, cfg)
+    assert "resumed" not in again
+    assert again == clean
+    assert json.loads((cdir / "_manifest.json").read_text()) == clean
+    assert not (cdir / "_manifest.json.tmp").exists()
+    want, got = _job_tables(clean_out), _job_tables(out)
+    for t in TABLES:
+        cols = list(want[t].columns)
+        assert _row_set(got[t], cols) == _row_set(want[t], cols), t
+        assert not (got[t][cols[0]] == "stale").any(), t
+    assert kg.run_canonicalize_job(out, cfg)["resumed"] is True

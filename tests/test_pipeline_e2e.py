@@ -269,6 +269,32 @@ def test_canonicalize_resume(job):
     assert len(ce) == first["n_canonical_edges"]
 
 
+@pytest.mark.parametrize("num_partitions", [1, 4])
+def test_canonicalize_job_without_graph_rows(tmp_path, num_partitions):
+    """Degenerate input: phase 1 over turns that name no entity commits 0
+    nodes and 0 edges; phase 2 still commits, with all-zero counts and the
+    three canonical directories present, and a rerun resumes."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    table = src.synthetic_transcripts_table(n_convs=6, seed=1)
+    table = table.set_column(table.schema.get_field_index("text"), "text",
+                             pa.array(["ok"] * table.num_rows))
+    pq.write_table(table, tmp_path / "t.parquet")
+    out = str(tmp_path / "lake")
+    cfg = KGConfig(num_partitions=num_partitions)
+    summary = kg.run_kg_job(src.read_transcripts(str(tmp_path / "t.parquet")),
+                            cfg, out)
+    assert summary["n_nodes"] == 0 and summary["n_edges"] == 0
+    canon = kg.run_canonicalize_job(out, cfg)
+    assert (canon["n_aliases"], canon["n_canonical_entities"],
+            canon["n_canonical_edges"]) == (0, 0, 0)
+    cdir = Path(out) / "version=1" / "canonical"
+    assert (cdir / "_manifest.json").exists()
+    assert all((cdir / t).is_dir()
+               for t in ("aliases", "canonical_nodes", "canonical_edges"))
+    assert kg.run_canonicalize_job(out, cfg)["resumed"] is True
+
+
 def test_kg_job_hierarchical_exchange_path(corpus_path, tmp_path):
     """num_partitions > 1024 routes through the two-level exchange, with
     and without skew splitting; the graph equals a small-P run's."""
