@@ -5,8 +5,9 @@ extractor backend (reference lifecycle analogue: SURVEY.md §3; reference
 entry point main.py:81-132):
 
     read transcripts (column-pruned)
-      -> [resume] link unchanged partitions of the prior version, drop
-         rows of committed/linked partitions (fingerprint-validated)
+      -> [resume] link unchanged partitions of the prior version (three
+         hard links and a manifest each, no data read), drop rows of
+         committed/linked partitions (fingerprint- and config-validated)
       -> hash exchange on crc32(conv_id) % P           [ops/exchange.py;
            optional skew split map, two levels above 1024 partitions]
       -> one fused reduce per partition (``partition_graph_rows``):
@@ -20,6 +21,12 @@ tasks. An LLM backend's client state (an HTTP session and a one-shot health
 probe) is per task, serving every conversation of the partition, so the
 requests in flight are the running partition tasks. ``build_graph_rows`` is
 the same plan without the sink.
+
+Phase-1 files store nothing that depends on the version: readers
+(``read_nodes``/``read_edges``/``read_convs``) stamp ``version`` from the
+version they were asked for, and ``edge_id`` hashes the triple alone. That
+is what lets a version reference an unchanged partition's files instead of
+rewriting them (``state/lineage.py``).
 
 Phase 2 (``run_canonicalize_job``): mention counts -> blocking -> verify
 -> union-find -> alias table -> edge rewrite, under ``version=K/canonical/``.
@@ -147,12 +154,20 @@ def load_split_map(out_dir: str, version: int) -> dict[int, tuple[int, int]]:
         return {}
 
 
+# phase-1 file format: bumped whenever the stored bytes change meaning.
+# "f2" = version-free files (no version column, edge ids without the
+# version); a partition committed under another format is recomputed, never
+# linked or resumed
+_FILE_FORMAT = "f2"
+
+
 def _config_sig(cfg: KGConfig) -> str:
-    """Partition-layout + extraction-config signature for cross-version
-    reuse. ``version_cutoff`` is deliberately ABSENT: it is the version's
-    definition, and its effect is already inside the input fingerprint
-    (fingerprints hash post-cutoff turns)."""
-    return f"P{cfg.num_partitions}:w{cfg.window_chars}:{cfg.backend}"
+    """Partition-layout + extraction-config + file-format signature for
+    resume and cross-version reuse. ``version_cutoff`` is deliberately
+    ABSENT: it is the version's definition, and its effect is already
+    inside the input fingerprint (fingerprints hash post-cutoff turns)."""
+    return (f"P{cfg.num_partitions}:w{cfg.window_chars}:{cfg.backend}"
+            f":{_FILE_FORMAT}")
 
 
 def _latest_prior_version(out_dir: str, version: int) -> int | None:
@@ -176,13 +191,14 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     throughput by ~1.5x). The extractor is built here, before any input is
     read, so a misconfigured LLM provider fails fast.
 
-    Resume: trusts only partitions whose manifest exists AND (when
-    ``validate_input``) whose recorded input fingerprint matches a freshly
-    computed one — a cheap streaming crc pass over the committed partitions'
-    turns (no shuffle, no extraction). Stale partitions are uncommitted
-    (manifest deleted first, so a crash mid-rerun can't resurrect them) and
-    recomputed. ``validate_input=False`` skips the extra read pass for
-    immutable inputs."""
+    Resume: trusts only partitions whose manifest exists, whose
+    ``config_sig`` matches this config, AND (when ``validate_input``) whose
+    recorded input fingerprint matches a freshly computed one — a cheap
+    streaming crc pass over the committed partitions' turns (no shuffle, no
+    extraction). Stale partitions are uncommitted (manifest deleted first,
+    so a crash mid-rerun can't resurrect them) and recomputed.
+    ``validate_input=False`` skips the extra read pass for immutable
+    inputs."""
     extractor = Extractor(cfg)
 
     # Skew-split layout: a resumed run MUST reuse the persisted map (the
@@ -212,31 +228,37 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     elif resume:
         split_map = load_split_map(out_dir, cfg.version)
 
+    # a committed partition is trusted only under this config (layout,
+    # extractor and file format) and, when validated, this input
+    sig = _config_sig(cfg)
     committed = lineage.committed_partitions(out_dir, cfg.version) if resume else {}
-    if committed and validate_input:
+    stale = {pid for pid, m in committed.items()
+             if m.get("config_sig") != sig}
+    if validate_input and len(committed) > len(stale):
         from ..stages.conversation import partition_fingerprints
         current = partition_fingerprints(
             add_partition_id(transcripts, cfg.num_partitions,
                              split_map=split_map),
-            version_cutoff=cfg.version_cutoff, only=set(committed))
-        stale = [pid for pid, m in committed.items()
-                 if not lineage.validate_manifest(m, current.get(pid, ""))]
-        for pid in stale:
-            lineage.uncommit_partition(out_dir, cfg.version, pid)
-            del committed[pid]
+            version_cutoff=cfg.version_cutoff,
+            only=set(committed) - stale)
+        stale |= {pid for pid, m in committed.items()
+                  if not lineage.validate_manifest(m, current.get(pid, ""))}
+    for pid in stale:
+        lineage.uncommit_partition(out_dir, cfg.version, pid)
+        del committed[pid]
 
     # incremental cross-version update: link the latest prior version's
     # committed partitions whose input fingerprint is unchanged under the
-    # same layout/config — an IO-only copy with the version restamped, no
-    # re-assembly or re-extraction (round-3 VERDICT #2; the reference's
-    # update endpoint is likewise per-document, main.py:202-285)
+    # same layout/config — three hard links and a manifest per partition,
+    # in a driver loop: no data read, no re-assembly or re-extraction
+    # (round-3 VERDICT #2; the reference's update endpoint is likewise
+    # per-document, main.py:202-285)
     own_resumed = len(committed)
     linked: dict[int, dict] = {}
     if resume and cfg.reuse_prior_version:
         prev_v = _latest_prior_version(out_dir, cfg.version)
         if prev_v is not None \
                 and load_split_map(out_dir, prev_v) == split_map:
-            sig = _config_sig(cfg)
             prevs = lineage.committed_partitions(out_dir, prev_v)
             cand = {pid: m for pid, m in prevs.items()
                     if pid not in committed
@@ -247,19 +269,10 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
                     add_partition_id(transcripts, cfg.num_partitions,
                                      split_map=split_map),
                     version_cutoff=cfg.version_cutoff, only=set(cand))
-                from ..stages.extract import edge_id_of
-                new_v = cfg.version
-
-                def _remint(c, s, p, o):
-                    return edge_id_of(c, new_v, s, p, o)
-
-                link = ray.remote(lineage.link_partition)
-                refs = [link.remote(out_dir, prev_v, cfg.version, pid, m,
-                                    edge_id_fn=_remint)
-                        for pid, m in cand.items()
-                        if lineage.validate_manifest(m, cur_fps.get(pid, ""))]
-                for m in ray.get(refs):     # <= P tiny manifests
-                    linked[int(m["partition_id"])] = m
+                for pid, m in cand.items():
+                    if lineage.validate_manifest(m, cur_fps.get(pid, "")):
+                        linked[pid] = lineage.link_partition(
+                            out_dir, prev_v, cfg.version, pid, m)
                 committed.update(linked)
 
     # committed/linked partitions' rows never need to enter the exchange:
@@ -292,8 +305,7 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
             return None
         return lineage.write_partition(
             rows, out_dir, cfg.version, input_bytes=tbl.nbytes,
-            started_at=t_start,
-            config_sig=_config_sig(cfg)).to_dict("records")[0]
+            started_at=t_start, config_sig=sig).to_dict("records")[0]
 
     records = hash_exchange(transcripts, cfg.num_partitions, reduce_fn,
                             skip=frozenset(committed),
@@ -350,18 +362,35 @@ def _committed_files(out_dir: str, version: int, name: str) -> list[str]:
             for pid in sorted(lineage.committed_partitions(out_dir, version))]
 
 
+def _read_phase1(out_dir: str, version: int, table: str) -> rd.Dataset:
+    """One phase-1 table of a version's committed partitions, with the
+    ``version`` column stamped at read time (the files do not store it; a
+    file from an older engine that does has it replaced). No hive parsing
+    of the ``version=K`` path segment: the stamp is int32, not the path's
+    string."""
+    files = _committed_files(out_dir, version, f"{table}.parquet")
+    if not files:
+        raise FileNotFoundError(
+            f"read_{table}: no committed partitions for version {version} "
+            f"under {out_dir}")
+    return rd.read_parquet(files, partitioning=None).map_batches(
+        functools.partial(_stamp_version, version), batch_format="pyarrow")
+
+
 def read_nodes(out_dir: str, version: int) -> rd.Dataset:
-    return rd.read_parquet(_committed_files(out_dir, version, "nodes.parquet"))
+    return _read_phase1(out_dir, version, "nodes")
 
 
 def read_edges(out_dir: str, version: int) -> rd.Dataset:
-    return rd.read_parquet(_committed_files(out_dir, version, "edges.parquet"))
+    return _read_phase1(out_dir, version, "edges")
 
 
 def read_convs(out_dir: str, version: int,
                columns: list[str] | None = None) -> rd.Dataset:
-    return rd.read_parquet(_committed_files(out_dir, version, "convs.parquet"),
-                           columns=columns)
+    # columns are selected after the stamp: Ray 2.49's
+    # read_parquet(columns=..., partitioning=None) raises UnboundLocalError
+    ds = _read_phase1(out_dir, version, "convs")
+    return ds.select_columns(columns) if columns is not None else ds
 
 
 def read_versions_harmonized(out_dir: str, versions: list[int],
@@ -374,9 +403,9 @@ def read_versions_harmonized(out_dir: str, versions: list[int],
     alembic/versions/60875d8d58f2). ``table`` is ``nodes``/``edges``/
     ``convs`` (phase-1 partition tables) or ``aliases``/
     ``canonical_nodes``/``canonical_edges`` (phase-2 canonical dirs).
-    Every row carries a ``version`` column for provenance: tables written
-    without one (the canonical dirs) get their version stamped at read
-    time."""
+    Every row carries a ``version`` column for provenance, stamped at
+    read time: the pipeline writes neither phase-1 files nor canonical
+    dirs with one, and a stored one (an older engine's) is replaced."""
     import glob
 
     from ..state import schema_evo
@@ -401,14 +430,15 @@ def read_versions_harmonized(out_dir: str, versions: list[int],
         ds = rd.read_parquet(g, partitioning=None)
         if not any("version" in s.names for s in group_schemas):
             group_schemas.append(pa.schema([("version", pa.int32())]))
-            ds = ds.map_batches(functools.partial(_stamp_version, v),
-                                batch_format="pyarrow")
-        parts.append(ds)
+        parts.append(ds.map_batches(functools.partial(_stamp_version, v),
+                                    batch_format="pyarrow"))
         schemas += group_schemas
     return schema_evo.union_harmonized(parts, schemas)
 
 
 def _stamp_version(version: int, t: pa.Table) -> pa.Table:
+    if "version" in t.column_names:
+        t = t.drop_columns(["version"])
     return t.append_column("version", pa.array(
         np.full(t.num_rows, version, dtype=np.int32)))
 
@@ -632,7 +662,7 @@ def list_conversations(out_dir: str, version: int) -> rd.Dataset:
     list_documents, database_service.py:260-278)."""
     from ..ops.agg import bucketed_groupby
 
-    convs = rd.read_parquet(_committed_files(out_dir, version, "convs.parquet"))
+    convs = read_convs(out_dir, version)
 
     def dedup(df: pd.DataFrame) -> pd.DataFrame:
         return (df.groupby("conv_id", as_index=False)

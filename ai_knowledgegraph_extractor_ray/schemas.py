@@ -41,7 +41,7 @@ NODES = pa.schema(
         ("node_id", pa.string()),        # "n1".."n15", per-conversation
         ("label", pa.string()),          # surface form
         ("node_type", pa.string()),
-        ("version", pa.int32()),
+        ("version", pa.int32()),         # read-time stamp, not stored
         ("partition_id", pa.int32()),
     ]
 )
@@ -50,13 +50,14 @@ NODES = pa.schema(
 EDGES = pa.schema(
     [
         ("conv_id", pa.string()),
-        ("edge_id", pa.string()),        # content hash → global exact dedup key
+        ("edge_id", pa.string()),        # content hash of (conv_id, triple),
+                                         # without the version
         ("src_node_id", pa.string()),
         ("dst_node_id", pa.string()),
         ("subj", pa.string()),           # surface forms, for P/R vs reference
         ("pred", pa.string()),
         ("obj", pa.string()),
-        ("version", pa.int32()),
+        ("version", pa.int32()),         # read-time stamp, not stored
         ("partition_id", pa.int32()),
     ]
 )

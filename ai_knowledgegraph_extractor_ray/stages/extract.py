@@ -33,7 +33,7 @@ GRAPH_ROW_FIELDS = [
     ("node_id", pa.string()),         # nodes only
     ("label", pa.string()),           # nodes only (surface form)
     ("node_type", pa.string()),       # nodes only
-    ("edge_id", pa.string()),         # edges only (content hash)
+    ("edge_id", pa.string()),         # edges only (content hash, no version)
     ("src_node_id", pa.string()),
     ("dst_node_id", pa.string()),
     ("subj", pa.string()),            # edges only: surface forms
@@ -164,9 +164,12 @@ def make_backend(cfg: KGConfig) -> ExtractorBackend:
     raise ValueError(f"unknown backend {cfg.backend!r}")
 
 
-def edge_id_of(conv_id: str, version: int, subj: str, pred: str, obj: str) -> str:
+def edge_id_of(conv_id: str, subj: str, pred: str, obj: str) -> str:
+    """Content hash of one triple. The version is not in it, so a partition
+    file stays valid under every version that links it; ``(version,
+    edge_id)`` is the cross-version key."""
     return hashlib.sha256(
-        f"{conv_id}\x00{version}\x00{subj}\x00{pred}\x00{obj}".encode()
+        f"{conv_id}\x00{subj}\x00{pred}\x00{obj}".encode()
     ).hexdigest()[:20]
 
 
@@ -239,7 +242,7 @@ class Extractor:
             for src, dst, rel in zip(g.edge_src, g.edge_dst, g.edge_rel):
                 subj, obj = label_of.get(src, ""), label_of.get(dst, "")
                 emit("edge", cid, wid, ver, pid, fp,
-                     edge_id=edge_id_of(cid, ver, subj, rel, obj),
+                     edge_id=edge_id_of(cid, subj, rel, obj),
                      src=src, dst=dst, subj=subj, pred=rel, obj=obj)
 
         return pa.Table.from_pydict(

@@ -8,10 +8,21 @@ Replaces the reference's ACID transaction-per-document persistence
 
 The manifest write is the commit point — a resumed job trusts only
 partitions whose manifest exists and parses, so a crash mid-partition
-leaves at worst orphaned data files that the rerun overwrites. This is
-object-store friendly (no renames required). Extraction is a pure function
-of a partition's input (deterministic backend), so re-running an
-uncommitted partition is idempotent.
+leaves at worst orphaned data files that the rerun replaces. Extraction is
+a pure function of a partition's input (deterministic backend), so
+re-running an uncommitted partition is idempotent.
+
+The data files hold only version-independent bytes: no ``version``
+column (readers stamp it at read time from the ``version=K`` they were
+asked for) and edge ids that hash the triple, not the version. So a later
+version reuses an unchanged partition by reference: ``link_partition``
+hard-links the three files into its own ``part-NNNNN/`` and commits a
+manifest, reading no data. Versions then share inodes, which makes one
+rule binding: a data file is never written in place. ``write_partition``
+writes each file to a tmp path and renames it over the old name, so a
+rerun of an older version gives that version new inodes and leaves the
+bytes a later version links to untouched; deleting a version
+(``uncommit_partition``, retention) only drops its own links.
 
 Each manifest records the partition's input fingerprint (xor of per-turn
 hashes, order-insensitive): a resume over *changed* input is detected by
@@ -21,6 +32,8 @@ hashes, order-insensitive): a resume over *changed* input is detected by
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import time
 from pathlib import Path
 
@@ -58,10 +71,21 @@ def committed_partitions(out_dir: str, version: int) -> dict[int, dict]:
     return out
 
 
-NODE_COLS = ["conv_id", "node_id", "label", "node_type", "version", "window_id"]
+# stored columns: no ``version`` (stamped at read time), so the bytes of a
+# partition are the same under every version that links it
+NODE_COLS = ["conv_id", "node_id", "label", "node_type", "window_id"]
 EDGE_COLS = ["conv_id", "edge_id", "src_node_id", "dst_node_id",
-             "subj", "pred", "obj", "version", "window_id"]
-CONV_COLS = ["conv_id", "window_id", "n_turns", "version", "backend"]
+             "subj", "pred", "obj", "window_id"]
+CONV_COLS = ["conv_id", "window_id", "n_turns", "backend"]
+PARTITION_FILES = ("nodes.parquet", "edges.parquet", "convs.parquet")
+
+
+def _replace_parquet(df: pd.DataFrame, path: Path) -> None:
+    """Write ``df`` to ``path`` through a tmp file and a rename: the old
+    inode, which a later version may hard-link, is never truncated."""
+    tmp = path.with_name(path.name + ".tmp")
+    df.to_parquet(tmp, index=False)
+    tmp.replace(path)
 
 
 def write_partition(group: pd.DataFrame, out_dir: str, version: int,
@@ -82,9 +106,8 @@ def write_partition(group: pd.DataFrame, out_dir: str, version: int,
     nodes = group.loc[group["kind"] == "node", NODE_COLS]
     edges = group.loc[group["kind"] == "edge", EDGE_COLS]
     convs = group.loc[group["kind"] == "conv", CONV_COLS]
-    nodes.to_parquet(pdir / "nodes.parquet", index=False)
-    edges.to_parquet(pdir / "edges.parquet", index=False)
-    convs.to_parquet(pdir / "convs.parquet", index=False)
+    for name, df in zip(PARTITION_FILES, (nodes, edges, convs)):
+        _replace_parquet(df, pdir / name)
 
     conv_fp = group.drop_duplicates("conv_id")["conv_fp"].astype("uint64").values
     fingerprint = f"{np.bitwise_xor.reduce(conv_fp) if len(conv_fp) else 0:016x}"
@@ -115,13 +138,19 @@ def write_partition(group: pd.DataFrame, out_dir: str, version: int,
                 pa.Schema.from_pandas(convs, preserve_index=False)),
         },
     }
+    _commit_manifest(out_dir, version, pid, manifest)
+    return pd.DataFrame([manifest])
+
+
+def _commit_manifest(out_dir: str, version: int, pid: int,
+                     manifest: dict) -> None:
+    """Write a partition's manifest — its commit point — via a tmp file
+    and a rename."""
     mpath = manifest_path(out_dir, version, pid)
     mpath.parent.mkdir(parents=True, exist_ok=True)
     tmp = mpath.with_suffix(".json.tmp")
     tmp.write_text(json.dumps(manifest))
-    tmp.replace(mpath)  # local-fs atomicity; on object stores the manifest
-    # object's existence is still the commit point
-    return pd.DataFrame([manifest])
+    tmp.replace(mpath)
 
 
 MANIFEST_COLS = ["partition_id", "version", "input_fingerprint",
@@ -144,43 +173,35 @@ def validate_manifest(manifest: dict, fingerprint: str) -> bool:
 
 def link_partition(out_dir: str, prev_version: int, new_version: int,
                    pid: int, manifest: dict, edge_id_fn=None) -> dict:
-    """Cross-version partition reuse: copy a prior version's committed
-    data files into the new version with the ``version`` column restamped
-    (pure IO — no assembly, no extraction, no shuffle), then commit a
+    """Cross-version partition reuse by reference: hard-link a prior
+    version's committed data files into the new version (no data is
+    read: the files hold no version-dependent bytes), then commit a
     manifest carrying the input fingerprint and counts forward plus
     ``linked_from_version`` for provenance. The caller has already
     verified the new version's input fingerprint for this partition
     equals ``manifest['input_fingerprint']`` under the same layout/config.
+    On a filesystem without hard links each file is byte-copied instead.
+    ``edge_id_fn`` is kept for existing callers and unused: edge ids do
+    not hash the version, so there is nothing to re-mint.
 
     Write order matches ``write_partition``: data first, manifest last
     (the commit point), so a crash mid-link leaves an uncommitted
-    partition the rerun overwrites."""
+    partition the rerun replaces."""
     t0 = time.perf_counter()
     src = partition_dir(out_dir, prev_version, pid)
     dst = partition_dir(out_dir, new_version, pid)
     dst.mkdir(parents=True, exist_ok=True)
-    for name in ("nodes.parquet", "edges.parquet", "convs.parquet"):
-        df = pd.read_parquet(src / name)
-        if "version" in df.columns:
-            df["version"] = np.full(len(df), new_version,
-                                    dtype=df["version"].dtype)
-        if name == "edges.parquet" and edge_id_fn is not None and len(df):
-            # edge ids embed the version (extract.edge_id_of), so a linked
-            # partition re-mints them for the new version — a pure string
-            # hash over already-extracted rows, still no re-extraction
-            df["edge_id"] = [
-                edge_id_fn(c, s, p, o) for c, s, p, o in
-                zip(df["conv_id"], df["subj"], df["pred"], df["obj"])]
-        df.to_parquet(dst / name, index=False)
+    for name in PARTITION_FILES:
+        (dst / name).unlink(missing_ok=True)    # leftover of a torn run
+        try:
+            os.link(src / name, dst / name)
+        except OSError:
+            shutil.copyfile(src / name, dst / name)
     m = dict(manifest)
     m["version"] = new_version
     m["linked_from_version"] = prev_version
     m["wall_time_s"] = round(time.perf_counter() - t0, 4)
-    mpath = manifest_path(out_dir, new_version, pid)
-    mpath.parent.mkdir(parents=True, exist_ok=True)
-    tmp = mpath.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(m))
-    tmp.replace(mpath)
+    _commit_manifest(out_dir, new_version, pid, m)
     return m
 
 
@@ -189,6 +210,5 @@ def uncommit_partition(out_dir: str, version: int, pid: int) -> None:
     commit point), then the data files — the inverse write order of
     ``write_partition``, so no crash window leaves data trusted without a
     matching manifest."""
-    import shutil
     manifest_path(out_dir, version, pid).unlink(missing_ok=True)
     shutil.rmtree(partition_dir(out_dir, version, pid), ignore_errors=True)

@@ -407,9 +407,9 @@ def test_auto_split_skew_rebalances_partitions(tmp_path, backend):
 def test_incremental_cross_version_links_unchanged_partitions(tmp_path):
     """Round-4 incremental update: building version 2 over a corpus where
     only a few conversations changed re-extracts ONLY the touched
-    partitions; every other partition is linked from version 1 (IO copy,
-    fingerprint carried forward) and the final output is byte-equal to a
-    from-scratch version-2 run."""
+    partitions; every other partition is linked from version 1 (hard
+    links to the version-1 files, fingerprint carried forward) and the
+    final output is equal to a from-scratch version-2 run."""
     import pyarrow.parquet as pq
 
     out = str(tmp_path / "kg")
@@ -440,6 +440,13 @@ def test_incremental_cross_version_links_unchanged_partitions(tmp_path):
     assert "linked_from_version" not in ms[touched_pid]
     linked_ms = [m for m in ms.values() if m.get("linked_from_version") == 1]
     assert len(linked_ms) == s2["partitions_linked"]
+    # linked files are the version-1 files themselves, not copies
+    for m in linked_ms:
+        pid = m["partition_id"]
+        for name in lineage.PARTITION_FILES:
+            assert ((lineage.partition_dir(out, 2, pid) / name).stat().st_ino
+                    == (lineage.partition_dir(out, 1, pid) / name)
+                    .stat().st_ino)
 
     # ground truth: from-scratch version-2 run over the same corpus
     out_ref = str(tmp_path / "kg_ref")
@@ -451,7 +458,7 @@ def test_incremental_cross_version_links_unchanged_partitions(tmp_path):
         pd.testing.assert_frame_equal(
             got.sort_values(key).reset_index(drop=True),
             want.sort_values(key).reset_index(drop=True))
-    # version column restamped in linked partitions
+    # the version column is stamped at read time, linked partitions too
     assert (kg.read_nodes(out, 2).to_pandas()["version"] == 2).all()
 
     # config change (different window_chars) must NOT link
@@ -464,3 +471,296 @@ def test_incremental_cross_version_links_unchanged_partitions(tmp_path):
         KGConfig(num_partitions=8, version=2,
                  window_chars=2000), out3)
     assert s3["partitions_linked"] == 0
+
+
+def _sorted_rows(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+PHASE1_READERS = {"nodes": kg.read_nodes, "edges": kg.read_edges,
+                  "convs": kg.read_convs}
+
+
+def _phase1_tables(out: str, version: int) -> dict[str, pd.DataFrame]:
+    return {name: _sorted_rows(read(out, version).to_pandas())
+            for name, read in PHASE1_READERS.items()}
+
+
+def _assert_tables_equal(got: dict, want: dict) -> None:
+    for name in want:
+        pd.testing.assert_frame_equal(got[name], want[name], obj=name)
+
+
+def _with_changed_convs(table, conv_ids, tag: str):
+    """``table`` with the text of every turn of ``conv_ids`` extended."""
+    df = table.to_pandas()
+    mask = df["conv_id"].isin(conv_ids)
+    df.loc[mask, "text"] += f" Acme {tag} Corp hired Bob."
+    return df
+
+
+def _file_hashes(out: str, version: int) -> dict[str, str]:
+    import hashlib
+    vdir = Path(out) / f"version={version}"
+    return {str(p.relative_to(vdir)):
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(vdir.glob("part-*/*.parquet"))}
+
+
+def test_resume_recomputes_partitions_committed_under_other_config(
+        corpus_path, tmp_path):
+    """A resume trusts a committed partition only under the config it was
+    committed with: resuming a version with another ``window_chars``
+    recomputes every partition instead of returning the old graph."""
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    out = str(tmp_path / "out")
+    first = kg.run_kg_job(src.read_transcripts(corpus_path),
+                          KGConfig(num_partitions=4), out, resume=False)
+    windowed = KGConfig(num_partitions=4, window_chars=200)
+    got = kg.run_kg_job(src.read_transcripts(corpus_path), windowed, out,
+                        resume=True)
+    want = kg.run_kg_job(src.read_transcripts(corpus_path), windowed,
+                         str(tmp_path / "ref"), resume=False)
+    assert want["n_edges"] != first["n_edges"]      # windowing matters here
+    assert got["partitions_resumed"] == 0
+    assert got["partitions_computed"] == want["partitions_total"]
+    assert got["n_edges"] == want["n_edges"]
+    _assert_tables_equal(_phase1_tables(out, 1),
+                         _phase1_tables(str(tmp_path / "ref"), 1))
+    assert {m["config_sig"] for m in
+            lineage.committed_partitions(out, 1).values()} == {
+        kg._config_sig(windowed)}
+    # and the recomputed version now resumes under its own config
+    again = kg.run_kg_job(src.read_transcripts(corpus_path), windowed, out)
+    assert again["partitions_resumed"] == want["partitions_total"]
+
+
+def test_canonicalize_job_without_committed_partitions(tmp_path):
+    """Phase 2 over a version with no committed phase-1 partition raises
+    FileNotFoundError naming the version, before it clears anything: the
+    version's existing canonical tables survive the failed call."""
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    import pyarrow.parquet as pq
+    pq.write_table(src.synthetic_transcripts_table(n_convs=12, seed=3),
+                   tmp_path / "t.parquet")
+    out = str(tmp_path / "lake")
+    cfg = KGConfig(num_partitions=1)
+    kg.run_kg_job(src.read_transcripts(str(tmp_path / "t.parquet")), cfg, out)
+    canon = kg.run_canonicalize_job(out, cfg)
+    readers = (kg.read_aliases, kg.read_canonical_nodes,
+               kg.read_canonical_edges)
+    before = [_sorted_rows(r(out, 1).to_pandas()) for r in readers]
+    assert canon["n_canonical_edges"] == len(before[2]) > 0
+
+    lineage.uncommit_partition(out, 1, 0)
+    for resume in (True, False):
+        with pytest.raises(FileNotFoundError, match="version 1 "):
+            kg.run_canonicalize_job(out, cfg, resume=resume)
+    for read in PHASE1_READERS.values():
+        with pytest.raises(FileNotFoundError, match="version 1 "):
+            read(out, 1)
+    assert (Path(out) / "version=1" / "canonical" / "_manifest.json").exists()
+    for read, want in zip(readers, before):
+        pd.testing.assert_frame_equal(_sorted_rows(read(out, 1).to_pandas()),
+                                      want)
+
+
+def test_linked_version_survives_changes_around_it(tmp_path, monkeypatch):
+    """A linked version shares its unchanged files with the version it
+    links from. Rebuilding or deleting that version must leave the linked
+    version's bytes and reads intact, the copy fallback for filesystems
+    without hard links must give the same tables, and linking must not
+    read a data file."""
+    import errno
+    import os
+
+    import pyarrow.parquet as pq
+
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        partition_of,
+    )
+    from ai_knowledgegraph_extractor_ray.state import lineage
+
+    P = 4
+    base = src.synthetic_transcripts_table(n_convs=40, seed=7)
+    convs = sorted(set(base.column("conv_id").to_pylist()))
+    p1, p2, p3 = (str(tmp_path / f"v{i}.parquet") for i in (1, 2, 3))
+    pq.write_table(base, p1)
+    _with_changed_convs(base, convs[:1], "two").to_parquet(p2, index=False)
+    # a v1 rebuild over input changed in every partition
+    _with_changed_convs(base, convs, "three").to_parquet(p3, index=False)
+    cfg1, cfg2 = (KGConfig(num_partitions=P, version=v) for v in (1, 2))
+
+    ref = str(tmp_path / "ref")
+    kg.run_kg_job(src.read_transcripts(p2), cfg2, ref, resume=False)
+    want = _phase1_tables(ref, 2)
+
+    # 1. v1, then v2 linked from it
+    out = str(tmp_path / "lake")
+    kg.run_kg_job(src.read_transcripts(p1), cfg1, out, resume=False)
+    s2 = kg.run_kg_job(src.read_transcripts(p2), cfg2, out)
+    assert s2["partitions_linked"] == P - 1
+    assert s2["partitions_computed"] == 1
+    hashes = _file_hashes(out, 2)
+    _assert_tables_equal(_phase1_tables(out, 2), want)
+
+    # 2. rebuilding v1 over changed input does not touch v2's bytes
+    def inodes(v):
+        return {f: (Path(out) / f"version={v}" / f).stat().st_ino
+                for f in _file_hashes(out, v)}
+
+    shared = set(inodes(1).items()) & set(inodes(2).items())
+    assert len(shared) == 3 * (P - 1)
+    s1 = kg.run_kg_job(src.read_transcripts(p3), cfg1, out, resume=False)
+    assert s1["partitions_computed"] == P
+    assert not set(inodes(1).items()) & set(inodes(2).items())
+    assert set(inodes(2).items()) >= shared
+    assert _file_hashes(out, 2) == hashes
+    _assert_tables_equal(_phase1_tables(out, 2), want)
+
+    # 3. deleting v1 leaves v2 whole
+    assert kg.cleanup_versions(out, keep_versions=1) == [1]
+    assert not lineage.version_dir(out, 1).exists()
+    assert _file_hashes(out, 2) == hashes
+    _assert_tables_equal(_phase1_tables(out, 2), want)
+
+    # 4. no hard links: the byte-copy fallback gives the same tables
+    def no_links(src_path, dst_path):
+        raise OSError(errno.EPERM, "hard links not supported")
+
+    copied = str(tmp_path / "copied")
+    kg.run_kg_job(src.read_transcripts(p1), cfg1, copied, resume=False)
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "link", no_links)
+        s2c = kg.run_kg_job(src.read_transcripts(p2), cfg2, copied)
+    assert s2c["partitions_linked"] == P - 1
+    _assert_tables_equal(_phase1_tables(copied, 2), want)
+    touched = partition_of(convs[0], P)
+    for pid in set(range(P)) - {touched}:
+        for name in lineage.PARTITION_FILES:
+            a = lineage.partition_dir(copied, 1, pid) / name
+            b = lineage.partition_dir(copied, 2, pid) / name
+            assert a.stat().st_ino != b.stat().st_ino
+            assert a.read_bytes() == b.read_bytes()
+
+    # 5. linking reads no data file, and replaces a leftover destination
+    # (here a torn earlier link to v2's files) without writing through it
+    def no_reads(*args, **kwargs):
+        raise AssertionError("link_partition read a data file")
+
+    v2_bytes = _file_hashes(copied, 2)
+    leftover = lineage.partition_dir(copied, 3, touched)
+    leftover.mkdir(parents=True)
+    for name in lineage.PARTITION_FILES:
+        os.link(lineage.partition_dir(copied, 2, touched) / name,
+                leftover / name)
+    m = lineage.committed_partitions(copied, 1)[touched]
+    with monkeypatch.context() as mp:
+        mp.setattr(pd, "read_parquet", no_reads)
+        mp.setattr(pq, "read_table", no_reads)
+        linked = lineage.link_partition(copied, 1, 3, touched, m)
+    assert linked["linked_from_version"] == 1 and linked["version"] == 3
+    assert lineage.committed_partitions(copied, 3) == {touched: linked}
+    assert _file_hashes(copied, 2) == v2_bytes
+    got = kg.read_edges(copied, 3).to_pandas()
+    want_v1 = kg.read_edges(copied, 1).to_pandas()
+    want_v1 = want_v1[want_v1["conv_id"].map(lambda c: partition_of(c, P))
+                      == touched].assign(version=3)
+    pd.testing.assert_frame_equal(_sorted_rows(got),
+                                  _sorted_rows(want_v1.astype(got.dtypes)))
+
+
+@pytest.mark.parametrize("n_versions", [1, 2, 3])
+def test_version_chain_reads_equal_from_scratch(tmp_path, n_versions):
+    """A chain of versions, each changing one conversation in another
+    partition: every version's nodes, edges and convs equal a
+    from-scratch build of that version, ``version`` int32 included."""
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        partition_of,
+    )
+    P = 4
+    base = src.synthetic_transcripts_table(n_convs=40, seed=11)
+    convs = sorted(set(base.column("conv_id").to_pylist()))
+    # one conversation per partition, churned in version order
+    first_in = {}
+    for c in convs:
+        first_in.setdefault(partition_of(c, P), c)
+    churn = [first_in[pid] for pid in sorted(first_in)]
+    out = str(tmp_path / "lake")
+    for v in range(1, n_versions + 1):
+        path = str(tmp_path / f"v{v}.parquet")
+        _with_changed_convs(base, churn[:v - 1], f"v{v}").to_parquet(
+            path, index=False)
+        cfg = KGConfig(num_partitions=P, version=v)
+        s = kg.run_kg_job(src.read_transcripts(path), cfg, out)
+        assert s["partitions_linked"] == (0 if v == 1 else P - 1)
+        ref = str(tmp_path / f"ref{v}")
+        kg.run_kg_job(src.read_transcripts(path), cfg, ref, resume=False)
+    for v in range(1, n_versions + 1):
+        got = _phase1_tables(out, v)
+        _assert_tables_equal(got, _phase1_tables(str(tmp_path / f"ref{v}"), v))
+        for df in got.values():
+            assert list(df.columns).count("version") == 1
+            assert str(df["version"].dtype) == "int32"
+            assert (df["version"] == v).all()
+
+
+def test_parent_format_partitions_read_and_are_not_linked(tmp_path):
+    """Files written by the previous engine store ``version`` and mint
+    edge ids with it. They still read with exactly one int32 ``version``
+    column, and a later version recomputes them rather than linking bytes
+    of the old format."""
+    import hashlib
+    import json
+
+    import pyarrow.parquet as pq
+
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    P = 2
+    pq.write_table(src.synthetic_transcripts_table(n_convs=20, seed=5),
+                   tmp_path / "t.parquet")
+    path = str(tmp_path / "t.parquet")
+    out = str(tmp_path / "lake")
+    kg.run_kg_job(src.read_transcripts(path), KGConfig(num_partitions=P),
+                  out, resume=False)
+    current = _phase1_tables(out, 1)
+
+    # rewrite v1 the way the previous engine laid it down
+    parent_cols = {
+        "nodes": ["conv_id", "node_id", "label", "node_type", "version",
+                  "window_id"],
+        "edges": ["conv_id", "edge_id", "src_node_id", "dst_node_id",
+                  "subj", "pred", "obj", "version", "window_id"],
+        "convs": ["conv_id", "window_id", "n_turns", "version", "backend"]}
+    for pid, m in lineage.committed_partitions(out, 1).items():
+        pdir = lineage.partition_dir(out, 1, pid)
+        for name, cols in parent_cols.items():
+            df = pd.read_parquet(pdir / f"{name}.parquet")
+            df["version"] = pd.array([1] * len(df), dtype="int32")
+            if name == "edges":
+                df["edge_id"] = [hashlib.sha256(
+                    f"{c}\x001\x00{s}\x00{p}\x00{o}".encode()
+                ).hexdigest()[:20] for c, s, p, o in zip(
+                    df["conv_id"], df["subj"], df["pred"], df["obj"])]
+            (pdir / f"{name}.parquet").unlink()
+            df[cols].to_parquet(pdir / f"{name}.parquet", index=False)
+        m["config_sig"] = f"P{P}:w0:rules"
+        lineage.manifest_path(out, 1, pid).write_text(json.dumps(m))
+
+    old = _phase1_tables(out, 1)
+    for name, df in old.items():
+        assert list(df.columns).count("version") == 1
+        assert str(df["version"].dtype) == "int32"
+        keep = [c for c in df.columns if c != "edge_id"]
+        pd.testing.assert_frame_equal(
+            _sorted_rows(df[keep]), _sorted_rows(current[name][keep]))
+    harmonized = kg.read_versions_harmonized(out, [1], "nodes").to_pandas()
+    assert list(harmonized.columns).count("version") == 1
+
+    cfg2 = KGConfig(num_partitions=P, version=2)
+    s2 = kg.run_kg_job(src.read_transcripts(path), cfg2, out)
+    assert s2["partitions_linked"] == 0
+    assert s2["partitions_computed"] == P
+    ref = str(tmp_path / "ref")
+    kg.run_kg_job(src.read_transcripts(path), cfg2, ref, resume=False)
+    _assert_tables_equal(_phase1_tables(out, 2), _phase1_tables(ref, 2))

@@ -2,16 +2,23 @@
 criterion): build version 1 over N conversations, change ~1% of them, then
 time version 2 (a) with cross-version linking (reuse_prior_version=True)
 and (b) from scratch. Reports both walls and the speedup; also verifies the
-linked run's output equals the from-scratch run's.
+linked run's output equals the from-scratch run's, and counts the inodes
+version 2 created (linked partitions share version 1's, so this should be
+3 x partitions_computed data files plus the manifests).
 
-Usage: PYTHONPATH=/root/repo python tools/incr_version_probe.py [n_convs]
+Usage, from the repository root:
+    PYTHONPATH=. python tools/incr_version_probe.py [n_convs] [fat] [n_changed]
+``n_changed`` defaults to 1% of ``n_convs``; fixing it across sizes shows
+whether the incremental wall grows with the corpus or with the change.
 """
 from __future__ import annotations
 
+import os
 import shutil
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import ray
 
@@ -22,8 +29,9 @@ def main() -> int:
     # synthetic turns are ~100 chars; real transcripts run KBs, and rule
     # extraction costs ~10x crc per byte, so text volume sets the
     # extraction/change-detection cost ratio the feature depends on
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
-             logging_level="ERROR")
+    n_changed = int(sys.argv[3]) if len(sys.argv) > 3 else max(n // 100, 1)
+    ray.init(address="local", num_cpus=min(32, os.cpu_count() or 1),
+             include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
@@ -50,7 +58,7 @@ def main() -> int:
     pid_of = crc32_column(pa.array(convs, pa.string())) % P
     hot_pids = set(range(2))  # all changes land in 2 of the 128 partitions
     in_hot = pd.Series(convs)[pd.Series(pid_of).isin(hot_pids)]
-    touched = set(in_hot.iloc[: max(len(convs) // 100, 1)])
+    touched = set(in_hot.iloc[:n_changed])
     m = df["conv_id"].isin(touched)
     df.loc[m, "text"] = df.loc[m, "text"] + " CHANGED"
     df.to_parquet(f"{base}/v2.parquet", index=False)
@@ -71,6 +79,14 @@ def main() -> int:
                           cfg2, out)
     w_inc = time.perf_counter() - t0
 
+    def inodes(v: int) -> set[int]:
+        return {p.stat().st_ino
+                for p in Path(f"{out}/version={v}").rglob("*") if p.is_file()}
+
+    v2_new = inodes(2) - inodes(1)
+    v2_manifests = len(list(
+        Path(f"{out}/version=2/_manifests").glob("*.json")))
+
     out_ref = f"{base}/kg_ref"
     kg.run_kg_job(src.read_transcripts(f"{base}/v1.parquet"), cfg1, out_ref,
                   resume=False)
@@ -89,6 +105,8 @@ def main() -> int:
         "touched_convs": len(touched),
         "partitions_linked": s_inc["partitions_linked"],
         "partitions_computed": s_inc["partitions_computed"],
+        "v2_new_inodes": len(v2_new),
+        "v2_manifests": v2_manifests,
         "v1_full_s": round(w_v1, 2),
         "v2_incremental_s": round(w_inc, 2),
         "v2_full_s": round(w_full, 2),
