@@ -1,10 +1,11 @@
 """Connected components over a distributed pair list — the scale path for
 near-duplicate cluster resolution.
 
-``near_dedup_minhash``'s default resolves clusters with union-find over the
-collected PAIR list. Pairs are the quadratic object (a duplicate cluster of
-k docs yields O(k^2) verified pairs), so that is the first thing to outgrow
-the driver. This operator never collects pairs:
+Near-dedup's ``drop_pair_clusters`` collects the verified PAIR list for a
+driver union-find while it holds at most ``dedup._DRIVER_PAIRS_MAX`` pairs,
+and takes this operator above that. Pairs are the quadratic object (a
+duplicate cluster of k docs yields O(k^2) verified pairs), so that is the
+first thing to outgrow the driver. This operator never collects pairs:
 
 * the symmetrized adjacency stays a Dataset; each round is ONE distributed
   scan that, per block, looks up neighbor labels in a broadcast label array

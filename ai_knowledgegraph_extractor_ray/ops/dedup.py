@@ -10,9 +10,12 @@ Scale shapes:
   blocking (LSH bands / simhash bit-bands / hyperplane signs), verified
   inside the bucket, so the all-pairs comparison never happens globally.
   Candidate-pair volume is the scaling knob: band counts and bucket caps
-  bound it. Union-find over *verified pairs* (not rows) resolves clusters
-  driver-side — pairs are sparse by construction; the assumption is
-  documented on each entry point.
+  bound it. The MinHash signature kernel, band keys, in-bucket pair
+  generator, Jaccard and union-find are shared with entity linking
+  (``ops/lsh.py``); this module keeps its word-n-gram shingles and its own
+  permutation table. Clusters are resolved over *verified pairs* (not
+  rows): union-find on the driver up to ``_DRIVER_PAIRS_MAX`` pairs,
+  ``ops/cc.py`` above it (see ``drop_pair_clusters``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
+
+from . import lsh
 
 # --- exact dedup -------------------------------------------------------------
 
@@ -144,44 +149,6 @@ def duplicate_groups(ds: rd.Dataset, text_col: str = "text",
 
     return bucketed_groupby(
         hashed.select_columns(["content_hash", id_col]), ["content_hash"], agg)
-
-
-def keep_nonsingleton_buckets(ds: rd.Dataset, bucket_col: str = "bucket") -> rd.Dataset:
-    """Drop rows whose bucket has only one member. LSH blocking produces
-    mostly-singleton buckets (no candidate can come from them); filtering
-    them BEFORE the per-bucket verification groupby turns "one Python task
-    per bucket over the whole corpus" into "one per *colliding* bucket" —
-    the difference between O(corpus) and O(duplicates) group overhead.
-
-    The colliding-bucket key set is broadcast via ray.put; assumption: it is
-    duplicate-volume-sized, small relative to the corpus."""
-    import ray
-
-    from .agg import bucketed_groupby
-
-    # materialize: consumed twice (hot-set detection + the keep filter),
-    # and the BANDED rows are slim (keys + ids, no text/vector payload) —
-    # storing them once is far cheaper than re-running the caller's
-    # banding + signature pipeline
-    ds = ds.materialize()
-
-    def hot_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        sz = df.groupby(bucket_col, sort=False)[bucket_col].transform("size")
-        return df.loc[sz >= 2, [bucket_col]].drop_duplicates()
-
-    hot = bucketed_groupby(
-        ds.select_columns([bucket_col]), [bucket_col], hot_in_bucket).to_pandas()
-    hot_vals = hot[bucket_col].tolist() if bucket_col in hot.columns else []
-    hot_ref = ray.put(pa.array(hot_vals))
-
-    def keep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        hot_arr = ray.get(hot_ref)
-        if len(hot_arr) == 0:
-            return t.slice(0, 0)
-        return t.filter(pc.is_in(t[bucket_col], value_set=hot_arr))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
 
 
 # --- shingling / MinHash -----------------------------------------------------
@@ -337,68 +304,18 @@ def _check_num_perm(num_perm: int) -> None:
             "every band past the table would collide globally")
 
 
-def minhash_sig(sh: set[int], num_perm: int) -> np.ndarray:
+def _band_rows(t: pa.Table, *, text_col: str, id_col: str, num_perm: int,
+               bands: int, ngram: int) -> pa.Table:
+    """A block's slim LSH rows: ``(bucket, id_col)``, ``bands`` int64 band
+    keys per document, from the MinHash of its word-``ngram`` shingles."""
     _check_num_perm(num_perm)
-    if not sh:
-        return np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    vals = np.fromiter(sh, dtype=np.uint64, count=len(sh))
-    with np.errstate(over="ignore"):
-        prod = _PERM_A[:num_perm, None] * vals[None, :] + _PERM_B[:num_perm, None]
-    return prod.min(axis=1)
-
-
-def minhash_sigs_batch(shingle_sets: list[set[int]], num_perm: int) -> np.ndarray:
-    """Signatures for a whole batch in one shot: concatenate every doc's
-    shingles, one (num_perm x total_shingles) vectorized hash, then
-    per-document segment minima via np.minimum.reduceat. Bit-identical to
-    per-doc minhash_sig, ~10x less Python overhead."""
-    _check_num_perm(num_perm)
-    n = len(shingle_sets)
-    out = np.full((n, num_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
-    lens = np.fromiter((len(s) for s in shingle_sets), dtype=np.int64, count=n)
-    nonempty = np.nonzero(lens > 0)[0]
-    if len(nonempty) == 0:
-        return out
-    total = int(lens[nonempty].sum())
-    vals = np.empty(total, dtype=np.uint64)
-    pos = 0
-    for i in nonempty:
-        s = shingle_sets[i]
-        vals[pos:pos + len(s)] = np.fromiter(s, dtype=np.uint64, count=len(s))
-        pos += len(s)
-    with np.errstate(over="ignore"):
-        prod = (_PERM_A[:num_perm, None] * vals[None, :]
-                + _PERM_B[:num_perm, None])
-    offsets = np.concatenate(([0], np.cumsum(lens[nonempty])[:-1]))
-    mins = np.minimum.reduceat(prod, offsets, axis=1)   # (num_perm, n_nonempty)
-    out[nonempty] = mins.T
-    return out
-
-
-def band_keys_matrix(sigs: np.ndarray, bands: int) -> np.ndarray:
-    """(n, bands) int64 LSH bucket keys: a 64-bit mix of each band's r
-    signature rows XOR a band-index mix (so identical values in different
-    bands never collide). Replaces the per-(doc, band) Python
-    crc32/f-string loop — keys are internal to the blocking, and two docs
-    share a key iff their band signatures are identical (64-bit hash
-    equality; the exact-jaccard verify catches the ~2^-64 residue)."""
-    from .agg import _splitmix64
-
-    n, num_perm = sigs.shape
-    r = num_perm // bands
-    s = sigs[:, :bands * r].reshape(n, bands, r)
-    h = np.zeros((n, bands), dtype=np.uint64)
-    for j in range(r):              # r is 2-4; the loop is over rows, not docs
-        h = _splitmix64(h ^ s[:, :, j])
-    h ^= _splitmix64(np.arange(bands, dtype=np.uint64))[None, :]
-    return h.view(np.int64)
-
-
-def jaccard_of(a: set[int], b: set[int]) -> float:
-    if not a and not b:
-        return 1.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
+    sigs = lsh.minhash_signatures(
+        [word_ngrams(s or "", ngram) for s in t[text_col].to_pylist()],
+        _PERM_A[:num_perm], _PERM_B[:num_perm])
+    ids = np.repeat(t[id_col].to_numpy(zero_copy_only=False)
+                    .astype(np.int64), bands)
+    return pa.table({"bucket": pa.array(lsh.band_keys(sigs, bands).ravel()),
+                     id_col: pa.array(ids)})
 
 
 def _dedup_pair_merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -422,7 +339,9 @@ def minhash_candidate_pairs(
        broadcast once via ray.put as an id -> band-keys map;
     2. corpus re-scan attaches text for broadcast-listed ids only (a
        vectorized id filter + dict lookup — signatures are NOT recomputed)
-       -> groupby(bucket) -> exact n-gram-Jaccard verification in-bucket.
+       -> ONE (bucket) exchange -> each coarse bucket's candidate pairs
+       from ``lsh.bucket_pairs`` (``max_bucket`` smallest ids per band
+       bucket), each scored once with exact n-gram Jaccard.
 
     Round 3: pass 2 previously re-ran the MinHash signatures over the whole
     corpus to rediscover each doc's band keys; broadcasting the hot
@@ -438,25 +357,14 @@ def minhash_candidate_pairs(
     # is cheaper than spilling the whole text corpus through the object
     # store; callers whose upstream is an expensive lazy pipeline should
     # pass ds.materialize() (corpus_clean does).
-    def band_keys_batch(texts: list) -> np.ndarray:
-        sigs = minhash_sigs_batch(
-            [word_ngrams(s or "", ngram) for s in texts], num_perm)
-        return band_keys_matrix(sigs, bands)       # (n, bands) int64
-
-    def to_bands_slim(t: pa.Table) -> pa.Table:
-        texts = t[text_col].to_pylist()
-        keys = band_keys_batch(texts)
-        ids = np.repeat(t[id_col].to_numpy(zero_copy_only=False)
-                        .astype(np.int64), bands)
-        return pa.table({"bucket": pa.array(keys.ravel()),
-                         id_col: pa.array(ids)})
-
     def hot_pairs_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         sz = df.groupby("bucket", sort=False)["bucket"].transform("size")
         return df.loc[sz >= 2, ["bucket", id_col]]
 
     hot = bucketed_groupby(
-        ds.map_batches(to_bands_slim, batch_format="pyarrow"),
+        ds.map_batches(lambda t: _band_rows(
+            t, text_col=text_col, id_col=id_col, num_perm=num_perm,
+            bands=bands, ngram=ngram), batch_format="pyarrow"),
         ["bucket"], hot_pairs_in_bucket).to_pandas()
     id_to_bands: dict[int, list] = {}
     if "bucket" in hot.columns:
@@ -487,24 +395,20 @@ def minhash_candidate_pairs(
                          text_col: pa.array(texts, pa.string())})
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(id_col).sort_values(id_col).head(max_bucket)
-        ids = df[id_col].tolist()
-        sh = [word_ngrams(s or "", ngram) for s in df[text_col]]
-        a_out, b_out, jac = [], [], []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                jv = jaccard_of(sh[i], sh[j])
-                if jv >= threshold:
-                    a_out.append(ids[i]); b_out.append(ids[j]); jac.append(jv)
-        return pd.DataFrame({"id_a": pd.Series(a_out, dtype="int64"),
-                             "id_b": pd.Series(b_out, dtype="int64"),
-                             "jaccard": pd.Series(jac, dtype="float64")})
-
-    from .agg import per_group_apply
+        a, b = lsh.bucket_pairs(df, id_col, max_bucket)
+        texts = df.drop_duplicates(id_col).set_index(id_col)[text_col]
+        sh = {i: word_ngrams(s or "", ngram) for i, s in
+              texts.loc[pd.unique(np.concatenate([a, b]))].items()}
+        jac = np.fromiter((lsh.jaccard(sh[x], sh[y]) for x, y in zip(a, b)),
+                          dtype=np.float64, count=len(a))
+        keep = jac >= threshold
+        return pd.DataFrame({"id_a": pd.Series(a[keep], dtype="int64"),
+                             "id_b": pd.Series(b[keep], dtype="int64"),
+                             "jaccard": pd.Series(jac[keep], dtype="float64")})
 
     pairs = bucketed_groupby(
         ds.map_batches(to_bands_hot, batch_format="pyarrow"),
-        ["bucket"], per_group_apply(["bucket"], verify))
+        ["bucket"], verify)
     # same pair can surface from several bands -> bucketed uniform-key dedup
     return bucketed_groupby(pairs, ["id_a", "id_b"], _dedup_pair_merge)
 
@@ -518,14 +422,13 @@ def ngram_jaccard_pairs(ds: rd.Dataset, *, threshold: float = 0.5,
                                    num_perm=kw.pop("num_perm", 128), **kw)
 
 
-_DRIVER_PAIRS_MAX = 5_000_000   # auto mode: pairs above this take ops/cc.py
+# verified pairs above this are clustered by ops/cc.py, not on the driver
+_DRIVER_PAIRS_MAX = 5_000_000
 
 
 def drop_pair_clusters(ds: rd.Dataset, pairs_ds: rd.Dataset, *,
                        id_col: str = "doc_id",
-                       cluster_mode: str = "auto",
-                       score_col: str | None = None,
-                       driver_pairs_max: int = _DRIVER_PAIRS_MAX) -> rd.Dataset:
+                       score_col: str | None = None) -> rd.Dataset:
     """Shared cluster-resolution + survivor filter behind every near-dedup
     flavor: cluster the (id_a, id_b) pair Dataset, keep one survivor per
     cluster, drop the rest with a broadcast anti-join. The survivor is the
@@ -534,60 +437,37 @@ def drop_pair_clusters(ds: rd.Dataset, pairs_ds: rd.Dataset, *,
     quality), the policy real training pipelines want; member scores are
     gathered in one pruned corpus scan (duplicate-scale collect).
 
-    ``cluster_mode="auto"`` (default, round-3 VERDICT #5): counts the
-    verified pairs and picks the path — driver union-find below
-    ``driver_pairs_max``, distributed components above it, so callers no
-    longer need to know their duplicate volume up front. Explicit
-    ``"driver"`` (union-find over the collected pair list — assumes the
-    PAIRS fit driver memory; they are duplicates, and a corpus that is
-    mostly duplicates should be exact-deduped first) and
-    ``"distributed"`` (min-label-propagation connected components with
-    the pair stream kept distributed, ops/cc.py — the 100 TB path)
-    remain available. The drop list is duplicate-sized either way."""
+    The verified-pair count picks the clustering: up to
+    ``_DRIVER_PAIRS_MAX`` pairs are collected for ``lsh.union_find_roots``
+    on the driver (they are duplicates, and a corpus that is mostly
+    duplicates should be exact-deduped first); above it the pair stream
+    stays distributed through ``ops/cc.connected_components``. Both give
+    the smallest member as the root, and the drop list is duplicate-sized
+    either way."""
     import ray
 
-    if cluster_mode == "auto":
-        # count executes the (usually lazy) pair pipeline; materialize so
-        # the chosen path does not re-run LSH verification a second time
-        pairs_ds = pairs_ds.materialize()
-        cluster_mode = ("distributed"
-                        if pairs_ds.count() > driver_pairs_max else "driver")
+    # count executes the (usually lazy) pair pipeline; materialize so the
+    # clustering does not re-run LSH verification a second time
+    pairs_ds = pairs_ds.materialize()
+    if pairs_ds.count() > _DRIVER_PAIRS_MAX:
+        from .cc import connected_components
+        comp = connected_components(pairs_ds).to_pandas()
+        root_of = dict(zip(comp["node"].tolist(), comp["component"].tolist()))
+    else:
+        pairs = pairs_ds.to_pandas()
+        root_of = (lsh.union_find_roots(pairs["id_a"].tolist(),
+                                        pairs["id_b"].tolist())
+                   if len(pairs) else {})
 
     # ds is re-scanned by the keep filter (cheap for parquet inputs; pass
     # a materialized dataset when the upstream is an expensive pipeline)
-    clusters: dict[int, list[int]] = {}
-    if cluster_mode == "distributed":
-        from .cc import connected_components
-        comp = connected_components(pairs_ds).to_pandas()
-        for node, root in zip(comp.get("node", []), comp.get("component", [])):
-            clusters.setdefault(int(root), []).append(int(node))
-    else:
-        pairs = pairs_ds.to_pandas()
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        if len(pairs):
-            for a, b in zip(pairs["id_a"], pairs["id_b"]):
-                ra, rb = find(int(a)), find(int(b))
-                if ra != rb:
-                    lo, hi = min(ra, rb), max(ra, rb)
-                    parent[hi] = lo
-        for x in set(parent):
-            clusters.setdefault(find(x), []).append(int(x))
-        for root, ms in clusters.items():
-            if root not in ms:
-                ms.append(root)
-
     if score_col is None:
-        drop = {m for ms in clusters.values() for m in ms if m != min(ms)}
+        drop = {n for n, root in root_of.items() if n != root}
     else:
-        member_ids = pa.array(
-            sorted({m for ms in clusters.values() for m in ms}), pa.int64())
+        clusters: dict[int, list[int]] = {}
+        for node, root in root_of.items():
+            clusters.setdefault(root, []).append(node)
+        member_ids = pa.array(sorted(root_of), pa.int64())
 
         def gather(t: pa.Table) -> pa.Table:
             sub = t.filter(pc.is_in(t[id_col], value_set=member_ids))
@@ -612,33 +492,30 @@ def drop_pair_clusters(ds: rd.Dataset, pairs_ds: rd.Dataset, *,
 
 def near_dedup_minhash(ds: rd.Dataset, *, text_col: str = "text",
                        id_col: str = "doc_id", threshold: float = 0.8,
-                       cluster_mode: str = "auto",
                        score_col: str | None = None, **kw) -> rd.Dataset:
     """Drop MinHash-near-duplicates (see drop_pair_clusters)."""
     pairs_ds = minhash_candidate_pairs(ds, text_col=text_col, id_col=id_col,
                                        threshold=threshold, **kw)
     return drop_pair_clusters(ds, pairs_ds, id_col=id_col,
-                              cluster_mode=cluster_mode, score_col=score_col)
+                              score_col=score_col)
 
 
 def near_dedup_simhash(ds: rd.Dataset, *, text_col: str = "text",
                        id_col: str = "doc_id", max_hamming: int = 3,
-                       cluster_mode: str = "auto", **kw) -> rd.Dataset:
+                       **kw) -> rd.Dataset:
     """Drop SimHash-near-duplicates (Hamming <= max_hamming)."""
     pairs_ds = simhash_near_pairs(ds, text_col=text_col, id_col=id_col,
                                   max_hamming=max_hamming, **kw)
-    return drop_pair_clusters(ds, pairs_ds, id_col=id_col,
-                              cluster_mode=cluster_mode)
+    return drop_pair_clusters(ds, pairs_ds, id_col=id_col)
 
 
 def near_dedup_embedding(ds: rd.Dataset, *, id_col: str = "vec_id",
                          vec_col: str = "embedding", threshold: float = 0.9,
-                         cluster_mode: str = "auto", **kw) -> rd.Dataset:
+                         **kw) -> rd.Dataset:
     """Drop embedding-cosine near-duplicates (cosine >= threshold)."""
     pairs_ds = embedding_near_pairs(ds, id_col=id_col, vec_col=vec_col,
                                     threshold=threshold, **kw)
-    return drop_pair_clusters(ds, pairs_ds, id_col=id_col,
-                              cluster_mode=cluster_mode)
+    return drop_pair_clusters(ds, pairs_ds, id_col=id_col)
 
 
 # --- SimHash -----------------------------------------------------------------
@@ -654,6 +531,16 @@ def simhash64(text: str) -> int:
     bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & 1).astype(np.int64)
     vote = (2 * bits - 1).sum(axis=0)
     return int(((vote > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
+
+
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Set bits of each 64-bit word (a byte lookup table: numpy 1.26 has
+    no ``bitwise_count``)."""
+    x = np.ascontiguousarray(x, dtype=np.int64)
+    return _POPCOUNT8[x.view(np.uint8)].reshape(-1, 8).sum(axis=1)
 
 
 def simhash_column(ds: rd.Dataset, text_col: str = "text") -> rd.Dataset:
@@ -685,26 +572,19 @@ def simhash_near_pairs(ds: rd.Dataset, *, id_col: str = "doc_id",
                              np.repeat(sh.view(np.int64), 4), pa.int64())})
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(id_col).sort_values(id_col).head(max_bucket)
-        ids = df[id_col].to_numpy()
-        sh = df["simhash_u"].to_numpy().view(np.uint64)
-        a_out, b_out, ham = [], [], []
-        for i in range(len(ids)):
-            d = np.bitwise_xor(sh[i], sh[i + 1:])
-            hams = np.array([bin(int(x)).count("1") for x in d])
-            for j, h in enumerate(hams):
-                if h <= max_hamming:
-                    a_out.append(int(ids[i])); b_out.append(int(ids[i + 1 + j])); ham.append(int(h))
-        return pd.DataFrame({"id_a": pd.Series(a_out, dtype="int64"),
-                             "id_b": pd.Series(b_out, dtype="int64"),
-                             "hamming": pd.Series(ham, dtype="int64")})
+        a, b = lsh.bucket_pairs(df, id_col, max_bucket)
+        sh = df.drop_duplicates(id_col).set_index(id_col)["simhash_u"]
+        ham = _popcount64(sh.loc[a].to_numpy() ^ sh.loc[b].to_numpy())
+        keep = ham <= max_hamming
+        return pd.DataFrame({"id_a": pd.Series(a[keep], dtype="int64"),
+                             "id_b": pd.Series(b[keep], dtype="int64"),
+                             "hamming": pd.Series(ham[keep], dtype="int64")})
 
-    from .agg import bucketed_groupby, per_group_apply
+    from .agg import bucketed_groupby
 
-    banded = keep_nonsingleton_buckets(
-        hashed.map_batches(to_bands, batch_format="pyarrow"))
-    pairs = bucketed_groupby(banded, ["bucket"],
-                             per_group_apply(["bucket"], verify))
+    pairs = bucketed_groupby(
+        hashed.map_batches(to_bands, batch_format="pyarrow"), ["bucket"],
+        verify)
     return bucketed_groupby(pairs, ["id_a", "id_b"], _dedup_pair_merge)
 
 
@@ -833,18 +713,10 @@ def build_minhash_index(ds: rd.Dataset, index_path: str, *,
     import json
     import os
 
-    def to_bands(t: pa.Table) -> pa.Table:
-        texts = t[text_col].to_pylist()
-        sigs = minhash_sigs_batch(
-            [word_ngrams(s or "", ngram) for s in texts], num_perm)
-        keys = band_keys_matrix(sigs, bands)
-        ids = np.repeat(t[id_col].to_numpy(zero_copy_only=False)
-                        .astype(np.int64), bands)
-        return pa.table({"bucket": pa.array(keys.ravel()),
-                         id_col: pa.array(ids)})
-
     os.makedirs(index_path, exist_ok=True)
-    ds.map_batches(to_bands, batch_format="pyarrow").write_parquet(
+    ds.map_batches(lambda t: _band_rows(
+        t, text_col=text_col, id_col=id_col, num_perm=num_perm, bands=bands,
+        ngram=ngram), batch_format="pyarrow").write_parquet(
         f"{index_path}/bands")
     with open(f"{index_path}/params.json", "w") as f:
         json.dump({"num_perm": num_perm, "bands": bands, "ngram": ngram,
@@ -887,22 +759,13 @@ def dedup_against_index(new_ds: rd.Dataset, index_path: str,
     num_perm, bands, ngram = (params["num_perm"], params["bands"],
                               params["ngram"])
 
-    def to_bands_new(t: pa.Table) -> pa.Table:
-        texts = t[text_col].to_pylist()
-        sigs = minhash_sigs_batch(
-            [word_ngrams(s or "", ngram) for s in texts], num_perm)
-        keys = band_keys_matrix(sigs, bands)
-        ids = np.repeat(t[id_col].to_numpy(zero_copy_only=False)
-                        .astype(np.int64), bands)
-        return pa.table({"bucket": pa.array(keys.ravel()),
-                         id_col: pa.array(ids)})
-
     empty = pa.table({"old_id": pa.array([], pa.int64()),
                       "new_id": pa.array([], pa.int64()),
                       "jaccard": pa.array([], pa.float64())})
 
-    nb_df = (new_ds.map_batches(to_bands_new, batch_format="pyarrow")
-             .to_pandas().drop_duplicates())
+    nb_df = (new_ds.map_batches(lambda t: _band_rows(
+        t, text_col=text_col, id_col=id_col, num_perm=num_perm, bands=bands,
+        ngram=ngram), batch_format="pyarrow").to_pandas().drop_duplicates())
     if not len(nb_df):
         return rd.from_arrow(empty)
     nb_df = nb_df.sort_values(["bucket", id_col])
@@ -992,7 +855,7 @@ def dedup_against_index(new_ds: rd.Dataset, index_path: str,
                           sub[text_col].to_pylist()):
             go = word_ngrams(s or "", ngram)
             for nid in o2n[int(oid)]:
-                jv = jaccard_of(go, gnew[nid])
+                jv = lsh.jaccard(go, gnew[nid])
                 if jv >= threshold:
                     olds.append(oid); news.append(nid); jac.append(jv)
         return pa.table({"old_id": pa.array(olds, pa.int64()),

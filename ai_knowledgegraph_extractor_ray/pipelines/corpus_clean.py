@@ -28,7 +28,7 @@ def clean_corpus(
     docs: rd.Dataset, *, text_col: str = "text", id_col: str = "doc_id",
     near_threshold: float = 0.8, min_quality: float = 0.3,
     allowed_langs: tuple[str, ...] = ("en", "fr", "es", "de", "zh"),
-    cluster_mode: str = "driver", report: bool = True,
+    report: bool = True,
 ) -> tuple[rd.Dataset, dict]:
     """Returns (cleaned Dataset, per-stage report of surviving row counts).
 
@@ -55,8 +55,7 @@ def clean_corpus(
         stats["after_exact_dedup"] = ds.count()
 
     ds = dedup.near_dedup_minhash(ds, text_col=text_col, id_col=id_col,
-                                  threshold=near_threshold,
-                                  cluster_mode=cluster_mode)
+                                  threshold=near_threshold)
     if report:
         ds = ds.materialize()
         stats["after_near_dedup"] = ds.count()
@@ -88,7 +87,6 @@ def prepare_training_data(
     near_threshold: float = 0.5, min_quality: float = 0.2,
     allowed_langs: tuple[str, ...] = ("en", "fr", "es", "de", "zh"),
     ngram: int = 3, budget: int = 2000,
-    cluster_mode: str = "driver",
 ) -> rd.Dataset:
     """The full training-data preparation pipeline, composed end to end:
 
@@ -111,8 +109,7 @@ def prepare_training_data(
     cleaned, _ = clean_corpus(
         train, text_col=text_col, id_col=id_col,
         near_threshold=near_threshold, min_quality=min_quality,
-        allowed_langs=allowed_langs, cluster_mode=cluster_mode,
-        report=False)
+        allowed_langs=allowed_langs, report=False)
     survivors = dedup.decontaminate(cleaned, test, text_col=text_col,
                                     id_col=id_col, ngram=ngram)
     slim = token_stats(survivors, text_col=text_col).select_columns(

@@ -15,26 +15,31 @@ Scale design (SURVEY.md §7.2, shuffles #2/#3/#4):
   form appearing in 30% of conversations contributes one partial row per
   block, not millions of mention rows); ``alias_salt_buckets`` sets the
   merge fan-out of the bucketed reduce.
-* **LSH blocking over *distinct norms*, not mentions.** MinHash signatures of
-  char-3-gram shingles, computed for a whole block at once and banded; ONE
-  exchange co-locates band buckets, and each coarse bucket is verified in
-  one vectorized pass: singleton band buckets drop out there, and a
-  self-join on the band bucket yields each distinct pair of the coarse
-  bucket once however many of its bands collide, so the pair is scored once
-  with true Jaccard (then with an embedding-cosine score from a
-  hash-feature scorer). Band buckets are
-  size-capped: a degenerate bucket (e.g. all empty-shingle norms) degrades
-  to "no link" instead of an O(n^2) blowup.
-* **Cluster merge is driver-side union-find over candidate PAIRS** (tiny:
-  bounded by sum of bucket-pair counts), never over mentions or the full
-  vocabulary. The alias table comes in two parts (``alias_parts``): the
-  UNCLUSTERED rows stay a Dataset (a per-block map over the surface table,
-  root = the norm itself), and the pair-bounded CLUSTERED rows are one
-  driver frame from the per-root reduce. That one clustered frame feeds
-  the alias table, the canonical nodes (unclustered rows project 1:1) and
-  the rewrite broadcast. The broadcast via ``ray.put`` is
-  FREQUENCY-THRESHOLDED — clustered norms plus the ``broadcast_vocab_cap``
-  hottest unclustered ones, which below the cap is the whole table — and
+* **LSH blocking over *distinct norms*, not mentions.** The MinHash-LSH
+  pieces are the ones near-dedup uses (``ops/lsh.py``); this module keeps
+  its char-3-gram shingles and its own permutation table, reduced mod
+  2^61 - 1. Signatures are computed for a whole block at once and banded
+  into int64 keys; ONE exchange co-locates band buckets, and each coarse
+  bucket is verified in one vectorized pass: ``lsh.bucket_pairs`` drops
+  singleton band buckets and yields each distinct pair of the coarse
+  bucket once however many of its bands collide, so the pair is scored
+  once with true Jaccard (then with an embedding-cosine score from a
+  hash-feature scorer). Band buckets are size-capped: a degenerate bucket
+  degrades to "no link" for the norms past the cap instead of an O(n^2)
+  blowup.
+* **Cluster merge is the driver-side ``lsh.union_find_roots`` over
+  verified PAIRS** (tiny: bounded by sum of bucket-pair counts), never
+  over mentions or the full vocabulary; unlike near-dedup there is no
+  ``ops/cc`` path above a pair cap yet, because the pairs come back to the
+  driver for the embed scorer. The alias table comes in two parts
+  (``alias_parts``): the UNCLUSTERED rows stay a Dataset (a per-block map
+  over the surface table, root = the norm itself), and the pair-bounded
+  CLUSTERED rows are one driver frame from the per-root reduce. That one
+  clustered frame feeds the alias table, the canonical nodes (unclustered
+  rows project 1:1) and the rewrite broadcast. The broadcast via
+  ``ray.put`` is FREQUENCY-THRESHOLDED — clustered norms plus the
+  ``broadcast_vocab_cap`` hottest unclustered ones, which below the cap is
+  the whole table — and
   the long tail falls back to identity hashing (which yields the identical
   canonical id for unclustered norms). A shuffle join on surface form
   would move the (large) edge table for the benefit of the (small) alias
@@ -46,8 +51,8 @@ Scale design (SURVEY.md §7.2, shuffles #2/#3/#4):
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import re
 import zlib
 from dataclasses import dataclass
@@ -61,6 +66,7 @@ import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
 from ..config import KGConfig
+from ..ops import lsh
 
 _WS = re.compile(r"\s+")
 
@@ -133,76 +139,17 @@ def shingles(norm: str, k: int = 3) -> set[int]:
     return {zlib.crc32(s[i:i + k].encode()) for i in range(max(1, len(s) - k + 1))}
 
 
-_MINHASH_A: np.ndarray | None = None
-_MINHASH_B: np.ndarray | None = None
+_MERSENNE = 2**61 - 1
 
 
-def _minhash_params(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
-    global _MINHASH_A, _MINHASH_B
-    if _MINHASH_A is None or len(_MINHASH_A) < num_perm:
-        rng = np.random.RandomState(0xC0FFEE)  # fixed: signatures must agree across actors
-        _MINHASH_A = rng.randint(1, 2**31 - 1, size=num_perm).astype(np.uint64)
-        _MINHASH_B = rng.randint(0, 2**31 - 1, size=num_perm).astype(np.uint64)
-    return _MINHASH_A[:num_perm], _MINHASH_B[:num_perm]
-
-_MERSENNE = np.uint64(2**61 - 1)
-
-
-def minhash_signature(sh: set[int], num_perm: int) -> np.ndarray:
-    a, b = _minhash_params(num_perm)
-    if not sh:
-        return np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    vals = np.fromiter(sh, dtype=np.uint64, count=len(sh))
-    # (a*x + b) mod p, min over shingles — vectorized (num_perm, n_shingles)
-    prod = (a[:, None] * vals[None, :] + b[:, None]) % _MERSENNE
-    return prod.min(axis=1)
-
-
-def band_keys(sig: np.ndarray, bands: int) -> list[str]:
-    rows = len(sig) // bands
-    return [
-        f"{b}:{zlib.crc32(sig[b * rows:(b + 1) * rows].tobytes()):08x}"
-        for b in range(bands)
-    ]
-
-
-def band_keys_batch(norms: list[str], num_perm: int, bands: int) -> list[str]:
-    """Band keys of a whole batch of norms, norm-major: entries
-    ``[i*bands:(i+1)*bands]`` equal
-    ``band_keys(minhash_signature(shingles(norms[i]), num_perm), bands)``.
-    Every shingle hash of the batch sits in one ``uint64`` array, and each
-    permutation is one vectorized pass plus a per-norm segment minimum, so
-    the working set is one ``uint64`` per shingle."""
-    a, b = _minhash_params(num_perm)
-    sets = [shingles(n) for n in norms]
-    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    vals = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.uint64,
-                       count=int(lens.sum()))
-    sig = np.full((len(norms), num_perm), np.iinfo(np.uint64).max,
-                  dtype=np.uint64)
-    nonempty = lens > 0
-    if vals.size:
-        starts = (np.cumsum(lens) - lens)[nonempty]
-        for j in range(num_perm):
-            sig[nonempty, j] = np.minimum.reduceat(
-                (a[j] * vals + b[j]) % _MERSENNE, starts)
-    rows = num_perm // bands
-    width = rows * sig.itemsize
-    crcs = []
-    for band in range(bands):
-        buf = memoryview(np.ascontiguousarray(
-            sig[:, band * rows:(band + 1) * rows]).tobytes())
-        crcs.append([zlib.crc32(buf[i:i + width])
-                     for i in range(0, len(buf), width)])
-    return [f"{band}:{c:08x}" for row in zip(*crcs)
-            for band, c in enumerate(row)]
-
-
-def jaccard(a: set[int], b: set[int]) -> float:
-    if not a and not b:
-        return 0.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
+@functools.lru_cache(maxsize=None)
+def _link_perm(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 2's MinHash permutation table, ``(a * x + b) % (2^61 - 1)``
+    (fixed seed: signatures must agree across workers)."""
+    rng = np.random.RandomState(0xC0FFEE)
+    a = rng.randint(1, 2**31 - 1, size=num_perm).astype(np.uint64)
+    b = rng.randint(0, 2**31 - 1, size=num_perm).astype(np.uint64)
+    return a, b
 
 
 class _PairScorer:
@@ -295,22 +242,13 @@ class LinkParams:
 
 def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
     """Verify every candidate pair of one coarse bucket of ``(bucket, norm)``
-    rows in one pass: per band bucket the ``p.max_bucket`` smallest distinct
-    norms (the degenerate-bucket guard; buckets with one distinct norm give
-    nothing), self-joined on ``bucket`` into ``norm_a < norm_b`` pairs, each
-    distinct pair scored once with true Jaccard, kept at
+    rows in one pass: ``lsh.bucket_pairs`` (per band bucket the
+    ``p.max_bucket`` smallest distinct norms, ``norm_a < norm_b``, each
+    distinct pair once), scored with true Jaccard and kept at
     ``p.jaccard_threshold``. Returns typed (norm_a, norm_b, jaccard)."""
-    df = (df[["bucket", "norm"]].drop_duplicates()
-          .sort_values("norm", kind="mergesort"))
-    by_bucket = df.groupby("bucket", sort=False)["norm"]
-    df = df[(by_bucket.transform("size") >= 2)
-            & (by_bucket.cumcount() < p.max_bucket)]
-    m = df.merge(df, on="bucket")
-    m = m.loc[m["norm_x"] < m["norm_y"], ["norm_x", "norm_y"]].drop_duplicates()
-    a = m["norm_x"].to_numpy(dtype=object)
-    b = m["norm_y"].to_numpy(dtype=object)
+    a, b = lsh.bucket_pairs(df, "norm", p.max_bucket)
     sh = {n: shingles(n) for n in pd.unique(np.concatenate([a, b]))}
-    jac = np.fromiter((jaccard(sh[x], sh[y]) for x, y in zip(a, b)),
+    jac = np.fromiter((lsh.jaccard(sh[x], sh[y]) for x, y in zip(a, b)),
                       dtype=np.float64, count=len(a))
     keep = jac >= p.jaccard_threshold
     return pa.table({"norm_a": pa.array(a[keep], pa.string()),
@@ -325,9 +263,12 @@ def _candidate_pairs(surfaces: rd.Dataset, p: LinkParams) -> pd.DataFrame:
     the (small) verified pair list."""
 
     def to_buckets(t: pa.Table) -> pa.Table:
-        keys = band_keys_batch(t["norm"].to_pylist(), p.num_perm, p.bands)
+        sigs = lsh.minhash_signatures(
+            [shingles(n) for n in t["norm"].to_pylist()],
+            *_link_perm(p.num_perm), mod=_MERSENNE)
         rep = pa.array(np.repeat(np.arange(t.num_rows), p.bands))
-        return pa.table({"bucket": pa.array(keys, pa.string()),
+        return pa.table({"bucket": pa.array(
+                             lsh.band_keys(sigs, p.bands).ravel()),
                          "norm": t["norm"].take(rep)})
 
     from ..ops.agg import bucketed_groupby
@@ -353,28 +294,9 @@ def _typo_pairs(surfaces: rd.Dataset) -> pd.DataFrame:
                            col="norm").to_pandas()
     if "norm_a" not in fz.columns or not len(fz):
         return pd.DataFrame(columns=["norm_a", "norm_b", "jaccard"])
-    fz["jaccard"] = [jaccard(shingles(a), shingles(b))
+    fz["jaccard"] = [lsh.jaccard(shingles(a), shingles(b))
                      for a, b in zip(fz["norm_a"], fz["norm_b"])]
     return fz
-
-
-def _union_find_clusters(pairs: pd.DataFrame) -> dict[str, str]:
-    """norm -> cluster-root norm (lexicographically smallest member, so the
-    clustering is independent of pair arrival order)."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for a, b in zip(pairs["norm_a"], pairs["norm_b"]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb))
-            parent[hi] = lo
-    return {x: find(x) for x in parent}
 
 
 def arrow_out(df: pd.DataFrame) -> pa.Table:
@@ -449,8 +371,8 @@ def alias_parts(nodes: rd.Dataset, cfg: KGConfig,
                                _typo_pairs(surfaces)]
                               ).drop_duplicates(["norm_a", "norm_b"])
 
-    root_of = _union_find_clusters(pairs)
-    clustered = frozenset(pairs["norm_a"]) | frozenset(pairs["norm_b"])
+    root_of = lsh.union_find_roots(pairs["norm_a"], pairs["norm_b"])
+    clustered = frozenset(root_of)
     root_ref = ray.put((root_of, clustered))
 
     def unclustered_alias(df: pd.DataFrame) -> pd.DataFrame:

@@ -8,6 +8,7 @@ import pytest
 import ray.data as rd
 
 from ai_knowledgegraph_extractor_ray.config import KGConfig
+from ai_knowledgegraph_extractor_ray.ops import lsh
 from ai_knowledgegraph_extractor_ray.stages import canonicalize as cz
 
 CFG = KGConfig(alias_salt_buckets=4, link_scorer_concurrency=1)
@@ -22,27 +23,43 @@ def test_normalize_surface():
     assert cz.normalize_surface("ACME Corp") == "acme corp"
 
 
+def _link_sig(norm: str, num_perm: int = 32) -> np.ndarray:
+    """Per-norm reference signature over phase 2's permutation table."""
+    return lsh.minhash_signature(cz.shingles(norm), *cz._link_perm(num_perm),
+                                 mod=cz._MERSENNE)
+
+
 def test_minhash_identical_and_disjoint():
-    a = cz.minhash_signature(cz.shingles("acme corporation"), 32)
-    b = cz.minhash_signature(cz.shingles("acme corporation"), 32)
-    c = cz.minhash_signature(cz.shingles("zzz totally different"), 32)
+    a = _link_sig("acme corporation")
+    b = _link_sig("acme corporation")
+    c = _link_sig("zzz totally different")
     assert (a == b).all()
     assert (a == c).mean() < 0.5
 
 
+def test_shingles_never_empty():
+    """Phase 2 relies on this: ``lsh.jaccard`` scores two empty sets 1.0."""
+    assert cz.shingles("")
+    assert cz.shingles("a")
+
+
 def test_band_keys_batch_matches_per_norm():
-    """The block-wide MinHash gives byte-equal band keys to the per-norm
-    signature, in norm-major order, so bucket membership is unchanged."""
+    """The block-wide MinHash kernel gives the per-norm reference's
+    signatures and int64 band keys, in norm-major order, so bucket
+    membership is unchanged."""
     import random
     rng = random.Random(7)
     alphabet = "abcdefgh ijé漢-"
     norms = ["", "a", "é", "漢字 ü", "x" * 200, "y" * 200] + [
         "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         for _ in range(500)]
-    want = [k for n in norms
-            for k in cz.band_keys(cz.minhash_signature(cz.shingles(n), 32), 8)]
-    assert cz.band_keys_batch(norms, 32, 8) == want
-    assert cz.band_keys_batch([], 32, 8) == []
+    got = lsh.minhash_signatures([cz.shingles(n) for n in norms],
+                                 *cz._link_perm(32), mod=cz._MERSENNE)
+    want = np.stack([_link_sig(n) for n in norms])
+    assert got.dtype == np.uint64 and (got == want).all()
+    assert (lsh.band_keys(got, 8) == lsh.band_keys(want, 8)).all()
+    empty = lsh.minhash_signatures([], *cz._link_perm(32), mod=cz._MERSENNE)
+    assert empty.shape == (0, 32) and lsh.band_keys(empty, 8).shape == (0, 8)
 
 
 def _brute_force_bucket_pairs(df: pd.DataFrame, p: cz.LinkParams) -> set:
@@ -53,7 +70,7 @@ def _brute_force_bucket_pairs(df: pd.DataFrame, p: cz.LinkParams) -> set:
         ns = sorted(set(g["norm"]))[: p.max_bucket]
         for i in range(len(ns)):
             for j in range(i + 1, len(ns)):
-                jv = cz.jaccard(cz.shingles(ns[i]), cz.shingles(ns[j]))
+                jv = lsh.jaccard(cz.shingles(ns[i]), cz.shingles(ns[j]))
                 if jv >= p.jaccard_threshold:
                     out.add((ns[i], ns[j], jv))
     return out
@@ -112,7 +129,7 @@ def test_alias_table_matches_brute_force_reference():
     planted variants and an 80-label shared-prefix block (a band bucket
     over ``max_bucket``) equals a driver-side reference: per-norm band
     keys, the brute-force per-bucket pair list, the same embed-score
-    filter and ``_union_find_clusters``."""
+    filter and ``lsh.union_find_roots``."""
     import random
     rng = random.Random(11)
     letters = "abcdefghijklmnopqrstuvwxyz"
@@ -134,10 +151,10 @@ def test_alias_table_matches_brute_force_reference():
     p = cz.LinkParams()
 
     norms = sorted({cz.normalize_surface(x) for x in labels})
+    keys = lsh.band_keys(np.stack([_link_sig(n, p.num_perm) for n in norms]),
+                         p.bands)
     bucket_rows = pd.DataFrame(
-        [(k, n) for n in norms
-         for k in cz.band_keys(cz.minhash_signature(cz.shingles(n),
-                                                    p.num_perm), p.bands)],
+        [(k, n) for n, row in zip(norms, keys) for k in row],
         columns=["bucket", "norm"])
     sizes = bucket_rows.groupby("bucket")["norm"].nunique()
     assert sizes.max() > p.max_bucket
@@ -146,7 +163,7 @@ def test_alias_table_matches_brute_force_reference():
     scored = cz.HashEmbedScorer()(
         pa.Table.from_pandas(pairs, preserve_index=False)).to_pandas()
     pairs = scored[scored["cos_sim"] >= p.cosine_threshold]
-    root_of = cz._union_find_clusters(pairs)
+    root_of = lsh.union_find_roots(pairs["norm_a"], pairs["norm_b"])
     clustered = set(pairs["norm_a"]) | set(pairs["norm_b"])
     want = {(n, cz.canonical_id_of(root_of.get(n, n)), n in clustered)
             for n in norms}

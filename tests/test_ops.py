@@ -7,7 +7,13 @@ import pytest
 import pyarrow as pa
 import ray.data as rd
 
-from ai_knowledgegraph_extractor_ray.ops import dedup, multimodal, similarity, text
+from ai_knowledgegraph_extractor_ray.ops import (
+    dedup,
+    lsh,
+    multimodal,
+    similarity,
+    text,
+)
 
 
 def docs_ds(texts, ids=None):
@@ -120,9 +126,8 @@ def test_ngram_jaccard_pairs():
     got = {(a, b): j for a, b, j in
            zip(pairs["id_a"], pairs["id_b"], pairs["jaccard"])}
     assert (0, 1) in got and (0, 2) not in got
-    from ai_knowledgegraph_extractor_ray.ops.dedup import jaccard_of, word_ngrams
-    assert got[(0, 1)] == jaccard_of(word_ngrams(BASE, 2),
-                                     word_ngrams(near, 2))
+    assert got[(0, 1)] == lsh.jaccard(dedup.word_ngrams(BASE, 2),
+                                      dedup.word_ngrams(near, 2))
 
 
 def test_simhash_pairs():
@@ -133,6 +138,125 @@ def test_simhash_pairs():
     got = set(zip(pairs["id_a"], pairs["id_b"]))
     assert (0, 1) in got
     assert (0, 2) not in got
+
+
+def _phase2_perm():
+    from ai_knowledgegraph_extractor_ray.stages import canonicalize as cz
+    return (*cz._link_perm(32), cz._MERSENNE)
+
+
+@pytest.mark.parametrize("table", ["phase2", "dedup"])
+def test_minhash_kernel_matches_per_set_reference(table):
+    """The one batch kernel equals the per-set reference under both
+    callers' permutation tables (phase 2 reduces mod 2^61 - 1, dedup wraps
+    mod 2^64), with empty sets anywhere in the batch."""
+    a, b, mod = (_phase2_perm() if table == "phase2"
+                 else (dedup._PERM_A[:128], dedup._PERM_B[:128], None))
+    rng = np.random.RandomState(5)
+    sets = [set(), {0}, {2**32 - 1}, set()] + [
+        set(rng.randint(0, 2**32, size=rng.randint(0, 50)).tolist())
+        for _ in range(200)] + [set()]
+    got = lsh.minhash_signatures(sets, a, b, mod)
+    want = np.stack([lsh.minhash_signature(s, a, b, mod) for s in sets])
+    assert got.dtype == np.uint64 and (got == want).all()
+    assert (got[0] == np.iinfo(np.uint64).max).all()
+    assert lsh.minhash_signatures([set(), set()], a, b, mod).shape == \
+        (2, len(a))
+
+
+def test_jaccard_of_two_empty_sets_is_one():
+    assert lsh.jaccard(set(), set()) == 1.0
+    assert lsh.jaccard({1}, set()) == 0.0
+    assert lsh.jaccard({1, 2}, {2, 3}) == 1 / 3
+
+
+def _near_variants(n):
+    """``n`` one-token edits of a 40-token text: they share most of their
+    MinHash bands, so several band buckets hold more than 8 documents."""
+    toks = [f"tok{i}" for i in range(40)]
+    out = []
+    for i in range(n):
+        t = list(toks)
+        t[i % 40] = f"edit{i}"
+        out.append(" ".join(t))
+    return out
+
+
+def test_minhash_candidate_pairs_matches_brute_force():
+    """Pairs equal a driver reference over the per-set signatures: per band
+    bucket the ``max_bucket`` smallest ids, exact trigram Jaccard,
+    thresholded, each pair once. One bucket exceeds the cap."""
+    texts = _near_variants(30) + [BASE, BASE.replace("customer", "client"),
+                                  "", "short"]
+    ids = [3 * i + 1 for i in range(len(texts))]
+    max_bucket, threshold = 8, 0.5
+    sigs = np.stack([lsh.minhash_signature(
+        dedup.word_ngrams(t, 3), dedup._PERM_A[:128], dedup._PERM_B[:128])
+        for t in texts])
+    keys = lsh.band_keys(sigs, 32)
+    members: dict = {}
+    for i, row in zip(ids, keys):
+        for k in row:
+            members.setdefault(int(k), set()).add(i)
+    assert max(map(len, members.values())) > max_bucket
+    grams = {i: dedup.word_ngrams(t, 3) for i, t in zip(ids, texts)}
+    want, uncapped = set(), set()
+    for ms in members.values():
+        ms = sorted(ms)
+        for x in range(len(ms)):
+            for y in range(x + 1, len(ms)):
+                j = lsh.jaccard(grams[ms[x]], grams[ms[y]])
+                if j >= threshold:
+                    uncapped.add((ms[x], ms[y], j))
+                    if y < max_bucket:
+                        want.add((ms[x], ms[y], j))
+    assert want < uncapped
+
+    ds = docs_ds(texts, ids=ids).repartition(3)
+    got = dedup.minhash_candidate_pairs(
+        ds, threshold=threshold, max_bucket=max_bucket).to_pandas()
+    rows = list(zip(got["id_a"], got["id_b"], got["jaccard"]))
+    assert len(rows) == len(set(rows))
+    assert set(rows) == want
+
+
+def test_simhash_near_pairs_matches_brute_force():
+    """The pair frame (ids, Hamming, dtypes) equals a per-bucket reference:
+    4 16-bit bands, the ``max_bucket`` smallest ids per band bucket,
+    Hamming <= k. Ten copies of one text fill every band bucket of that
+    simhash past the cap; the edited texts take its smallest ids."""
+    texts = [BASE + " tail", BASE.replace("customer", "client"),
+             BASE.replace("orders", "sales") + " more words",
+             "utterly different words entirely here", ""] + [BASE] * 10
+    ids = list(range(100, 100 + 2 * len(texts), 2))
+    max_bucket, k = 4, 7
+    sh = {i: dedup.simhash64(t) for i, t in zip(ids, texts)}
+    members: dict = {}
+    for i in ids:
+        for band in range(4):
+            members.setdefault((band, (sh[i] >> (16 * band)) & 0xFFFF),
+                               set()).add(i)
+    assert max(map(len, members.values())) > max_bucket
+    want = set()
+    for ms in members.values():
+        ms = sorted(ms)[:max_bucket]
+        for x in range(len(ms)):
+            for y in range(x + 1, len(ms)):
+                h = bin(sh[ms[x]] ^ sh[ms[y]]).count("1")
+                if h <= k:
+                    want.add((ms[x], ms[y], h))
+    assert (100, 110, 5) in want and (110, 112, 0) in want
+
+    got = dedup.simhash_near_pairs(docs_ds(texts, ids=ids).repartition(3),
+                                   max_hamming=k, max_bucket=max_bucket
+                                   ).to_pandas()
+    assert [str(t) for t in got.dtypes] == ["int64"] * 3
+    rows = list(zip(got["id_a"], got["id_b"], got["hamming"]))
+    assert len(rows) == len(set(rows)) and set(rows) == want
+    words = np.random.RandomState(2).randint(-2**63, 2**63 - 1, size=64,
+                                             dtype=np.int64)
+    assert dedup._popcount64(words).tolist() == [
+        bin(int(w) & (2**64 - 1)).count("1") for w in words]
 
 
 def test_embedding_near_pairs():
@@ -351,15 +475,16 @@ def test_connected_components_matches_union_find():
     got = connected_components(ds).to_pandas()
     got_map = dict(zip(got["node"].astype(int), got["component"].astype(int)))
     assert got_map == want
+    assert lsh.union_find_roots(*zip(*pairs[::-1])) == want
 
 
-def test_near_dedup_distributed_equals_driver():
+def test_near_dedup_distributed_equals_driver(monkeypatch):
     near = BASE.replace("customer", "client")
     far = " ".join(reversed(BASE.split()))
     ds = docs_ds([BASE, near, far, BASE + " tail"], ids=[0, 1, 2, 3])
     a = dedup.near_dedup_minhash(ds, threshold=0.5).to_pandas()
-    b = dedup.near_dedup_minhash(ds, threshold=0.5,
-                                 cluster_mode="distributed").to_pandas()
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS_MAX", 0)   # ops/cc path
+    b = dedup.near_dedup_minhash(ds, threshold=0.5).to_pandas()
     assert sorted(a["doc_id"]) == sorted(b["doc_id"])
 
 
@@ -627,7 +752,7 @@ def test_weighted_sample():
     assert got == exp and 0 < len(exp) < 400
 
 
-def test_near_dedup_keep_best_score():
+def test_near_dedup_keep_best_score(monkeypatch):
     from ai_knowledgegraph_extractor_ray.ops.dedup import drop_pair_clusters
     df = pd.DataFrame({
         "doc_id": pd.Series([1, 2, 3, 7, 8, 9], dtype="int64"),
@@ -636,17 +761,16 @@ def test_near_dedup_keep_best_score():
         "id_a": pd.Series([1, 2, 7], dtype="int64"),
         "id_b": pd.Series([2, 3, 8], dtype="int64")}))
     ds = rd.from_pandas(df).repartition(3)
-    for mode in ("driver", "distributed"):
+    for pairs_max in (dedup._DRIVER_PAIRS_MAX, 0):     # driver, ops/cc
+        monkeypatch.setattr(dedup, "_DRIVER_PAIRS_MAX", pairs_max)
         # cluster {1,2,3}: best score 9 tie -> smallest id 2 survives;
         # cluster {7,8}: all-tie -> 7; doc 9 unpaired survives
         best = drop_pair_clusters(ds, pairs, id_col="doc_id",
-                                  cluster_mode=mode,
                                   score_col="score").to_pandas()
-        assert sorted(best["doc_id"]) == [2, 7, 9], mode
+        assert sorted(best["doc_id"]) == [2, 7, 9], pairs_max
         # default (no score): smallest id per cluster, unchanged behavior
-        lo = drop_pair_clusters(ds, pairs, id_col="doc_id",
-                                cluster_mode=mode).to_pandas()
-        assert sorted(lo["doc_id"]) == [1, 7, 9], mode
+        lo = drop_pair_clusters(ds, pairs, id_col="doc_id").to_pandas()
+        assert sorted(lo["doc_id"]) == [1, 7, 9], pairs_max
 
 
 def test_remove_dup_spans():
@@ -1720,7 +1844,6 @@ def test_incremental_dedup_against_index(tmp_path):
     from ai_knowledgegraph_extractor_ray.ops.dedup import (
         build_minhash_index,
         dedup_against_index,
-        jaccard_of,
         word_ngrams,
     )
 
@@ -1738,7 +1861,7 @@ def test_incremental_dedup_against_index(tmp_path):
     want = []
     for oid, ot in zip([0, 2, 4], old_texts):
         for nid, nt in zip([1, 3, 5], new_texts):
-            j = jaccard_of(word_ngrams(ot, 3), word_ngrams(nt, 3))
+            j = lsh.jaccard(word_ngrams(ot, 3), word_ngrams(nt, 3))
             if j >= 0.5:
                 want.append((oid, nid, j))
     assert list(zip(got["old_id"], got["new_id"], got["jaccard"])) == want
@@ -1965,14 +2088,14 @@ def test_fast_content_hash_and_crc32c():
     assert got[2] == 0xE3069283
 
 
-def test_drop_pair_clusters_auto_selects_distributed():
-    """VERDICT r3 #5: cluster_mode='auto' takes the distributed CC path
-    when pairs exceed the budget, with survivors identical to the driver
+def test_drop_pair_clusters_auto_selects_distributed(monkeypatch):
+    """The distributed CC path runs when the verified pairs exceed
+    ``_DRIVER_PAIRS_MAX``, with survivors identical to the driver
     union-find on a planted multi-cluster corpus."""
     import pandas as pd
     import ray.data as rd
 
-    from ai_knowledgegraph_extractor_ray.ops import dedup
+    from ai_knowledgegraph_extractor_ray.ops import cc, dedup
 
     # 3 planted clusters x 30 members + 60 singletons
     texts, ids = [], []
@@ -1989,20 +2112,26 @@ def test_drop_pair_clusters_auto_selects_distributed():
         "doc_id": pd.Series(ids, dtype="int64"),
         "text": pd.Series(texts, dtype="string")})).repartition(4)
 
-    def survivors(**kw):
-        out = dedup.near_dedup_minhash(ds, threshold=0.5, **kw).to_pandas()
+    calls = []
+    real_cc = cc.connected_components
+
+    def counting_cc(*a, **kw):
+        calls.append(1)
+        return real_cc(*a, **kw)
+
+    monkeypatch.setattr(cc, "connected_components", counting_cc)
+
+    def survivors():
+        out = dedup.near_dedup_minhash(ds, threshold=0.5).to_pandas()
         return sorted(out["doc_id"].tolist())
 
-    drv = survivors(cluster_mode="driver")
-    dist = survivors(cluster_mode="distributed")
-    assert drv == dist
-    # auto with a zero budget must take the distributed path (pairs > 0)
-    pairs = dedup.minhash_candidate_pairs(ds, threshold=0.5)
-    auto_forced = dedup.drop_pair_clusters(
-        ds, pairs, cluster_mode="auto", driver_pairs_max=0).to_pandas()
-    assert sorted(auto_forced["doc_id"].tolist()) == drv
-    # plain auto (default budget) matches too
+    drv = survivors()                   # default budget: driver union-find
+    assert not calls
+    # a zero budget must take the distributed path (pairs > 0)
+    monkeypatch.setattr(dedup, "_DRIVER_PAIRS_MAX", 0)
     assert survivors() == drv
+    assert len(calls) == 1
+    assert len(drv) == 3 + 60
 
 
 def test_composite_key_join_and_semi_match_duckdb():
