@@ -60,19 +60,14 @@ def bucketed_groupby(partials: rd.Dataset, key_cols: list[str],
     point (results, schemas and downstream laziness are unchanged)."""
     import pyarrow as pa
 
-    from .exchange import hash_exchange_dataset
+    from .exchange import hash_exchange_dataset, key_column
 
     def stamp(t: pa.Table) -> pa.Table:
         # arrow-native composite key: payload columns pass through zero-copy
         # (a pandas round-trip would wrap list columns in tensor extensions)
-        import pyarrow.compute as pc
         if t.num_rows == 0:
             return t.append_column(XKEY, pa.array([], pa.string()))
-        parts = [pc.fill_null(pc.cast(t[c], pa.string()), "None")
-                 for c in key_cols]
-        k = parts[0] if len(parts) == 1 else \
-            pc.binary_join_element_wise(*parts, "\x00")
-        return t.append_column(XKEY, k)
+        return t.append_column(XKEY, key_column(t, key_cols))
 
     def merge_tbl(tbl: pa.Table) -> pa.Table:
         df = (tbl.drop_columns([XKEY])

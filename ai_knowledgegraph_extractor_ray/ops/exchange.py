@@ -24,7 +24,9 @@ Reduces run as ``reduce_slices(fn, *slices)``. The routes and their users:
 
 * ``HashRoute`` — ``crc32(key) % P`` with optional skew splitting
   (``hashing.effective_pids``): ``hash_exchange`` (the fused KG job),
-  ``hash_exchange_dataset`` (``bucketed_groupby``, partitioned sinks) and
+  ``exchange_refs`` (phase 2's task waves, which chain its output refs
+  into the next wave) and ``hash_exchange_dataset`` over it
+  (``bucketed_groupby``, partitioned sinks), and
   ``pagerank_distributed``'s edge/state bucketing and contribution split;
 * ``HashRoute(group=g)`` — the same pids integer-divided by ``g``: the
   coarse level of the two-level exchange. Maps return P/g pid-RANGE slices
@@ -42,11 +44,12 @@ every map finished, inherent to any all-to-all.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
@@ -58,11 +61,25 @@ TWO_LEVEL_ABOVE = 1024
 COARSE = 256
 
 
+def key_column(tbl: pa.Table, key: str | Sequence[str]):
+    """The column a route hashes: ``key`` itself, or for several key
+    columns their string casts (nulls as ``"None"``) joined by ``"\x00"``,
+    which cannot collide across column boundaries the way plain
+    concatenation can."""
+    if isinstance(key, str):
+        return tbl[key]
+    parts = [pc.fill_null(pc.cast(tbl[c], pa.string()), "None") for c in key]
+    return parts[0] if len(parts) == 1 else \
+        pc.binary_join_element_wise(*parts, "\x00")
+
+
 class HashRoute:
     """``crc32(key) % num_partitions`` under an optional skew ``split_map``
-    (``hashing.effective_pids``), integer-divided by ``group``."""
+    (``hashing.effective_pids``), integer-divided by ``group``. ``key`` is
+    one string column or a list of columns of any castable type
+    (``key_column``)."""
 
-    def __init__(self, key: str, num_partitions: int,
+    def __init__(self, key: str | Sequence[str], num_partitions: int,
                  split_map: dict[int, tuple[int, int]] | None = None,
                  group: int = 1):
         self.key, self.num_partitions = key, num_partitions
@@ -71,12 +88,15 @@ class HashRoute:
         self.n = -(-self.n_fine // group)
 
     def fine(self, tbl: pa.Table) -> np.ndarray:
-        if self.key not in tbl.column_names:
+        missing = [k for k in ([self.key] if isinstance(self.key, str)
+                               else self.key)
+                   if k not in tbl.column_names]
+        if missing:
             # an upstream schema mistake must not become silent data loss
             raise KeyError(
-                f"exchange key column {self.key!r} missing from input "
+                f"exchange key column(s) {missing} missing from input "
                 f"blocks (columns: {tbl.column_names})")
-        return effective_pids(crc32_column(tbl[self.key]),
+        return effective_pids(crc32_column(key_column(tbl, self.key)),
                               self.num_partitions, self.split_map)
 
     def __call__(self, tbl: pa.Table) -> np.ndarray:
@@ -164,16 +184,18 @@ def buffer_blocks(ds: rd.Dataset) -> tuple[list, int]:
 
 
 def run_maps(source: rd.Dataset | list, route, n: int,
-             blocks_per_map: int = 4) -> tuple[list[list], np.ndarray]:
+             blocks_per_map: int = 4, combine=None
+             ) -> tuple[list[list], np.ndarray]:
     """The map wave: one map per ``blocks_per_map`` blocks of ``source``
-    (a Dataset, streamed, or a list of block refs). Returns the slice refs
-    per pid and the ``(2, n)`` rows/bytes matrix summed over maps."""
+    (a Dataset, streamed, or a list of block refs), ``combine`` as in
+    ``launch_map``. Returns the slice refs per pid and the ``(2, n)``
+    rows/bytes matrix summed over maps."""
     blocks = ((r for r, _ in _stream(source))
               if isinstance(source, rd.Dataset) else source)
     refs_per_pid: list[list] = [[] for _ in range(n)]
     size_refs: list = []
     for group in block_groups(blocks, blocks_per_map):
-        slices, size_ref = launch_map(group, route, n)
+        slices, size_ref = launch_map(group, route, n, combine)
         for p, r in enumerate(slices):
             refs_per_pid[p].append(r)
         size_refs.append(size_ref)
@@ -309,37 +331,62 @@ def auto_partitions(total_bytes: int,
     return p
 
 
+def exchange_refs(source: rd.Dataset | list, key: str | Sequence[str],
+                  num_partitions: int | None,
+                  reduce_fn: Callable[[int, pa.Table], object], *,
+                  blocks_per_map: int = 4, combine=None
+                  ) -> tuple[list, np.ndarray, list]:
+    """The Dataset-free core of the hash exchange: one map wave over
+    ``source`` (a Dataset, streamed, or a list of block refs; ``combine``
+    as in ``launch_map``) routed on ``HashRoute(key, num_partitions)``,
+    then ``reduce_fn(pid, table)`` as one task per non-empty partition, in
+    pid order. Nothing is collected. Returns the reduce output refs, the
+    map wave's ``(2, n)`` rows/bytes matrix and partition 0's first map
+    slice ref (none when ``source`` has no blocks): with no rows anywhere
+    it is the only trace of the input schema.
+
+    ``num_partitions=None`` auto-sizes the partition count from the
+    input's block metadata (``auto_partitions``), buffering a Dataset's
+    block refs before the map wave (a list source must pass a count)."""
+    if num_partitions is None:
+        source, total_bytes = buffer_blocks(source)
+        num_partitions = auto_partitions(total_bytes)
+    refs, sizes = run_maps(source, HashRoute(key, num_partitions),
+                           num_partitions, blocks_per_map, combine)
+    out = [reduce_slices.remote(functools.partial(reduce_fn, p), *refs[p])
+           for p in np.flatnonzero(sizes[0]).tolist()]
+    return out, sizes, refs[0][:1]
+
+
+def _table_only(fn, _pid: int, tbl: pa.Table):
+    return fn(tbl)
+
+
 def hash_exchange_dataset(ds: rd.Dataset, num_partitions: int | None,
                           merge_fn: Callable[[pa.Table], pa.Table], *,
-                          key: str, blocks_per_map: int = 4) -> rd.Dataset:
+                          key: str | Sequence[str],
+                          blocks_per_map: int = 4) -> rd.Dataset:
     """Dataset-to-Dataset hash exchange: ``merge_fn(table) -> table`` runs
     once per non-empty partition and the outputs become a new Dataset
-    WITHOUT driver collection (``from_arrow_refs`` over the reduce task
-    refs — blocks stay in the object store).
-
-    ``num_partitions=None`` auto-sizes the partition count from the input's
-    block metadata (``auto_partitions``), buffering the block refs before
-    the map wave; callers that know their volume should pass a count.
+    WITHOUT driver collection (``from_arrow_refs`` over ``exchange_refs``
+    — blocks stay in the object store). ``num_partitions=None`` auto-sizes
+    as in ``exchange_refs``; callers that know their volume should pass a
+    count.
 
     This is the exchange behind ``ops/agg.bucketed_groupby``: same
     semantics as Ray Data's sort-based ``groupby().map_groups`` for
     hash-bucketed keys, without the sort barrier's near-serial section."""
-    source: rd.Dataset | list = ds
-    if num_partitions is None:
-        source, total_bytes = buffer_blocks(ds)
-        num_partitions = auto_partitions(total_bytes)
-    refs, (rows, _) = run_maps(source, HashRoute(key, num_partitions),
-                               num_partitions, blocks_per_map)
-    out_refs = [reduce_slices.remote(merge_fn, *refs[p])
-                for p in range(num_partitions) if rows[p]]
-    if out_refs:
-        return rd.from_arrow_refs(out_refs)
-    if refs[0]:
+    out, _, empty = exchange_refs(ds, key, num_partitions,
+                                  functools.partial(_table_only, merge_fn),
+                                  blocks_per_map=blocks_per_map)
+    if out:
+        return rd.from_arrow_refs(out)
+    if empty:
         # Zero rows anywhere: preserve the OUTPUT schema by running the
         # merge once over a schema-typed empty slice from the map wave
         # (Dataset.schema() is unreliable on empty object-dtype inputs).
         try:
-            return rd.from_arrow(merge_fn(ray.get(refs[0][0])))
+            return rd.from_arrow(merge_fn(ray.get(empty[0])))
         except Exception:   # merge_fn not empty-safe: schemaless path
             pass
     return rd.from_items([])

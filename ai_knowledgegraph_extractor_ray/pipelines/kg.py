@@ -29,16 +29,27 @@ is what lets a version reference an unchanged partition's files instead of
 rewriting them (``state/lineage.py``).
 
 Phase 2 (``run_canonicalize_job``): mention counts -> blocking -> verify
--> union-find -> alias table -> edge rewrite, under ``version=K/canonical/``.
-The alias table's unclustered rows stay a Dataset and its clustered rows
-are one driver frame, which feeds the aliases, the canonical nodes and the
-rewrite broadcast. The tasks that hold the unclustered-alias and
-canonical-edge blocks write them (and the alias blocks' 1:1 canonical
-nodes) as deterministic ``part-{i:05d}.parquet`` files, so a retried task
-overwrites its own part; the driver writes the clustered parts. The
-manifest's counts are the row counts those writes return, and the
-manifest, written last via a tmp file and a rename, is the commit point —
-the same shape as phase 1's per-partition commit.
+-> union-find -> alias table -> edge rewrite, under ``version=K/canonical/``,
+as a chain of raw task waves over object refs (``ops/exchange.exchange_refs``
+and plain tasks), each consuming the refs the previous wave returned:
+
+    node read -> surface wave (exchange on norm) -> band wave (exchange on
+      the band key, Jaccard verify) -> driver: scorer, typo tier,
+      union-find
+      -> clear the old canonical output (manifest first)
+      -> alias wave (one task per surface block; writes its aliases and
+         canonical_nodes parts) -> driver: clustered parts + broadcast
+      -> edge read -> edge wave (exchange on the canonical triple; each
+         bucket writes its canonical_edges part) -> manifest
+
+Only the node read and the edge read are Ray Data executions. Each
+canonical table is written by the tasks that compute it, as deterministic
+``part-{i:05d}.parquet`` files, so a retried task overwrites its own part;
+the driver writes only the clustered alias and node parts. The manifest's
+counts are the row counts those writes return, and the manifest, written
+last via a tmp file and a rename, is the commit point — the same shape as
+phase 1's per-partition commit. The canonical readers refuse a version
+without it.
 """
 
 from __future__ import annotations
@@ -411,16 +422,16 @@ def read_versions_harmonized(out_dir: str, versions: list[int],
     from ..state import schema_evo
 
     if table in CANONICAL_TABLES:
-        groups = [sorted(glob.glob(str(
-            lineage.version_dir(out_dir, v) / "canonical" / table
-            / "*.parquet"))) for v in versions]
+        groups = [sorted(glob.glob(str(d / "*.parquet")))
+                  if (d := _committed_canonical(out_dir, v, table)) else []
+                  for v in versions]
     else:
         groups = [_committed_files(out_dir, v, f"{table}.parquet")
                   for v in versions]
     empty = [v for v, g in zip(versions, groups) if not g]
     if empty:
         raise FileNotFoundError(
-            f"read_versions_harmonized: no committed partitions for "
+            f"read_versions_harmonized: nothing committed in {table} for "
             f"version(s) {empty} under {out_dir}")
     parts, schemas = [], []
     for v, g in zip(versions, groups):
@@ -475,32 +486,13 @@ def _part_name(i: int) -> str:
     return f"part-{i:05d}.parquet"
 
 
-@ray.remote
-def _write_part(block: pa.Table, path: str, nodes_path: str | None = None
-                ) -> int:
-    """Commit one block of a canonical table from the task that holds it:
-    the block as the part file ``path`` and, for an unclustered alias
-    block, its canonical-node projection as ``nodes_path`` (1:1, so the
-    same row count). Part names are deterministic, so a retried task
-    overwrites its own file. Returns the rows written."""
-    if block.num_rows:
-        pq.write_table(block, path)
-        if nodes_path is not None:
-            pq.write_table(cz.unclustered_nodes(block.to_pandas()),
-                           nodes_path)
-    return block.num_rows
-
-
-def _write_parts(ds: rd.Dataset, out: Path, nodes_out: Path | None = None
-                 ) -> list:
-    """One ``_write_part`` task per block of the materialized ``ds``, part
-    ``i`` for block ``i``; returns the row-count refs."""
-    refs = [ref for bundle in ds.iter_internal_ref_bundles()
-            for ref in bundle.block_refs]
-    return [_write_part.remote(
-        ref, str(out / _part_name(i)),
-        None if nodes_out is None else str(nodes_out / _part_name(i)))
-        for i, ref in enumerate(refs)]
+def _write_edge_part(edir: str, pid: int, tbl: pa.Table) -> int:
+    """The job's edge-wave reduce: merge one bucket of partials and write
+    it as the ``canonical_edges`` part of its bucket. Returns the rows."""
+    edges = cz.merge_edge_partials(pid, tbl)
+    if edges.num_rows:
+        pq.write_table(edges, Path(edir) / _part_name(pid))
+    return edges.num_rows
 
 
 def run_canonicalize_job(out_dir: str, cfg: KGConfig,
@@ -511,21 +503,38 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
     Reads the committed node/edge partitions of a version, builds the alias
     table (LSH-blocked entity linking over distinct surface forms), rewrites
     edges onto canonical ids with a broadcast join, and writes the canonical
-    tables under ``version=K/canonical/``. The mention/edge stream never
-    collects on the driver; the alias table is vocabulary-sized and splits
-    in two (``canonicalize.alias_parts``): the unclustered rows stay a
-    Dataset, and the pair-bounded clustered rows are one driver frame that
-    feeds the alias table, the canonical nodes and the rewrite broadcast.
+    tables under ``version=K/canonical/``. The job is a chain of task waves,
+    each consuming the object refs the previous one returned; only the node
+    read and the edge read are Ray Data executions, and nothing
+    vocabulary-sized is collected on the driver:
 
-    Commit: the tables are written by the tasks that hold their blocks —
-    one task per unclustered-alias block writes its ``aliases`` part and
-    its ``canonical_nodes`` part, one task per canonical-edge block its
-    ``canonical_edges`` part, and the driver the clustered alias and node
-    parts. Part names are deterministic (``part-{i:05d}.parquet``), so a
-    retried task overwrites its own file. The manifest's ``n_*`` counts are
-    the row counts the writes return, and the manifest, written last via a
-    tmp file and a rename, is the commit point: a rerun clears any output
-    it does not cover."""
+    1. surface wave (``canonicalize.surface_wave``): node read -> mention
+       partials -> exchange on ``norm`` -> one surface block per bucket;
+    2. band wave: band keys per surface block -> exchange on the band key
+       -> Jaccard verify per bucket; the driver fetches the verified pairs,
+       scores them, adds the typo tier's and runs the union-find
+       (``canonicalize.link_surfaces``);
+    3. clear: the old manifest (first: uncommit order), then the three
+       table directories;
+    4. alias wave (``canonicalize.alias_block``), one task per surface
+       block: writes the block's unclustered ``aliases`` part and its 1:1
+       ``canonical_nodes`` part and returns its row count, clustered rows
+       and hot partial; the driver reduces the clustered rows per root,
+       writes the clustered ``aliases`` and ``canonical_nodes`` parts and
+       builds the rewrite broadcast;
+    5. edge wave (``canonicalize.edge_wave``): edge read -> rewrite ->
+       exchange on the canonical triple -> one task per bucket merges and
+       writes its ``canonical_edges`` part.
+
+    Part names are deterministic (``part-{i:05d}.parquet``, per surface
+    block or edge bucket), so a retried task overwrites its own file. The
+    clear comes after linking, so a failure while linking leaves the
+    committed tables intact; both reads resolve their files before it. The
+    manifest's ``n_*`` counts are the row counts the writes return, plus
+    the linking counts (``n_candidate_pairs``, ``n_verified_pairs``,
+    ``n_clustered_norms``), and the manifest, written last via a tmp file
+    and a rename, is the commit point: a rerun clears any output it does
+    not cover."""
     import hashlib
     import json
     import shutil
@@ -550,10 +559,10 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
         except json.JSONDecodeError:
             pass  # torn manifest == uncommitted
 
-    unclustered, clustered = cz.alias_parts(
-        read_nodes(out_dir, cfg.version), cfg, link=link,
-        use_embed_scorer=use_embed_scorer)
-    unclustered = unclustered.materialize()
+    nodes = read_nodes(out_dir, cfg.version)
+    edges = read_edges(out_dir, cfg.version)
+    surfaces, roots, counts = cz.link_surfaces(
+        nodes, cfg, link=link, use_embed_scorer=use_embed_scorer)
 
     # clear any uncommitted/stale phase-2 output (manifest first = uncommit
     # order): a previous run may have left parts this one does not rewrite
@@ -565,21 +574,24 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
     (cdir / "canonical_nodes.parquet").unlink(missing_ok=True)
     adir, ndir, edir = (cdir / sub for sub in CANONICAL_TABLES)
 
-    alias_rows = _write_parts(unclustered, adir, ndir)
+    cap = cfg.broadcast_vocab_cap
+    outs = [cz.alias_block.remote(
+        ref, roots, cap, (str(adir / _part_name(i)), str(ndir / _part_name(i))))
+        for i, ref in enumerate(surfaces)]
+    clustered = cz.clustered_aliases(ray.get([o[1] for o in outs]))
     n_clustered_nodes = 0
     if len(clustered):
-        name = _part_name(len(alias_rows))
+        name = _part_name(len(surfaces))
         pq.write_table(cz.arrow_out(clustered), adir / name)
         cl_nodes = cz.clustered_nodes(clustered)
         pq.write_table(cl_nodes, ndir / name)
         n_clustered_nodes = cl_nodes.num_rows
-
-    broadcast = cz.concat_frames([clustered, cz.hot_alias_frame(
-        unclustered, cfg.broadcast_vocab_cap)])
-    canon_edges = cz.canonicalize_edges(read_edges(out_dir, cfg.version),
-                                        broadcast, cfg).materialize()
-    n_edges = sum(ray.get(_write_parts(canon_edges, edir)))
-    n_unclustered = sum(ray.get(alias_rows))
+    hot = ray.get([o[2] for o in outs])
+    broadcast = cz.concat_frames([clustered, cz.hot_slice(
+        pa.concat_tables(hot).to_pandas() if hot else pd.DataFrame(), cap)])
+    n_edges = sum(ray.get(cz.edge_wave(
+        edges, broadcast, functools.partial(_write_edge_part, str(edir)))))
+    n_unclustered = sum(ray.get([o[0] for o in outs]))
 
     def _sig(sub: str) -> str:
         files = sorted((cdir / sub).glob("*.parquet"))
@@ -591,6 +603,8 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
         "n_aliases": n_unclustered + len(clustered),
         "n_canonical_entities": n_unclustered + n_clustered_nodes,
         "n_canonical_edges": n_edges,
+        **counts,
+        "n_clustered_norms": len(clustered),
         "input_fp": fp,
         # phase-2 schema signatures (footer-only): the canonical tables'
         # analogue of the per-partition schema_sig — one engine version
@@ -603,22 +617,37 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
     return summary
 
 
+def _committed_canonical(out_dir: str, version: int, table: str
+                         ) -> Path | None:
+    """A canonical table's directory when the version's phase 2 is
+    committed (its manifest exists), else None: a crashed run's parts are
+    never read."""
+    cdir = lineage.version_dir(out_dir, version) / "canonical"
+    return cdir / table if (cdir / "_manifest.json").exists() else None
+
+
+def _read_canonical(out_dir: str, version: int, table: str) -> rd.Dataset:
+    path = _committed_canonical(out_dir, version, table)
+    if path is None:
+        raise FileNotFoundError(
+            f"read {table}: no committed phase 2 for version {version} "
+            f"under {out_dir}")
+    return rd.read_parquet(str(path))
+
+
 def read_canonical_edges(out_dir: str, version: int) -> rd.Dataset:
-    return rd.read_parquet(
-        str(lineage.version_dir(out_dir, version) / "canonical" / "canonical_edges"))
+    """Deduplicated weighted canonical edges of a committed phase 2."""
+    return _read_canonical(out_dir, version, "canonical_edges")
 
 
 def read_aliases(out_dir: str, version: int) -> rd.Dataset:
     """The alias table (norm -> canonical id/label) of a committed phase 2."""
-    return rd.read_parquet(
-        str(lineage.version_dir(out_dir, version) / "canonical" / "aliases"))
+    return _read_canonical(out_dir, version, "aliases")
 
 
 def read_canonical_nodes(out_dir: str, version: int) -> rd.Dataset:
     """Distinct canonical entities of a committed phase 2."""
-    return rd.read_parquet(
-        str(lineage.version_dir(out_dir, version) / "canonical" /
-            "canonical_nodes"))
+    return _read_canonical(out_dir, version, "canonical_nodes")
 
 
 def get_stats(out_dir: str, version: int) -> dict:

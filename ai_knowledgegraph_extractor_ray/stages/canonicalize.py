@@ -6,47 +6,53 @@ distributed canonicalization problem (SURVEY.md §2.4 J2): cluster the surface
 forms of *all* conversations into canonical entities, then rewrite every edge
 onto canonical ids and deduplicate.
 
-Scale design (SURVEY.md §7.2, shuffles #2/#3/#4):
+Scale design (SURVEY.md §7.2, shuffles #2/#3/#4). Phase 2 is a chain of
+raw task waves over object refs (``ops/exchange.exchange_refs`` and plain
+tasks), each wave consuming the refs the previous one returned; the public
+Dataset functions wrap the same waves' refs with ``from_arrow_refs``:
 
-* **Mention counting is two-phase.** ``map_batches`` first collapses each
-  block to distinct ``(norm, label) -> count`` partials (the combiner), so the
-  ``groupby(norm)`` shuffle moves at most |distinct variants| rows per block,
-  never one row per mention — this is what defuses hot-key skew (a surface
-  form appearing in 30% of conversations contributes one partial row per
-  block, not millions of mention rows); ``alias_salt_buckets`` sets the
-  merge fan-out of the bucketed reduce.
-* **LSH blocking over *distinct norms*, not mentions.** The MinHash-LSH
-  pieces are the ones near-dedup uses (``ops/lsh.py``); this module keeps
-  its char-3-gram shingles and its own permutation table, reduced mod
-  2^61 - 1. Signatures are computed for a whole block at once and banded
-  into int64 keys; ONE exchange co-locates band buckets, and each coarse
-  bucket is verified in one vectorized pass: ``lsh.bucket_pairs`` drops
-  singleton band buckets and yields each distinct pair of the coarse
-  bucket once however many of its bands collide, so the pair is scored
-  once with true Jaccard (then with an embedding-cosine score from a
-  hash-feature scorer). Band buckets are size-capped: a degenerate bucket
-  degrades to "no link" for the norms past the cap instead of an O(n^2)
-  blowup.
+* **Mention counting is two-phase (the surface wave).** ``map_batches``
+  first collapses each node block to distinct ``(norm, label) -> count``
+  partials (the combiner), so the exchange on ``norm`` moves at most
+  |distinct variants| rows per block, never one row per mention — this is
+  what defuses hot-key skew (a surface form appearing in 30% of
+  conversations contributes one partial row per block, not millions of
+  mention rows); ``alias_salt_buckets`` sets the merge fan-out. Each
+  bucket's surface block stays in the object store as a ref.
+* **LSH blocking over *distinct norms*, not mentions (the band wave).** The
+  MinHash-LSH pieces are the ones near-dedup uses (``ops/lsh.py``); this
+  module keeps its char-3-gram shingles and its own permutation table,
+  reduced mod 2^61 - 1. The band wave's maps sign and band whole surface
+  blocks in-task into int64 keys and route on them; each coarse bucket is
+  verified in one vectorized pass: ``lsh.bucket_pairs`` drops singleton
+  band buckets and yields each distinct pair of the coarse bucket once
+  however many of its bands collide, so the pair is scored once with true
+  Jaccard (then with an embedding-cosine score from a hash-feature scorer,
+  on the driver below 10k pairs and in an actor pool above). Band buckets
+  are size-capped: a degenerate bucket degrades to "no link" for the norms
+  past the cap instead of an O(n^2) blowup.
 * **Cluster merge is the driver-side ``lsh.union_find_roots`` over
   verified PAIRS** (tiny: bounded by sum of bucket-pair counts), never
   over mentions or the full vocabulary; unlike near-dedup there is no
   ``ops/cc`` path above a pair cap yet, because the pairs come back to the
-  driver for the embed scorer. The alias table comes in two parts
-  (``alias_parts``): the UNCLUSTERED rows stay a Dataset (a per-block map
-  over the surface table, root = the norm itself), and the pair-bounded
-  CLUSTERED rows are one driver frame from the per-root reduce. That one
-  clustered frame feeds the alias table, the canonical nodes (unclustered
-  rows project 1:1) and the rewrite broadcast. The broadcast via
+  driver for the embed scorer. Its root map is ``ray.put`` once for the
+  alias wave.
+* **The alias wave** runs one task per surface block: the UNCLUSTERED rows
+  (root = the norm itself) become alias rows and their 1:1 canonical
+  nodes in-task, and only the block's pair-bounded CLUSTERED rows and its
+  top-``broadcast_vocab_cap`` partial come back. The driver reduces the
+  clustered rows per root into one frame, which feeds the aliases, the
+  canonical nodes and the rewrite broadcast. The broadcast via
   ``ray.put`` is FREQUENCY-THRESHOLDED — clustered norms plus the
   ``broadcast_vocab_cap`` hottest unclustered ones, which below the cap is
-  the whole table — and
-  the long tail falls back to identity hashing (which yields the identical
-  canonical id for unclustered norms). A shuffle join on surface form
-  would move the (large) edge table for the benefit of the (small) alias
-  side.
-* **Canonical edge dedup** is the same partial-count trick keyed on the
-  canonical (src, pred, dst) triple; ``weight`` = number of supporting
-  extractions, matching the north star's "deduplicated edge IDs".
+  the whole table — and the long tail falls back to identity hashing
+  (which yields the identical canonical id for unclustered norms). A
+  shuffle join on surface form would move the (large) edge table for the
+  benefit of the (small) alias side.
+* **Canonical edge dedup (the edge wave)** is the same partial-count trick
+  keyed on the canonical (src, pred, dst) triple; ``weight`` = number of
+  supporting extractions, matching the north star's "deduplicated edge
+  IDs".
 """
 
 from __future__ import annotations
@@ -61,12 +67,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
 from ..config import KGConfig
 from ..ops import lsh
+from ..ops.exchange import auto_partitions, exchange_refs
 
 _WS = re.compile(r"\s+")
 
@@ -113,23 +121,37 @@ def _pick_variant(df: pd.DataFrame) -> pd.DataFrame:
     return out.rename(columns={"label": "canonical_label", "cnt": "n_mentions"})
 
 
-def build_surface_table(nodes: rd.Dataset, cfg: KGConfig) -> rd.Dataset:
-    """node mentions -> distinct surface table (norm, canonical_label,
-    n_mentions). ONE shuffle, moving per-block (norm, label) count partials
-    only — a hot surface form contributes at most one row per block per
-    variant, so the merge is skew-proof — bucketed on crc32(norm) so the
-    merge+variant-pick runs as a vectorized pandas reduce per bucket, never
-    one Python task per distinct surface form."""
-    from ..ops.agg import bucketed_groupby
+def _merge_surface(_pid: int, tbl: pa.Table) -> pa.Table:
+    """The surface wave's reduce: one bucket of partials -> its surface
+    rows (merge the partials, then pick the variant)."""
+    df = tbl.to_pandas()
+    df = df.groupby(["norm", "label"], as_index=False, sort=False)["cnt"].sum()
+    return pa.Table.from_pandas(_pick_variant(df), preserve_index=False)
 
+
+def surface_wave(nodes: rd.Dataset, cfg: KGConfig) -> tuple[list, int]:
+    """node mentions -> distinct surface blocks (norm, canonical_label,
+    n_mentions) as object refs. ONE exchange, moving per-block (norm,
+    label) count partials only — a hot surface form contributes at most
+    one row per block per variant, so the merge is skew-proof — bucketed
+    on crc32(norm) into ``alias_salt_buckets`` buckets, so the merge and
+    variant pick run as a vectorized pandas reduce per bucket, never one
+    Python task per distinct surface form. Also returns the partials'
+    total bytes (the band wave sizes itself from them)."""
     partials = nodes.map_batches(_mention_partials, batch_format="pyarrow")
+    refs, sizes, _ = exchange_refs(partials, "norm", cfg.alias_salt_buckets,
+                                   _merge_surface)
+    return refs, int(sizes[1].sum())
 
-    def merge_and_pick(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.groupby(["norm", "label"], as_index=False, sort=False)["cnt"].sum()
-        return _pick_variant(df)
 
-    return bucketed_groupby(partials, ["norm"], merge_and_pick,
-                            buckets=cfg.alias_salt_buckets)
+def as_dataset(refs: list) -> rd.Dataset:
+    """A wave's output refs as a Dataset, without a pass over them."""
+    return rd.from_arrow_refs(refs) if refs else rd.from_items([])
+
+
+def build_surface_table(nodes: rd.Dataset, cfg: KGConfig) -> rd.Dataset:
+    """The surface wave (``surface_wave``) as a Dataset."""
+    return as_dataset(surface_wave(nodes, cfg)[0])
 
 
 # --- phase 2: MinHash/LSH blocking over distinct norms ----------------------
@@ -240,13 +262,7 @@ class LinkParams:
     typo_tier: bool = False
 
 
-def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
-    """Verify every candidate pair of one coarse bucket of ``(bucket, norm)``
-    rows in one pass: ``lsh.bucket_pairs`` (per band bucket the
-    ``p.max_bucket`` smallest distinct norms, ``norm_a < norm_b``, each
-    distinct pair once), scored with true Jaccard and kept at
-    ``p.jaccard_threshold``. Returns typed (norm_a, norm_b, jaccard)."""
-    a, b = lsh.bucket_pairs(df, "norm", p.max_bucket)
+def _scored_pairs(a: np.ndarray, b: np.ndarray, p: LinkParams) -> pa.Table:
     sh = {n: shingles(n) for n in pd.unique(np.concatenate([a, b]))}
     jac = np.fromiter((lsh.jaccard(sh[x], sh[y]) for x, y in zip(a, b)),
                       dtype=np.float64, count=len(a))
@@ -256,32 +272,58 @@ def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
                      "jaccard": pa.array(jac[keep], pa.float64())})
 
 
-def _candidate_pairs(surfaces: rd.Dataset, p: LinkParams) -> pd.DataFrame:
-    """LSH blocking: norm -> band keys -> ONE (band bucket) exchange ->
-    ``verify_bucket_pairs`` per coarse bucket, which drops singleton band
-    buckets and scores each distinct pair of the coarse bucket once. Returns
-    the (small) verified pair list."""
+def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
+    """Verify every candidate pair of one coarse bucket of ``(bucket, norm)``
+    rows in one pass: ``lsh.bucket_pairs`` (per band bucket the
+    ``p.max_bucket`` smallest distinct norms, ``norm_a < norm_b``, each
+    distinct pair once), scored with true Jaccard and kept at
+    ``p.jaccard_threshold``. Returns typed (norm_a, norm_b, jaccard)."""
+    return _scored_pairs(*lsh.bucket_pairs(df, "norm", p.max_bucket), p)
 
-    def to_buckets(t: pa.Table) -> pa.Table:
-        sigs = lsh.minhash_signatures(
-            [shingles(n) for n in t["norm"].to_pylist()],
-            *_link_perm(p.num_perm), mod=_MERSENNE)
-        rep = pa.array(np.repeat(np.arange(t.num_rows), p.bands))
-        return pa.table({"bucket": pa.array(
-                             lsh.band_keys(sigs, p.bands).ravel()),
-                         "norm": t["norm"].take(rep)})
 
-    from ..ops.agg import bucketed_groupby
+def _band_rows(p: LinkParams, *blocks: pa.Table) -> pa.Table:
+    """The band wave's map body over a group of surface blocks: MinHash
+    signatures -> one ``(bucket, norm)`` row per band of each norm, the
+    bucket an int64 band key."""
+    norms = pa.chunked_array([t["norm"] for t in blocks], pa.string())
+    sigs = lsh.minhash_signatures([shingles(n) for n in norms.to_pylist()],
+                                  *_link_perm(p.num_perm), mod=_MERSENNE)
+    rep = pa.array(np.repeat(np.arange(len(norms)), p.bands))
+    return pa.table({"bucket": pa.array(lsh.band_keys(sigs, p.bands).ravel()),
+                     "norm": norms.take(rep)})
 
-    pairs = bucketed_groupby(
-        surfaces.select_columns(["norm"])
-        .map_batches(to_buckets, batch_format="pyarrow"),
-        ["bucket"], lambda df: verify_bucket_pairs(df, p))
-    df = pairs.to_pandas()  # verified pairs only: tiny vs mention volume
-    if "norm_a" not in df.columns:  # no input rows -> schemaless frame
-        return pd.DataFrame(columns=["norm_a", "norm_b", "jaccard"])
+
+def _verify_band_bucket(p: LinkParams, _pid: int, tbl: pa.Table
+                        ) -> tuple[int, pa.Table]:
+    """The band wave's reduce: one coarse bucket -> (candidate pairs
+    scored, the Jaccard-verified pairs)."""
+    a, b = lsh.bucket_pairs(tbl.to_pandas(), "norm", p.max_bucket)
+    return len(a), _scored_pairs(a, b, p)
+
+
+def _candidate_pairs(surfaces: list, partial_bytes: int, p: LinkParams
+                     ) -> tuple[pd.DataFrame, int]:
+    """LSH blocking over the surface refs: the band wave's maps band the
+    norms in-task and route on the band key, and one ``verify`` task per
+    coarse bucket drops singleton band buckets and scores each distinct
+    pair of the bucket once. Returns the (small) verified pair list and
+    the number of candidate pairs scored.
+
+    Bucket count: ``auto_partitions`` over ``bands`` x the surface wave's
+    partial bytes, an upper bound of the band rows' bytes (a surface
+    row per partial row at most, and a band row is narrower than the
+    partial it came from)."""
+    refs, _, _ = exchange_refs(
+        surfaces, ["bucket"], auto_partitions(p.bands * partial_bytes),
+        functools.partial(_verify_band_bucket, p),
+        combine=functools.partial(_band_rows, p))
+    results = ray.get(refs)   # verified pairs only: tiny vs mention volume
+    if not results:           # no surface rows
+        return pd.DataFrame(columns=["norm_a", "norm_b", "jaccard"]), 0
+    df = pa.concat_tables([t for _, t in results]).to_pandas()
     # a pair colliding in band buckets of two coarse buckets arrives twice
-    return df.drop_duplicates(["norm_a", "norm_b"])
+    return (df.drop_duplicates(["norm_a", "norm_b"]),
+            sum(n for n, _ in results))
 
 
 def _typo_pairs(surfaces: rd.Dataset) -> pd.DataFrame:
@@ -322,34 +364,25 @@ def concat_frames(frames: list[pd.DataFrame]) -> pd.DataFrame:
                      ignore_index=True)
 
 
-def alias_parts(nodes: rd.Dataset, cfg: KGConfig,
-                link: LinkParams | None = None,
-                use_embed_scorer: bool = True
-                ) -> tuple[rd.Dataset, pd.DataFrame]:
-    """The linking pass behind every alias consumer: mention partials ->
-    surface table -> LSH candidate pairs -> (optional) embedding-cosine
-    verification -> union-find clusters. Returns the alias table (columns
-    ``ALIAS_COLS``, one row per distinct norm) in its two parts:
+def link_surfaces(nodes: rd.Dataset, cfg: KGConfig,
+                  link: LinkParams | None = None,
+                  use_embed_scorer: bool = True
+                  ) -> tuple[list, ray.ObjectRef, dict]:
+    """The linking waves behind every alias consumer: the surface wave ->
+    the band wave (LSH candidate pairs, Jaccard-verified) -> (optional)
+    embedding-cosine verification and typo tier -> union-find clusters.
 
-    * the UNCLUSTERED rows (singleton clusters, the overwhelming majority)
-      as a lazy per-block map over the materialized surface table — root =
-      the norm itself, so no shuffle;
-    * the CLUSTERED rows (members of a multi-norm cluster) as one driver
-      frame, empty when nothing clusters: they are bounded by 2x|verified
-      pairs|, already a driver-side quantity (the union-find ran on them),
-      so their per-root reduce is a driver groupby over a tiny frame.
-
-    The surface vocabulary is never collected on the driver: only the
-    verified pairs come back for the union-find, and its root map is
-    broadcast to the per-block maps. ``is_clustered`` marks the clustered
-    rows — the rewrite stage must always have those in its broadcast map;
-    everything else can fall back to identity hashing."""
+    Returns the surface block refs, a ref of ``(root map, clustered norm
+    set)`` for the alias wave (``alias_block``), and the counts
+    ``n_candidate_pairs`` (pairs scored) and ``n_verified_pairs``
+    (distinct pairs at the Jaccard threshold, before the scorer and the
+    typo tier). The surface vocabulary is never collected on the driver:
+    only the verified pairs come back, for the union-find."""
     link = link or LinkParams()
-    # materialize: consumed twice (candidate blocking + root assignment);
-    # vocabulary-sized but stays distributed in the object store
-    surfaces = build_surface_table(nodes, cfg).materialize()
-
-    pairs = _candidate_pairs(surfaces, link)
+    surfaces, partial_bytes = surface_wave(nodes, cfg)
+    pairs, n_candidates = _candidate_pairs(surfaces, partial_bytes, link)
+    counts = {"n_candidate_pairs": int(n_candidates),
+              "n_verified_pairs": len(pairs)}
 
     if use_embed_scorer and len(pairs):
         scorer_cls, scorer_kw = make_embed_scorer(cfg)
@@ -366,56 +399,119 @@ def alias_parts(nodes: rd.Dataset, cfg: KGConfig,
             ).to_pandas()
         pairs = scored[scored["cos_sim"] >= link.cosine_threshold]
 
-    if link.typo_tier:
+    if link.typo_tier and surfaces:
         pairs = concat_frames([pairs[["norm_a", "norm_b", "jaccard"]],
-                               _typo_pairs(surfaces)]
+                               _typo_pairs(as_dataset(surfaces))]
                               ).drop_duplicates(["norm_a", "norm_b"])
 
     root_of = lsh.union_find_roots(pairs["norm_a"], pairs["norm_b"])
-    clustered = frozenset(root_of)
-    root_ref = ray.put((root_of, clustered))
+    return surfaces, ray.put((root_of, frozenset(root_of))), counts
 
-    def unclustered_alias(df: pd.DataFrame) -> pd.DataFrame:
-        rmap, members = ray.get(root_ref)
-        # vectorized (a list-comprehension mask on an EMPTY batch would be
-        # df[[]] — column selection — and break the schema)
-        df = df[~df["norm"].isin(members)]
-        out = pd.DataFrame({
-            "norm": df["norm"].astype("string"),
-            "canonical_id": df["norm"].map(canonical_id_of).astype("string"),
-            "canonical_label": df["canonical_label"],
-            "cluster_mentions": df["n_mentions"].astype("int64"),
-        })
-        out["is_clustered"] = False
-        return arrow_out(out[ALIAS_COLS])
 
-    def clustered_rooted(df: pd.DataFrame) -> pa.Table:
-        rmap, members = ray.get(root_ref)
-        df = df[df["norm"].isin(members)]
-        return arrow_out(df.assign(
-            root=pd.Series([rmap.get(n, n) for n in df["norm"]],
-                           index=df.index, dtype="string")))
+def hot_partial(df: pd.DataFrame, cap: int) -> pd.DataFrame:
+    """One block's share of the rewrite broadcast: its clustered rows plus
+    its ``cap`` most-mentioned unclustered rows. ``hot_slice`` over every
+    block's partial keeps each norm counted above the global ``cap``-th
+    count; among norms tied at that count, the block layout decides."""
+    keep = df[df["is_clustered"]]
+    # top-k over UNCLUSTERED rows only: clustered rows are kept anyway,
+    # and letting them crowd the per-block top-k could evict globally
+    # hot unclustered norms from the broadcast
+    un = df[~df["is_clustered"]]
+    top = un.nlargest(min(cap, len(un)), "cluster_mentions")
+    return pd.concat([keep, top]).drop_duplicates("norm")[ALIAS_COLS]
 
-    def per_root(df: pd.DataFrame) -> pd.DataFrame:
-        # whole clusters in one frame; vectorized pick
-        df = df.sort_values(["n_mentions", "norm"], ascending=[False, True],
-                            kind="mergesort")
-        rep = df.groupby("root", sort=False)["canonical_label"].first()
-        tot = df.groupby("root", sort=False)["n_mentions"].sum()
-        out = (df[["norm", "root"]]
-               .merge(rep.rename("canonical_label"), on="root")
-               .merge(tot.rename("cluster_mentions"), on="root"))
-        out["canonical_id"] = out["root"].map(canonical_id_of).astype("string")
-        out["is_clustered"] = True
-        return out[ALIAS_COLS]
 
-    unclustered = surfaces.map_batches(unclustered_alias,
-                                       batch_format="pandas")
-    if not clustered:
-        return unclustered, pd.DataFrame(columns=ALIAS_COLS)
-    return unclustered, per_root(
-        surfaces.map_batches(clustered_rooted,
-                             batch_format="pandas").to_pandas())
+def hot_slice(parts: pd.DataFrame, cap: int) -> pd.DataFrame:
+    """The broadcast from concatenated ``hot_partial`` outputs (or a whole
+    alias table): every clustered row plus the ``cap`` hottest
+    unclustered ones."""
+    if "norm" not in parts.columns:
+        return pd.DataFrame(columns=ALIAS_COLS)
+    parts = parts.drop_duplicates("norm")
+    clustered = parts[parts["is_clustered"]]
+    hot = parts[~parts["is_clustered"]].nlargest(cap, "cluster_mentions")
+    return pd.concat([clustered, hot], ignore_index=True)
+
+
+@ray.remote(num_returns=3)
+def alias_block(block: pa.Table, roots: tuple[dict, frozenset], cap: int,
+                paths: tuple[str, str] | None = None):
+    """The alias wave, one task per surface block. Returns:
+
+    * the block's UNCLUSTERED alias rows (root = the norm itself) as an
+      Arrow table — or, given ``paths``, their row count after writing
+      them and their 1:1 canonical nodes (``unclustered_nodes``) as the
+      ``aliases`` and ``canonical_nodes`` part files ``paths``;
+    * its CLUSTERED surface rows with their ``root`` (``clustered_aliases``
+      reduces them per root on the driver);
+    * its ``hot_partial`` of the unclustered rows (``cap`` 0: empty)."""
+    rmap, members = roots
+    df = block.to_pandas()
+    # vectorized (a list-comprehension mask on an EMPTY block would be
+    # df[[]] — column selection — and break the schema)
+    member = df["norm"].isin(members)
+    un, cl = df[~member], df[member]
+    out = pd.DataFrame({
+        "norm": un["norm"].astype("string"),
+        "canonical_id": un["norm"].map(canonical_id_of).astype("string"),
+        "canonical_label": un["canonical_label"],
+        "cluster_mentions": un["n_mentions"].astype("int64"),
+    })
+    out["is_clustered"] = False
+    aliases = arrow_out(out[ALIAS_COLS])
+    rooted = arrow_out(cl.assign(root=pd.Series(
+        [rmap[n] for n in cl["norm"]], index=cl.index, dtype="string")))
+    alias_df = aliases.to_pandas()
+    hot = arrow_out(hot_partial(alias_df, cap))
+    if paths is None:
+        return aliases, rooted, hot
+    if aliases.num_rows:
+        pq.write_table(aliases, paths[0])
+        pq.write_table(unclustered_nodes(alias_df), paths[1])
+    return aliases.num_rows, rooted, hot
+
+
+def _per_root(df: pd.DataFrame) -> pd.DataFrame:
+    # whole clusters in one frame; vectorized pick
+    df = df.sort_values(["n_mentions", "norm"], ascending=[False, True],
+                        kind="mergesort")
+    rep = df.groupby("root", sort=False)["canonical_label"].first()
+    tot = df.groupby("root", sort=False)["n_mentions"].sum()
+    out = (df[["norm", "root"]]
+           .merge(rep.rename("canonical_label"), on="root")
+           .merge(tot.rename("cluster_mentions"), on="root"))
+    out["canonical_id"] = out["root"].map(canonical_id_of).astype("string")
+    out["is_clustered"] = True
+    return out[ALIAS_COLS]
+
+
+def clustered_aliases(rooted: list[pa.Table]) -> pd.DataFrame:
+    """The CLUSTERED alias rows (members of a multi-norm cluster) from the
+    alias wave's rooted rows: one driver frame, bounded by 2x|verified
+    pairs| (already a driver-side quantity: the union-find ran on them),
+    empty when nothing clusters."""
+    rooted = [t for t in rooted if t.num_rows]
+    if not rooted:
+        return pd.DataFrame(columns=ALIAS_COLS)
+    return _per_root(pa.concat_tables(rooted).to_pandas())
+
+
+def alias_parts(nodes: rd.Dataset, cfg: KGConfig,
+                link: LinkParams | None = None,
+                use_embed_scorer: bool = True
+                ) -> tuple[rd.Dataset, pd.DataFrame]:
+    """The alias table (columns ``ALIAS_COLS``, one row per distinct norm)
+    in its two parts, from ``link_surfaces`` and the alias wave without
+    writes: the UNCLUSTERED rows (singleton clusters, the overwhelming
+    majority) as a Dataset over the wave's blocks, and the CLUSTERED rows
+    as one driver frame (``clustered_aliases``). ``is_clustered`` marks
+    the clustered rows — the rewrite stage must always have those in its
+    broadcast map; everything else can fall back to identity hashing."""
+    surfaces, roots, _ = link_surfaces(nodes, cfg, link, use_embed_scorer)
+    outs = [alias_block.remote(s, roots, 0) for s in surfaces]
+    return (as_dataset([o[0] for o in outs]),
+            clustered_aliases(ray.get([o[1] for o in outs])))
 
 
 def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
@@ -440,41 +536,97 @@ def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
 
     Under the cap — a materialized ``alias`` whose row count (block
     metadata, no pass) is at most ``cap`` — the slice is the whole table,
-    collected as is. Above it, per-block top-``cap`` partials bound the
-    driver collect to clustered + cap x num_blocks rows, never the full
+    collected as is. Above it, per-block ``hot_partial``s bound the driver
+    collect to clustered + cap x num_blocks rows, never the full
     vocabulary."""
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        keep = df[df["is_clustered"]]
-        # top-k over UNCLUSTERED rows only: clustered rows are kept anyway,
-        # and letting them crowd the per-block top-k could evict globally
-        # hot unclustered norms from the broadcast
-        un = df[~df["is_clustered"]]
-        top = un.nlargest(min(cap, len(un)), "cluster_mentions")
-        return (pd.concat([keep, top]).drop_duplicates("norm")[ALIAS_COLS])
-
     if isinstance(alias, MaterializedDataset) and alias.count() <= cap:
         parts = alias.to_pandas()
     else:
-        parts = alias.map_batches(partial, batch_format="pandas").to_pandas()
-    if "norm" not in parts.columns:
-        return pd.DataFrame(columns=ALIAS_COLS)
-    parts = parts.drop_duplicates("norm")
-    clustered = parts[parts["is_clustered"]]
-    hot = parts[~parts["is_clustered"]].nlargest(cap, "cluster_mentions")
-    return pd.concat([clustered, hot], ignore_index=True)
+        parts = alias.map_batches(functools.partial(hot_partial, cap=cap),
+                                  batch_format="pandas").to_pandas()
+    return hot_slice(parts, cap)
 
 
 # --- phase 3: rewrite edges onto canonical ids + global dedup ---------------
 
+def _rewrite_and_count(alias_ref: ray.ObjectRef, batch: pa.Table) -> pa.Table:
+    """One block of edges -> per-block partial counts of canonical
+    (src, pred, dst, src_label, dst_label) rows."""
+    amap = ray.get(alias_ref)
+    counts: dict[tuple, int] = {}
+    for subj, pred, obj in zip(batch["subj"].to_pylist(),
+                               batch["pred"].to_pylist(),
+                               batch["obj"].to_pylist()):
+        if subj is None or obj is None:
+            continue    # null endpoint: no entity to canonicalize onto
+            # (the nodes-side partial skips null labels the same way)
+        sn, on = normalize_surface(subj), normalize_surface(obj)
+        s = amap.get(sn, (canonical_id_of(sn), subj))
+        o = amap.get(on, (canonical_id_of(on), obj))
+        key = (s[0], pred, o[0], s[1], o[1])
+        counts[key] = counts.get(key, 0) + 1
+    keys = list(counts)
+    return pa.table({
+        "canonical_src": pa.array([k[0] for k in keys], pa.string()),
+        "pred": pa.array([k[1] for k in keys], pa.string()),
+        "canonical_dst": pa.array([k[2] for k in keys], pa.string()),
+        "src_label": pa.array([k[3] for k in keys], pa.string()),
+        "dst_label": pa.array([k[4] for k in keys], pa.string()),
+        "weight": pa.array(list(counts.values()), pa.int64()),
+    })
+
+
+EDGE_KEYS = ["canonical_src", "pred", "canonical_dst"]
+_EDGE_KEYS5 = EDGE_KEYS + ["src_label", "dst_label"]
+
+
+def merge_edge_partials(_pid: int, tbl: pa.Table) -> pa.Table:
+    """The edge wave's reduce: one bucket of partials -> its canonical
+    edges. Aggregates per label pair FIRST (block-layout-independent
+    totals), then reduces to one row per triple: weight = sum over label
+    pairs, label pair = the heaviest (ties -> lexicographic min) — fully
+    deterministic, and identical to a plain 5-key sum whenever labels
+    really are functions of the ids (the in-broadcast regime)."""
+    df = tbl.to_pandas()
+    by_label = df.groupby(_EDGE_KEYS5, as_index=False, sort=False)["weight"].sum()
+    tot = by_label.groupby(EDGE_KEYS, as_index=False, sort=False)["weight"].sum()
+    rep = (by_label.sort_values(
+        ["weight", "src_label", "dst_label"],
+        ascending=[False, True, True], kind="mergesort")
+        .drop_duplicates(EDGE_KEYS)[_EDGE_KEYS5])
+    return pa.Table.from_pandas(
+        tot.merge(rep, on=EDGE_KEYS)[_EDGE_KEYS5 + ["weight"]],
+        preserve_index=False)
+
+
+def edge_wave(edges: rd.Dataset, broadcast: pd.DataFrame,
+              reduce_fn=merge_edge_partials) -> list:
+    """The edge wave: broadcast the ``broadcast`` alias rows (``ray.put``
+    once, read per task), rewrite and partially count each edge block, and
+    exchange the partials on the canonical TRIPLE (so every label variant
+    of it co-locates) into ``reduce_fn(pid, partials)`` per bucket.
+    Returns the reduce refs. The bucket count is auto-sized from the
+    partials' bytes, so the rewrite runs to completion before the map."""
+    alias_ref = ray.put({
+        n: (cid, clab) for n, cid, clab in zip(
+            broadcast["norm"], broadcast["canonical_id"],
+            broadcast["canonical_label"])
+    })
+    partials = edges.map_batches(
+        functools.partial(_rewrite_and_count, alias_ref),
+        batch_format="pyarrow")
+    return exchange_refs(partials, EDGE_KEYS, None, reduce_fn)[0]
+
+
 def canonicalize_edges(edges: rd.Dataset, alias: rd.Dataset | pd.DataFrame,
                        cfg: KGConfig) -> rd.Dataset:
     """Rewrite (subj, pred, obj) surface triples onto canonical entities and
-    aggregate to deduplicated weighted canonical edges.
+    aggregate to deduplicated weighted canonical edges (the ``edge_wave``
+    as a Dataset).
 
     Broadcast is FREQUENCY-THRESHOLDED: only the clustered norms (mandatory
     for unification) plus the ``cfg.broadcast_vocab_cap`` hottest unclustered
-    norms ride the object store (``ray.put`` once, read per task). The long
+    norms ride the object store. The long
     tail falls back to identity hashing — ``canonical_id_of(norm)`` is
     EXACTLY the id the alias table assigns an unclustered norm (root = the
     norm itself), so canonical ids never diverge; only the display label of
@@ -484,61 +636,11 @@ def canonicalize_edges(edges: rd.Dataset, alias: rd.Dataset | pd.DataFrame,
     the reduce groups on the canonical triple ONLY and picks each triple's
     label pair deterministically (max aggregated weight, ties broken
     lexicographically) — labels can never split a triple's weight (ADVICE
-    round 2). Partial counting inside map_batches again bounds the final
-    shuffle to distinct canonical triples per block."""
+    round 2). Partial counting per block again bounds the exchange to
+    distinct canonical triples per block."""
     if isinstance(alias, rd.Dataset):
         alias = hot_alias_frame(alias, cfg.broadcast_vocab_cap)
-    alias_ref = ray.put({
-        n: (cid, clab) for n, cid, clab in zip(
-            alias["norm"], alias["canonical_id"], alias["canonical_label"])
-    })
-
-    def rewrite_and_count(batch: pa.Table) -> pa.Table:
-        amap = ray.get(alias_ref)
-        counts: dict[tuple, int] = {}
-        for subj, pred, obj in zip(batch["subj"].to_pylist(),
-                                   batch["pred"].to_pylist(),
-                                   batch["obj"].to_pylist()):
-            if subj is None or obj is None:
-                continue    # null endpoint: no entity to canonicalize onto
-                # (the nodes-side partial skips null labels the same way)
-            sn, on = normalize_surface(subj), normalize_surface(obj)
-            s = amap.get(sn, (canonical_id_of(sn), subj))
-            o = amap.get(on, (canonical_id_of(on), obj))
-            key = (s[0], pred, o[0], s[1], o[1])
-            counts[key] = counts.get(key, 0) + 1
-        keys = list(counts)
-        return pa.table({
-            "canonical_src": pa.array([k[0] for k in keys], pa.string()),
-            "pred": pa.array([k[1] for k in keys], pa.string()),
-            "canonical_dst": pa.array([k[2] for k in keys], pa.string()),
-            "src_label": pa.array([k[3] for k in keys], pa.string()),
-            "dst_label": pa.array([k[4] for k in keys], pa.string()),
-            "weight": pa.array(list(counts.values()), pa.int64()),
-        })
-
-    from ..ops.agg import bucketed_groupby
-
-    partials = edges.map_batches(rewrite_and_count, batch_format="pyarrow")
-    keys3 = ["canonical_src", "pred", "canonical_dst"]
-    keys5 = keys3 + ["src_label", "dst_label"]
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # aggregate per label pair FIRST (block-layout-independent totals),
-        # then reduce to one row per triple: weight = sum over label pairs,
-        # label pair = the heaviest (ties -> lexicographic min) — fully
-        # deterministic, and identical to a plain 5-key sum whenever labels
-        # really are functions of the ids (the in-broadcast regime)
-        by_label = df.groupby(keys5, as_index=False, sort=False)["weight"].sum()
-        tot = by_label.groupby(keys3, as_index=False, sort=False)["weight"].sum()
-        rep = (by_label.sort_values(
-            ["weight", "src_label", "dst_label"],
-            ascending=[False, True, True], kind="mergesort")
-            .drop_duplicates(keys3)[keys3 + ["src_label", "dst_label"]])
-        return tot.merge(rep, on=keys3)[keys5 + ["weight"]]
-
-    # shuffle key = the TRIPLE, so every label variant of it co-locates
-    return bucketed_groupby(partials, keys3, merge)
+    return as_dataset(edge_wave(edges, alias))
 
 
 CANON_NODE_COLS = ["canonical_id", "canonical_label", "n_mentions",

@@ -566,16 +566,24 @@ def _job_tables(out: str, version: int = 1) -> dict[str, pd.DataFrame]:
     return {t: pd.read_parquet(f"{cdir}/{t}") for t in TABLES}
 
 
-@pytest.mark.parametrize("cap", [None, 40], ids=["default_cap", "cap40"])
+def _failing_loader():
+    raise RuntimeError("embed model failed to load")
+
+
+@pytest.mark.parametrize("case", ["default_cap", "cap40", "p1", "typo",
+                                  "link_fails"])
 def test_canonicalize_job_matches_public_composition(planted_lake, tmp_path,
-                                                     cap):
-    """``run_canonicalize_job`` and the public stages it shares its helpers
-    with — ``build_alias_table`` -> ``canonicalize_edges`` ->
-    ``canonical_nodes_table`` — give the same three tables, at the default
-    broadcast cap (the job collects the whole alias table) and with the cap
-    below the vocabulary (the top-``cap`` pass runs). The manifest counts
-    equal the rows on disk, and every part file carries the manifest's
-    ``schema_sig``."""
+                                                     case):
+    """``run_canonicalize_job`` and the public stages built from the same
+    waves — ``build_alias_table`` -> ``canonicalize_edges`` ->
+    ``canonical_nodes_table`` — give the same three tables: at the default
+    broadcast cap (the broadcast is the whole alias table), with the cap
+    below the vocabulary (the top-``cap`` partials decide), with one
+    surface bucket (P=1), and with the typo tier on. ``link_fails``: a job
+    whose embed model fails to load while linking raises before clearing
+    anything, so the committed tables and manifest of the run before it
+    survive and still read equal. The manifest counts equal the rows on
+    disk, and every part file carries the manifest's ``schema_sig``."""
     import glob
     from dataclasses import replace
 
@@ -584,20 +592,32 @@ def test_canonicalize_job_matches_public_composition(planted_lake, tmp_path,
     from ai_knowledgegraph_extractor_ray.pipelines import kg
     from ai_knowledgegraph_extractor_ray.state import schema_evo
 
-    cfg = KGConfig(num_partitions=4, alias_salt_buckets=4)
-    if cap is not None:
-        cfg = replace(cfg, broadcast_vocab_cap=cap)
+    cfg = KGConfig(num_partitions=4,
+                   alias_salt_buckets=1 if case == "p1" else 4)
+    if case == "cap40":
+        cfg = replace(cfg, broadcast_vocab_cap=40)
+    link = cz.LinkParams(typo_tier=True) if case == "typo" else None
     out = _fresh_lake(planted_lake, tmp_path / "lake")
-    summary = kg.run_canonicalize_job(out, cfg)
+    summary = kg.run_canonicalize_job(out, cfg, link=link)
+    if case == "link_fails":
+        manifest = tmp_path / "lake" / "version=1" / "canonical" / \
+            "_manifest.json"
+        committed = manifest.read_text()
+        with pytest.raises(RuntimeError, match="embed model"):
+            kg.run_canonicalize_job(
+                out, replace(cfg, extra={"embed_model_loader":
+                                         _failing_loader}), resume=False)
+        assert manifest.read_text() == committed
 
-    alias = cz.build_alias_table(kg.read_nodes(out, 1), cfg).materialize()
+    alias = cz.build_alias_table(kg.read_nodes(out, 1), cfg,
+                                 link).materialize()
     want = {"aliases": alias.to_pandas(),
             "canonical_nodes": cz.canonical_nodes_table(alias).to_pandas(),
             "canonical_edges": cz.canonicalize_edges(
                 kg.read_edges(out, 1), alias, cfg).to_pandas()}
     assert want["aliases"]["is_clustered"].sum() >= 4   # clusters planted
-    if cap is not None:
-        assert len(want["aliases"]) > cap
+    if case == "cap40":
+        assert len(want["aliases"]) > 40
 
     got = _job_tables(out)
     for t in TABLES:
@@ -607,6 +627,9 @@ def test_canonicalize_job_matches_public_composition(planted_lake, tmp_path,
     assert summary["n_aliases"] == len(got["aliases"])
     assert summary["n_canonical_entities"] == len(got["canonical_nodes"])
     assert summary["n_canonical_edges"] == len(got["canonical_edges"])
+    assert summary["n_clustered_norms"] == got["aliases"]["is_clustered"].sum()
+    assert (summary["n_candidate_pairs"] >= summary["n_verified_pairs"]
+            > 0)
     for t in TABLES:
         files = glob.glob(f"{out}/version=1/canonical/{t}/*.parquet")
         assert files, t
@@ -619,10 +642,16 @@ def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
     """Crash-matrix cell of the phase-2 commit: the manifest is gone, a
     torn ``_manifest.json.tmp`` is left behind and every canonical
     directory holds a foreign part. A ``resume=True`` rerun recommits
-    tables equal to a clean run's with no stale rows and correct counts."""
+    tables equal to a clean run's with no stale rows and correct counts.
+    Until it does, the canonical readers refuse the version rather than
+    read the uncommitted parts."""
     import json
 
     from ai_knowledgegraph_extractor_ray.pipelines import kg
+
+    readers = {"aliases": kg.read_aliases,
+               "canonical_nodes": kg.read_canonical_nodes,
+               "canonical_edges": kg.read_canonical_edges}
 
     cfg = KGConfig(num_partitions=4, alias_salt_buckets=4)
     clean_out = _fresh_lake(planted_lake, tmp_path / "clean")
@@ -639,6 +668,10 @@ def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
                              and not pd.api.types.is_numeric_dtype(df[c])}
                           ).to_parquet(cdir / t / "part-99999.parquet",
                                        index=False)
+    for t, read in readers.items():
+        for fn in (read, lambda o, v: kg.read_versions_harmonized(o, [v], t)):
+            with pytest.raises(FileNotFoundError, match="version.*1"):
+                fn(out, 1)
 
     again = kg.run_canonicalize_job(out, cfg)
     assert "resumed" not in again
@@ -650,4 +683,33 @@ def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
         cols = list(want[t].columns)
         assert _row_set(got[t], cols) == _row_set(want[t], cols), t
         assert not (got[t][cols[0]] == "stale").any(), t
+        assert _row_set(readers[t](out, 1).to_pandas(), cols) == \
+            _row_set(want[t], cols), t
     assert kg.run_canonicalize_job(out, cfg)["resumed"] is True
+
+
+def test_canonicalize_job_starts_two_ray_data_executions(planted_lake,
+                                                         tmp_path,
+                                                         monkeypatch):
+    """Phase 2's plan: the node read and the edge read are its only Ray
+    Data executions (default scorer, fewer than 10k pairs); every other
+    step is a task wave over object refs."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
+
+    out = _fresh_lake(planted_lake, tmp_path / "lake")
+    starts = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        starts.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    summary = kg.run_canonicalize_job(
+        out, KGConfig(num_partitions=4, alias_salt_buckets=4))
+    assert len(starts) == 2
+    assert 0 < summary["n_verified_pairs"] < 10_000
