@@ -46,8 +46,8 @@ def bucketed_groupby(partials: rd.Dataset, key_cols: list[str],
     guaranteed because a key's rows all land in one bucket).
 
     ``buckets=None`` (default) sizes the bucket count from the input's
-    actual bytes (``exchange.auto_partitions``): partial-aggregated inputs
-    get the minimum 8 buckets (fixed cost ~8 merge tasks, not 64), while
+    actual bytes (``exchange.auto_partitions``): a small partial-aggregated
+    input gets as few as one bucket (one merge task, not 64), while
     raw-row callers (as-of/range joins, sessionize) grow buckets with data
     volume instead of concentrating a fixed 1/64th of the corpus into one
     merge frame.

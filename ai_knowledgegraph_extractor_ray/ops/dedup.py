@@ -310,7 +310,8 @@ def _band_rows(t: pa.Table, *, text_col: str, id_col: str, num_perm: int,
     keys per document, from the MinHash of its word-``ngram`` shingles."""
     _check_num_perm(num_perm)
     sigs = lsh.minhash_signatures(
-        [word_ngrams(s or "", ngram) for s in t[text_col].to_pylist()],
+        *lsh.flat_sets([word_ngrams(s or "", ngram)
+                        for s in t[text_col].to_pylist()]),
         _PERM_A[:num_perm], _PERM_B[:num_perm])
     ids = np.repeat(t[id_col].to_numpy(zero_copy_only=False)
                     .astype(np.int64), bands)
@@ -397,10 +398,10 @@ def minhash_candidate_pairs(
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         a, b = lsh.bucket_pairs(df, id_col, max_bucket)
         texts = df.drop_duplicates(id_col).set_index(id_col)[text_col]
-        sh = {i: word_ngrams(s or "", ngram) for i, s in
-              texts.loc[pd.unique(np.concatenate([a, b]))].items()}
-        jac = np.fromiter((lsh.jaccard(sh[x], sh[y]) for x, y in zip(a, b)),
-                          dtype=np.float64, count=len(a))
+        used, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+        grams = lsh.csr_of_sets([word_ngrams(s or "", ngram)
+                                 for s in texts.loc[used]])
+        jac = lsh.pair_jaccard(*grams, inv[:len(a)], inv[len(a):])
         keep = jac >= threshold
         return pd.DataFrame({"id_a": pd.Series(a[keep], dtype="int64"),
                              "id_b": pd.Series(b[keep], dtype="int64"),

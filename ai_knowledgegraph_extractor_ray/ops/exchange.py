@@ -300,19 +300,23 @@ def hash_exchange_hierarchical(
 # event volume). 128 MiB of Arrow bytes per bucket leaves ~3x headroom for
 # the pandas conversion inside a 4 GiB worker heap (128 GiB / 32 slots).
 TARGET_PARTITION_BYTES = 128 << 20
-MIN_AUTO_PARTITIONS = 8
 MAX_AUTO_PARTITIONS = 4096
 
 
 def auto_partitions(total_bytes: int,
                     target_bytes: int = TARGET_PARTITION_BYTES) -> int:
-    """Two constraints: MEMORY (a partition's bytes must fit a worker
-    frame -> bytes/target ceiling) and PARALLELISM (merge tasks are often
-    compute-heavy — in-bucket pair verification, joins — so once the
-    input carries real work (> 1 MiB per core), the bucket count must not
-    drop below 2x the cluster's cores; measured: 8 buckets for a 100 MB
-    LSH-verify input serialized 32 cores to 8-wide, a 5x slowdown)."""
-    p = max(MIN_AUTO_PARTITIONS, -(-int(total_bytes) // int(target_bytes)))
+    """``max(1, ceil(bytes / target))``, raised to 2x the cluster's CPUs
+    once the input exceeds 1 MiB per CPU, capped at
+    ``MAX_AUTO_PARTITIONS`` with a warning. Two constraints: MEMORY (a
+    partition's bytes must fit a worker frame -> bytes/target ceiling) and
+    PARALLELISM (merge tasks are often compute-heavy — in-bucket pair
+    verification, joins — so once the input carries real work (> 1 MiB per
+    core), the bucket count must not drop below 2x the cluster's cores;
+    measured: 8 buckets for a 100 MB LSH-verify input serialized 32 cores
+    to 8-wide, a 5x slowdown). There is no fixed floor: an input below
+    the real-work threshold gets as few as one bucket, so it pays for one
+    task and one part file, not eight."""
+    p = max(1, -(-int(total_bytes) // int(target_bytes)))
     try:
         cpus = int(ray.cluster_resources().get("CPU", 0))
     except Exception:

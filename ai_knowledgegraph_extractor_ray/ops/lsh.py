@@ -1,7 +1,10 @@
 """MinHash-LSH pieces shared by entity linking (``stages/canonicalize``) and
 near-duplicate detection (``ops/dedup``): the batch signature kernel, int64
-band keys, the in-bucket candidate-pair generator, set Jaccard and the
-driver union-find.
+band keys, the in-bucket candidate-pair generator, the all-pairs exact
+Jaccard and the driver union-find. The kernels take sets in CSR form (one
+int64 ``indptr`` plus one flat uint64 array of each row's unique values,
+sorted within the row where the Jaccard needs it) and do no per-set or
+per-pair Python work.
 
 Callers keep what makes their outputs theirs: the shingling, the
 permutation table (and whether it reduces mod a prime or wraps mod 2^64),
@@ -21,25 +24,41 @@ from .agg import _splitmix64
 _EMPTY_SIG = np.iinfo(np.uint64).max
 
 
-def minhash_signatures(sets: Sequence[set[int]], a: np.ndarray, b: np.ndarray,
-                       mod: int | None = None) -> np.ndarray:
-    """(len(sets), len(a)) uint64 MinHash signatures: entry ``[i, j]`` is
-    the minimum over ``sets[i]`` of ``a[j] * x + b[j]``, reduced ``% mod``
-    when ``mod`` is given and wrapping mod 2^64 otherwise. An empty set's
-    row is all uint64 max.
-
-    Every shingle of the batch sits in one uint64 array, and each
-    permutation is one vectorized pass plus a per-set segment minimum, so
-    the working set is one uint64 per shingle (not a permutations x
-    shingles matrix)."""
+def flat_sets(sets: Sequence[set[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sets of non-negative ints as the int64 ``indptr`` (row ``i`` is
+    ``vals[indptr[i]:indptr[i + 1]]``) and one flat uint64 array of every
+    row's values in set iteration order: the input of
+    :func:`minhash_signatures`, which does not need sorted rows."""
     lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     vals = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.uint64,
                        count=int(lens.sum()))
-    sig = np.full((len(sets), len(a)), _EMPTY_SIG, dtype=np.uint64)
+    return np.concatenate([[0], np.cumsum(lens)]), vals
+
+
+def csr_of_sets(sets: Sequence[set[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`flat_sets` with each row's values sorted: the CSR form
+    :func:`pair_jaccard` needs."""
+    indptr, vals = flat_sets(sets)
+    rows = np.repeat(np.arange(len(sets)), np.diff(indptr))
+    return indptr, vals[np.lexsort((vals, rows))]
+
+
+def minhash_signatures(indptr: np.ndarray, vals: np.ndarray, a: np.ndarray,
+                       b: np.ndarray, mod: int | None = None) -> np.ndarray:
+    """(rows, len(a)) uint64 MinHash signatures of the sets ``(indptr,
+    vals)`` (:func:`flat_sets`; rows need not be sorted): entry ``[i, j]`` is the minimum over row ``i`` of ``a[j] * x +
+    b[j]``, reduced ``% mod`` when ``mod`` is given and wrapping mod 2^64
+    otherwise. An empty row is all uint64 max.
+
+    Each permutation is one vectorized pass over ``vals`` plus a per-row
+    segment minimum, so the working set is one uint64 per shingle (not a
+    permutations x shingles matrix)."""
+    lens = np.diff(indptr)
+    sig = np.full((len(lens), len(a)), _EMPTY_SIG, dtype=np.uint64)
     if not vals.size:
         return sig
     nonempty = lens > 0
-    starts = (np.cumsum(lens) - lens)[nonempty]
+    starts = indptr[:-1][nonempty]
     with np.errstate(over="ignore"):
         for j in range(len(a)):
             h = a[j] * vals + b[j]
@@ -79,30 +98,78 @@ def band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:
     return h.view(np.int64)
 
 
+def _segments(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``arange(s, s + n)`` of ``zip(starts,
+    lens)``, in one vectorized pass."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) - np.repeat(ends - lens - starts, lens)
+
+
 def bucket_pairs(df: pd.DataFrame, id_col: str,
                  max_bucket: int) -> tuple[np.ndarray, np.ndarray]:
     """Candidate pairs of a frame of ``(bucket, id_col)`` rows, each
     distinct pair once however many buckets it shares: per bucket the
     ``max_bucket`` smallest distinct ids (the degenerate-bucket guard;
-    buckets with one distinct id give nothing), self-joined on ``bucket``
-    into ``a < b`` pairs. Returns the aligned ``(a, b)`` id arrays."""
-    df = (df[["bucket", id_col]].drop_duplicates()
-          .sort_values(id_col, kind="mergesort"))
-    by_bucket = df.groupby("bucket", sort=False)[id_col]
-    df = df[(by_bucket.transform("size") >= 2)
-            & (by_bucket.cumcount() < max_bucket)]
-    m = df.merge(df, on="bucket")
-    x, y = f"{id_col}_x", f"{id_col}_y"
-    m = m.loc[m[x] < m[y], [x, y]].drop_duplicates()
-    return m[x].to_numpy(), m[y].to_numpy()
+    buckets with one distinct id give nothing), paired into ``a < b``.
+    Returns the aligned ``(a, b)`` id arrays, sorted by ``(a, b)``.
+
+    Runs on integer codes: ids are factorized in sort order, so code
+    order is id order and the cap keeps the same ids; the distinct
+    ``(bucket, id)`` rows come out of one ``np.unique`` grouped by bucket
+    in id order, and each kept row pairs with the kept rows after it."""
+    ids, uniq = pd.factorize(df[id_col].to_numpy(), sort=True)
+    bucket, _ = pd.factorize(df["bucket"].to_numpy())
+    n = max(len(uniq), 1)
+    bucket, ids = np.divmod(np.unique(bucket.astype(np.int64) * n + ids), n)
+    starts = np.flatnonzero(np.r_[True, bucket[1:] != bucket[:-1]])
+    sizes = np.diff(np.r_[starts, len(ids)])
+    keep = np.where(sizes >= 2, np.minimum(sizes, max_bucket), 0)
+    kept = _segments(starts, keep)
+    later = np.repeat(starts + keep, keep) - kept - 1
+    left = np.repeat(kept, later)
+    right = _segments(kept + 1, later)
+    a, b = np.divmod(np.unique(ids[left] * n + ids[right]), n)
+    return uniq[a], uniq[b]
 
 
 def jaccard(a: set, b: set) -> float:
-    """|a & b| / |a | b|; two empty sets are identical (1.0)."""
+    """|a & b| / |a | b|; two empty sets are identical (1.0). The
+    reference for :func:`pair_jaccard`."""
     if not a and not b:
         return 1.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
+
+
+def pair_jaccard(indptr: np.ndarray, vals: np.ndarray, a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """Exact Jaccard of the CSR rows ``a[i]`` and ``b[i]`` for every pair
+    ``i`` as float64 (two empty rows: 1.0), each row sorted and free of
+    duplicates (``csr_of_sets``, ``canonicalize.shingle_csr``). It divides
+    the same integers as :func:`jaccard`, so the results are bit-equal.
+
+    Values are ranked densely and keyed ``pair * ranks + rank``: the b
+    rows' keys are then sorted, and one ``searchsorted`` of the a rows'
+    keys finds every pair's common values at once."""
+    lens = np.diff(indptr)
+    distinct, rank = np.unique(vals, return_inverse=True)
+    width = max(len(distinct), 1)
+
+    def keys(rows: np.ndarray) -> np.ndarray:
+        n = lens[rows]
+        return (np.repeat(np.arange(len(rows), dtype=np.int64) * width, n)
+                + rank[_segments(indptr[:-1][rows], n)])
+
+    ka, kb = keys(a), keys(b)
+    hit = np.zeros(len(ka), dtype=bool)
+    if len(kb):
+        hit = kb[np.minimum(np.searchsorted(kb, ka), len(kb) - 1)] == ka
+    inter = np.bincount(np.repeat(np.arange(len(a)), lens[a])[hit],
+                        minlength=len(a))
+    union = lens[a] + lens[b] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 1.0)
 
 
 def union_find_roots(a: Iterable, b: Iterable) -> dict:

@@ -534,7 +534,11 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
     the linking counts (``n_candidate_pairs``, ``n_verified_pairs``,
     ``n_clustered_norms``), and the manifest, written last via a tmp file
     and a rename, is the commit point: a rerun clears any output it does
-    not cover."""
+    not cover. ``n_candidate_pairs`` counts the pairs scored per coarse
+    band bucket: a pair whose band buckets fall in several coarse buckets
+    is scored in each, so the count depends on the band wave's bucket
+    count, which ``ops/exchange.auto_partitions`` sizes from the bytes and
+    the cluster's CPUs; the tables do not."""
     import hashlib
     import json
     import shutil

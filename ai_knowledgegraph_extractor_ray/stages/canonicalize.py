@@ -17,20 +17,26 @@ Dataset functions wrap the same waves' refs with ``from_arrow_refs``:
   |distinct variants| rows per block, never one row per mention — this is
   what defuses hot-key skew (a surface form appearing in 30% of
   conversations contributes one partial row per block, not millions of
-  mention rows); ``alias_salt_buckets`` sets the merge fan-out. Each
-  bucket's surface block stays in the object store as a ref.
+  mention rows); ``alias_salt_buckets`` sets the merge fan-out. The
+  partial is an Arrow ``group_by`` count per label, normalized once per
+  distinct label. Each bucket's surface block stays in the object store
+  as a ref.
 * **LSH blocking over *distinct norms*, not mentions (the band wave).** The
   MinHash-LSH pieces are the ones near-dedup uses (``ops/lsh.py``); this
   module keeps its char-3-gram shingles and its own permutation table,
-  reduced mod 2^61 - 1. The band wave's maps sign and band whole surface
-  blocks in-task into int64 keys and route on them; each coarse bucket is
-  verified in one vectorized pass: ``lsh.bucket_pairs`` drops singleton
-  band buckets and yields each distinct pair of the coarse bucket once
-  however many of its bands collide, so the pair is scored once with true
-  Jaccard (then with an embedding-cosine score from a hash-feature scorer,
-  on the driver below 10k pairs and in an actor pool above). Band buckets
-  are size-capped: a degenerate bucket degrades to "no link" for the norms
-  past the cap instead of an O(n^2) blowup.
+  reduced mod 2^61 - 1. Every step runs on whole columns, with no Python
+  loop per norm or per pair: ``shingle_csr`` shingles a column of norms
+  into CSR form (offsets plus sorted crc32s), ``lsh.minhash_signatures``
+  signs the CSR rows and ``lsh.band_keys`` bands them into int64 keys, all
+  in the band wave's maps, which route on the keys. Each coarse bucket is
+  verified in one pass over integer codes of its norms (factorized in
+  string order): ``lsh.bucket_pairs`` drops singleton band buckets and
+  yields each distinct pair of the coarse bucket once however many of its
+  bands collide, and ``lsh.pair_jaccard`` scores all of them with exact
+  Jaccard at once (then an embedding-cosine score from a hash-feature
+  scorer runs on the driver below 10k pairs and in an actor pool above).
+  Band buckets are size-capped: a degenerate bucket degrades to "no link"
+  for the norms past the cap instead of an O(n^2) blowup.
 * **Cluster merge is the driver-side ``lsh.union_find_roots`` over
   verified PAIRS** (tiny: bounded by sum of bucket-pair counts), never
   over mentions or the full vocabulary; unlike near-dedup there is no
@@ -42,17 +48,20 @@ Dataset functions wrap the same waves' refs with ``from_arrow_refs``:
   nodes in-task, and only the block's pair-bounded CLUSTERED rows and its
   top-``broadcast_vocab_cap`` partial come back. The driver reduces the
   clustered rows per root into one frame, which feeds the aliases, the
-  canonical nodes and the rewrite broadcast. The broadcast via
-  ``ray.put`` is FREQUENCY-THRESHOLDED — clustered norms plus the
-  ``broadcast_vocab_cap`` hottest unclustered ones, which below the cap is
-  the whole table — and the long tail falls back to identity hashing
-  (which yields the identical canonical id for unclustered norms). A
-  shuffle join on surface form would move the (large) edge table for the
-  benefit of the (small) alias side.
+  canonical nodes and the rewrite broadcast. The broadcast, one Arrow
+  table ``ray.put`` once, is FREQUENCY-THRESHOLDED — clustered norms plus
+  the ``broadcast_vocab_cap`` hottest unclustered ones, which below the
+  cap is the whole table — and the long tail falls back to identity
+  hashing (which yields the identical canonical id for unclustered
+  norms). A shuffle join on surface form would move the (large) edge
+  table for the benefit of the (small) alias side.
 * **Canonical edge dedup (the edge wave)** is the same partial-count trick
   keyed on the canonical (src, pred, dst) triple; ``weight`` = number of
   supporting extractions, matching the north star's "deduplicated edge
-  IDs".
+  IDs". Each edge block is rewritten as a vectorized hash join against
+  the broadcast: its labels are dictionary-encoded, normalized once per
+  distinct label and looked up with ``pc.index_in``, and the rewritten
+  rows are counted with an Arrow ``group_by``.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ from ray.data.dataset import MaterializedDataset
 from ..config import KGConfig
 from ..ops import lsh
 from ..ops.exchange import auto_partitions, exchange_refs
+from ..ops.hashing import crc32_column
 
 _WS = re.compile(r"\s+")
 
@@ -91,24 +101,25 @@ def canonical_id_of(cluster_key: str) -> str:
 
 # --- phase 1: mention partials ----------------------------------------------
 
+def _normalize_distinct(labels: pa.Array) -> pa.Array:
+    """``normalize_surface`` of every value of a null-free string column
+    whose values are distinct (one Python call per value)."""
+    return pa.array(map(normalize_surface, labels.to_pylist()), pa.string())
+
+
 def _mention_partials(batch: pa.Table) -> pa.Table:
     """Collapse one block of node rows to (norm, label) -> count partials
     (the combiner: a hot surface form leaves the block as ONE row — this
     per-block partial IS the hot-key defense; no extra salt column is
     needed because a key contributes at most one row per block per
-    variant)."""
-    labels = batch["label"].to_pylist()
-    counts: dict[tuple[str, str], int] = {}
-    for lab in labels:
-        if lab is None:
-            continue
-        key = (normalize_surface(lab), lab)
-        counts[key] = counts.get(key, 0) + 1
-    return pa.table({
-        "norm": pa.array([k[0] for k in counts], pa.string()),
-        "label": pa.array([k[1] for k in counts], pa.string()),
-        "cnt": pa.array(list(counts.values()), pa.int64()),
-    })
+    variant). The norm is a function of the label, so the block is
+    counted per label and normalized per distinct label."""
+    labels = batch["label"].cast(pa.string())
+    counts = (pa.table({"label": labels}).filter(pc.is_valid(labels))
+              .group_by("label").aggregate([([], "count_all")]))
+    return pa.table({"norm": _normalize_distinct(counts["label"]),
+                     "label": counts["label"],
+                     "cnt": counts["count_all"].cast(pa.int64())})
 
 
 def _pick_variant(df: pd.DataFrame) -> pd.DataFrame:
@@ -157,8 +168,41 @@ def build_surface_table(nodes: rd.Dataset, cfg: KGConfig) -> rd.Dataset:
 # --- phase 2: MinHash/LSH blocking over distinct norms ----------------------
 
 def shingles(norm: str, k: int = 3) -> set[int]:
+    """crc32s of the k-grams of ``" norm "`` (the whole padded string when
+    it is shorter than k): the per-norm reference for ``shingle_csr``."""
     s = f" {norm} "
     return {zlib.crc32(s[i:i + k].encode()) for i in range(max(1, len(s) - k + 1))}
+
+
+def shingle_csr(norms: pa.Array | pa.ChunkedArray, k: int = 3
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``shingles`` of every norm of a null-free string column at once, in
+    the CSR form of ``lsh.csr_of_sets`` (row i = norm i, values sorted).
+
+    Gram j of every norm with more than j grams is one
+    ``pc.utf8_slice_codeunits`` call over the padded column — it counts
+    code points, as Python slicing does — so the loop runs once per gram
+    position, never per norm; the grams are hashed by one
+    ``hashing.crc32_column`` call and deduplicated per norm by one
+    ``np.unique`` of ``row << 32 | crc``."""
+    if not len(norms):
+        return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+    padded = pc.binary_join_element_wise(" ", norms, " ", "")
+    if isinstance(padded, pa.ChunkedArray):
+        padded = padded.combine_chunks()
+    n_grams = np.maximum(pc.utf8_length(padded).to_numpy() - (k - 1), 1)
+    order = np.argsort(-n_grams, kind="stable")          # most grams first
+    padded, fewer = padded.take(order), -n_grams[order]  # fewer: ascending
+    grams, rows = [], []
+    for j in range(int(n_grams.max())):
+        live = int(np.searchsorted(fewer, -j))        # norms with > j grams
+        grams.append(pc.utf8_slice_codeunits(padded.slice(0, live), j, j + k))
+        rows.append(order[:live])
+    key = np.unique((np.concatenate(rows).astype(np.uint64) << np.uint64(32))
+                    | crc32_column(pa.chunked_array(grams)))
+    indptr = np.searchsorted((key >> np.uint64(32)).astype(np.int64),
+                             np.arange(len(order) + 1))
+    return indptr, key & np.uint64(0xFFFFFFFF)
 
 
 _MERSENNE = 2**61 - 1
@@ -199,10 +243,13 @@ class HashEmbedScorer(_PairScorer):
         self.dim = dim
 
     def _embed_batch(self, texts: list[str]) -> np.ndarray:
+        # sums of +-1.0 are exact in float32, so the order is immaterial
+        indptr, sh = shingle_csr(pa.array(texts, pa.string()))
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for i, t in enumerate(texts):
-            for sh in shingles(t):
-                out[i, sh % self.dim] += 1.0 if (sh >> 16) & 1 else -1.0
+        np.add.at(out, (np.repeat(np.arange(len(texts)), np.diff(indptr)),
+                        (sh % np.uint64(self.dim)).astype(np.intp)),
+                  np.where((sh >> np.uint64(16)) & np.uint64(1), 1.0,
+                           -1.0).astype(np.float32))
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         np.divide(out, norms, out=out, where=norms > 0)
         return out
@@ -262,14 +309,30 @@ class LinkParams:
     typo_tier: bool = False
 
 
-def _scored_pairs(a: np.ndarray, b: np.ndarray, p: LinkParams) -> pa.Table:
-    sh = {n: shingles(n) for n in pd.unique(np.concatenate([a, b]))}
-    jac = np.fromiter((lsh.jaccard(sh[x], sh[y]) for x, y in zip(a, b)),
-                      dtype=np.float64, count=len(a))
+def _pair_jaccard(norms: np.ndarray, a: np.ndarray, b: np.ndarray
+                  ) -> np.ndarray:
+    """Exact shingle Jaccard of the norm pairs ``(norms[a[i]],
+    norms[b[i]])``; only the norms that are in a pair get shingled."""
+    used, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    return lsh.pair_jaccard(*shingle_csr(pa.array(norms[used], pa.string())),
+                            inv[:len(a)], inv[len(a):])
+
+
+def _verified_pairs(bucket: np.ndarray, norm: np.ndarray, p: LinkParams
+                    ) -> tuple[int, pa.Table]:
+    """Every candidate pair of a set of ``(bucket, norm)`` rows, scored
+    once: norms are factorized in sort order (code order is string order,
+    so ``p.max_bucket`` caps the same norms), ``lsh.bucket_pairs`` pairs
+    the codes and ``_pair_jaccard`` scores them. Returns the number of
+    pairs scored and the pairs at ``p.jaccard_threshold``."""
+    codes, norms = pd.factorize(norm, sort=True)
+    a, b = lsh.bucket_pairs(pd.DataFrame({"bucket": bucket, "norm": codes}),
+                            "norm", p.max_bucket)
+    jac = _pair_jaccard(norms, a, b)
     keep = jac >= p.jaccard_threshold
-    return pa.table({"norm_a": pa.array(a[keep], pa.string()),
-                     "norm_b": pa.array(b[keep], pa.string()),
-                     "jaccard": pa.array(jac[keep], pa.float64())})
+    return len(a), pa.table({"norm_a": pa.array(norms[a[keep]], pa.string()),
+                             "norm_b": pa.array(norms[b[keep]], pa.string()),
+                             "jaccard": pa.array(jac[keep], pa.float64())})
 
 
 def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
@@ -278,7 +341,8 @@ def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
     ``p.max_bucket`` smallest distinct norms, ``norm_a < norm_b``, each
     distinct pair once), scored with true Jaccard and kept at
     ``p.jaccard_threshold``. Returns typed (norm_a, norm_b, jaccard)."""
-    return _scored_pairs(*lsh.bucket_pairs(df, "norm", p.max_bucket), p)
+    return _verified_pairs(df["bucket"].to_numpy(), df["norm"].to_numpy(),
+                           p)[1]
 
 
 def _band_rows(p: LinkParams, *blocks: pa.Table) -> pa.Table:
@@ -286,7 +350,7 @@ def _band_rows(p: LinkParams, *blocks: pa.Table) -> pa.Table:
     signatures -> one ``(bucket, norm)`` row per band of each norm, the
     bucket an int64 band key."""
     norms = pa.chunked_array([t["norm"] for t in blocks], pa.string())
-    sigs = lsh.minhash_signatures([shingles(n) for n in norms.to_pylist()],
+    sigs = lsh.minhash_signatures(*shingle_csr(norms),
                                   *_link_perm(p.num_perm), mod=_MERSENNE)
     rep = pa.array(np.repeat(np.arange(len(norms)), p.bands))
     return pa.table({"bucket": pa.array(lsh.band_keys(sigs, p.bands).ravel()),
@@ -297,8 +361,8 @@ def _verify_band_bucket(p: LinkParams, _pid: int, tbl: pa.Table
                         ) -> tuple[int, pa.Table]:
     """The band wave's reduce: one coarse bucket -> (candidate pairs
     scored, the Jaccard-verified pairs)."""
-    a, b = lsh.bucket_pairs(tbl.to_pandas(), "norm", p.max_bucket)
-    return len(a), _scored_pairs(a, b, p)
+    return _verified_pairs(tbl["bucket"].to_numpy(),
+                           tbl["norm"].to_numpy(zero_copy_only=False), p)
 
 
 def _candidate_pairs(surfaces: list, partial_bytes: int, p: LinkParams
@@ -312,7 +376,10 @@ def _candidate_pairs(surfaces: list, partial_bytes: int, p: LinkParams
     Bucket count: ``auto_partitions`` over ``bands`` x the surface wave's
     partial bytes, an upper bound of the band rows' bytes (a surface
     row per partial row at most, and a band row is narrower than the
-    partial it came from)."""
+    partial it came from): one bucket below 1 MiB of that bound per CPU,
+    2x the cluster's CPUs above it. A pair whose band buckets fall in several coarse
+    buckets is scored in each, so the returned count depends on the
+    bucket count."""
     refs, _, _ = exchange_refs(
         surfaces, ["bucket"], auto_partitions(p.bands * partial_bytes),
         functools.partial(_verify_band_bucket, p),
@@ -336,8 +403,9 @@ def _typo_pairs(surfaces: rd.Dataset) -> pd.DataFrame:
                            col="norm").to_pandas()
     if "norm_a" not in fz.columns or not len(fz):
         return pd.DataFrame(columns=["norm_a", "norm_b", "jaccard"])
-    fz["jaccard"] = [lsh.jaccard(shingles(a), shingles(b))
-                     for a, b in zip(fz["norm_a"], fz["norm_b"])]
+    codes, norms = pd.factorize(np.concatenate([fz["norm_a"].to_numpy(),
+                                                 fz["norm_b"].to_numpy()]))
+    fz["jaccard"] = _pair_jaccard(norms, codes[:len(fz)], codes[len(fz):])
     return fz
 
 
@@ -549,35 +617,47 @@ def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
 
 # --- phase 3: rewrite edges onto canonical ids + global dedup ---------------
 
-def _rewrite_and_count(alias_ref: ray.ObjectRef, batch: pa.Table) -> pa.Table:
-    """One block of edges -> per-block partial counts of canonical
-    (src, pred, dst, src_label, dst_label) rows."""
-    amap = ray.get(alias_ref)
-    counts: dict[tuple, int] = {}
-    for subj, pred, obj in zip(batch["subj"].to_pylist(),
-                               batch["pred"].to_pylist(),
-                               batch["obj"].to_pylist()):
-        if subj is None or obj is None:
-            continue    # null endpoint: no entity to canonicalize onto
-            # (the nodes-side partial skips null labels the same way)
-        sn, on = normalize_surface(subj), normalize_surface(obj)
-        s = amap.get(sn, (canonical_id_of(sn), subj))
-        o = amap.get(on, (canonical_id_of(on), obj))
-        key = (s[0], pred, o[0], s[1], o[1])
-        counts[key] = counts.get(key, 0) + 1
-    keys = list(counts)
-    return pa.table({
-        "canonical_src": pa.array([k[0] for k in keys], pa.string()),
-        "pred": pa.array([k[1] for k in keys], pa.string()),
-        "canonical_dst": pa.array([k[2] for k in keys], pa.string()),
-        "src_label": pa.array([k[3] for k in keys], pa.string()),
-        "dst_label": pa.array([k[4] for k in keys], pa.string()),
-        "weight": pa.array(list(counts.values()), pa.int64()),
-    })
-
-
+BROADCAST_COLS = ["norm", "canonical_id", "canonical_label"]
 EDGE_KEYS = ["canonical_src", "pred", "canonical_dst"]
 _EDGE_KEYS5 = EDGE_KEYS + ["src_label", "dst_label"]
+
+
+def _canonical_ends(amap: pa.Table, labels: pa.Array
+                    ) -> tuple[pa.ChunkedArray, pa.ChunkedArray]:
+    """(canonical id, canonical label) of every row of a null-free label
+    column: the broadcast row of the label's norm (``pc.index_in``) or, on
+    a miss, the norm's identity id and the row's own label. Works per
+    distinct label: ``normalize_surface`` runs once for each, and
+    ``canonical_id_of`` once for each that misses."""
+    enc = labels.dictionary_encode()
+    norms = _normalize_distinct(enc.dictionary)
+    pos = pc.index_in(norms, value_set=amap["norm"])
+    miss = pos.is_null().to_numpy(zero_copy_only=False)
+    fallback = pa.array([canonical_id_of(n) if m else None for n, m in
+                         zip(norms.to_pylist(), miss)], pa.string())
+    cid = pc.coalesce(amap["canonical_id"].take(pos), fallback)
+    clab = pc.coalesce(amap["canonical_label"].take(pos), enc.dictionary)
+    return cid.take(enc.indices), clab.take(enc.indices)
+
+
+def _rewrite_and_count(alias_ref: ray.ObjectRef, batch: pa.Table) -> pa.Table:
+    """One block of edges -> per-block partial counts of canonical
+    (src, pred, dst, src_label, dst_label) rows. Rows with a null endpoint
+    have no entity to canonicalize onto and are dropped (the nodes-side
+    partial skips null labels the same way); both endpoints go through one
+    ``_canonical_ends`` call."""
+    batch = batch.filter(pc.and_(pc.is_valid(batch["subj"]),
+                                 pc.is_valid(batch["obj"])))
+    n = batch.num_rows
+    cid, clab = _canonical_ends(ray.get(alias_ref), pa.concat_arrays(
+        [batch[c].cast(pa.string()).combine_chunks() for c in ("subj", "obj")]))
+    counts = pa.table({
+        "canonical_src": cid[:n], "pred": batch["pred"].cast(pa.string()),
+        "canonical_dst": cid[n:], "src_label": clab[:n],
+        "dst_label": clab[n:],
+    }).group_by(_EDGE_KEYS5).aggregate([([], "count_all")])
+    return pa.table({**{c: counts[c] for c in _EDGE_KEYS5},
+                     "weight": counts["count_all"].cast(pa.int64())})
 
 
 def merge_edge_partials(_pid: int, tbl: pa.Table) -> pa.Table:
@@ -601,17 +681,15 @@ def merge_edge_partials(_pid: int, tbl: pa.Table) -> pa.Table:
 
 def edge_wave(edges: rd.Dataset, broadcast: pd.DataFrame,
               reduce_fn=merge_edge_partials) -> list:
-    """The edge wave: broadcast the ``broadcast`` alias rows (``ray.put``
-    once, read per task), rewrite and partially count each edge block, and
-    exchange the partials on the canonical TRIPLE (so every label variant
-    of it co-locates) into ``reduce_fn(pid, partials)`` per bucket.
-    Returns the reduce refs. The bucket count is auto-sized from the
-    partials' bytes, so the rewrite runs to completion before the map."""
-    alias_ref = ray.put({
-        n: (cid, clab) for n, cid, clab in zip(
-            broadcast["norm"], broadcast["canonical_id"],
-            broadcast["canonical_label"])
-    })
+    """The edge wave: broadcast the ``broadcast`` alias rows (one row per
+    norm) as an Arrow table of ``BROADCAST_COLS`` (``ray.put`` once, read
+    per task), rewrite and partially count each edge block, and exchange
+    the partials on the canonical TRIPLE (so every label variant of it
+    co-locates) into ``reduce_fn(pid, partials)`` per bucket. Returns the
+    reduce refs. The bucket count is auto-sized from the partials' bytes,
+    so the rewrite runs to completion before the map."""
+    alias_ref = ray.put(pa.table({c: pa.array(broadcast[c], pa.string())
+                                  for c in BROADCAST_COLS}))
     partials = edges.map_batches(
         functools.partial(_rewrite_and_count, alias_ref),
         batch_format="pyarrow")

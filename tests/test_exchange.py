@@ -285,17 +285,23 @@ def test_exchange_dataset_pandas_nullable_upstream():
     assert vals == {("a", 1), ("a", 4), ("b", None), ("c", 3)}
 
 
-def test_auto_partitions_scales_with_bytes():
+def test_auto_partitions_scales_with_bytes(monkeypatch):
+    """``max(1, ceil(bytes / 128 MiB))``, raised to 2x the CPUs above
+    1 MiB per CPU: no floor beyond one bucket; above the cap a warning."""
+    import ray
+
     from ai_knowledgegraph_extractor_ray.ops.exchange import (
         MAX_AUTO_PARTITIONS,
-        MIN_AUTO_PARTITIONS,
         auto_partitions,
     )
-    assert auto_partitions(0) == MIN_AUTO_PARTITIONS
-    assert auto_partitions(1 << 20) == MIN_AUTO_PARTITIONS
-    assert auto_partitions(100 << 30) == (100 << 30) // (128 << 20)
-    with pytest.warns(ResourceWarning):
-        assert auto_partitions(1 << 50) == MAX_AUTO_PARTITIONS
+    for cpus, small in ((1, 2), (32, 1)):
+        monkeypatch.setattr(ray, "cluster_resources",
+                            lambda cpus=cpus: {"CPU": cpus})
+        assert auto_partitions(0) == 1
+        assert auto_partitions(3 << 20) == small
+        assert auto_partitions(100 << 30) == 800
+        with pytest.warns(ResourceWarning):
+            assert auto_partitions(1 << 50) == MAX_AUTO_PARTITIONS == 4096
 
 
 def test_bucketed_groupby_auto_buckets_results_identical():

@@ -149,25 +149,99 @@ def _phase2_perm():
 def test_minhash_kernel_matches_per_set_reference(table):
     """The one batch kernel equals the per-set reference under both
     callers' permutation tables (phase 2 reduces mod 2^61 - 1, dedup wraps
-    mod 2^64), with empty sets anywhere in the batch."""
+    mod 2^64), with empty sets anywhere in the batch, on rows in set order
+    (``flat_sets``, near-dedup's input) and sorted (``csr_of_sets``)."""
     a, b, mod = (_phase2_perm() if table == "phase2"
                  else (dedup._PERM_A[:128], dedup._PERM_B[:128], None))
     rng = np.random.RandomState(5)
     sets = [set(), {0}, {2**32 - 1}, set()] + [
         set(rng.randint(0, 2**32, size=rng.randint(0, 50)).tolist())
         for _ in range(200)] + [set()]
-    got = lsh.minhash_signatures(sets, a, b, mod)
     want = np.stack([lsh.minhash_signature(s, a, b, mod) for s in sets])
-    assert got.dtype == np.uint64 and (got == want).all()
-    assert (got[0] == np.iinfo(np.uint64).max).all()
-    assert lsh.minhash_signatures([set(), set()], a, b, mod).shape == \
-        (2, len(a))
+    for to_csr in (lsh.flat_sets, lsh.csr_of_sets):
+        got = lsh.minhash_signatures(*to_csr(sets), a, b, mod)
+        assert got.dtype == np.uint64 and (got == want).all()
+        assert (got[0] == np.iinfo(np.uint64).max).all()
+        assert lsh.minhash_signatures(*to_csr([set(), set()]), a, b,
+                                      mod).shape == (2, len(a))
 
 
 def test_jaccard_of_two_empty_sets_is_one():
     assert lsh.jaccard(set(), set()) == 1.0
     assert lsh.jaccard({1}, set()) == 0.0
     assert lsh.jaccard({1, 2}, {2, 3}) == 1 / 3
+
+
+def test_pair_jaccard_equals_per_pair_jaccard():
+    """The all-pairs kernel is bit-equal (float64) to ``lsh.jaccard`` per
+    pair: empty rows, identical rows, self-pairs, values past 2^32, and
+    the phase-2 shingle sets of random norms."""
+    from ai_knowledgegraph_extractor_ray.stages import canonicalize as cz
+
+    rng = np.random.RandomState(8)
+    sets = [set(), set(), {2**63 + 5}] + [
+        set((rng.randint(0, 60, size=rng.randint(0, 30)).astype(np.uint64)
+             * np.uint64(2**40)).tolist())
+        for _ in range(300)]
+    norms = ["", "a", "acme corp", "acme corpp"] + [
+        "".join(rng.choice(list("abcé漢 "), size=rng.randint(0, 15)))
+        for _ in range(300)]
+    for csr, rows in ((lsh.csr_of_sets(sets), sets),
+                      (cz.shingle_csr(pa.array(norms)),
+                       [cz.shingles(n) for n in norms])):
+        a = rng.randint(0, len(rows), size=20_000)
+        b = rng.randint(0, len(rows), size=20_000)
+        a[:3], b[:3] = [0, 0, 5], [1, 2, 5]
+        want = np.array([lsh.jaccard(rows[x], rows[y])
+                         for x, y in zip(a, b)], dtype=np.float64)
+        got = lsh.pair_jaccard(*csr, a, b)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert lsh.pair_jaccard(*csr, a[:0], b[:0]).shape == (0,)
+
+
+def _bucket_pairs_pandas(df: pd.DataFrame, id_col: str,
+                         max_bucket: int) -> set:
+    """The pandas implementation ``lsh.bucket_pairs`` replaced: a
+    self-merge on ``bucket`` of each bucket's ``max_bucket`` smallest
+    distinct ids (buckets of one distinct id dropped)."""
+    df = (df[["bucket", id_col]].drop_duplicates()
+          .sort_values(id_col, kind="mergesort"))
+    by_bucket = df.groupby("bucket", sort=False)[id_col]
+    df = df[(by_bucket.transform("size") >= 2)
+            & (by_bucket.cumcount() < max_bucket)]
+    m = df.merge(df, on="bucket")
+    x, y = f"{id_col}_x", f"{id_col}_y"
+    m = m.loc[m[x] < m[y], [x, y]].drop_duplicates()
+    return set(zip(m[x], m[y]))
+
+
+@pytest.mark.parametrize("ids", ["int", "str"])
+def test_bucket_pairs_matches_pandas_reference(ids):
+    """The numpy pair generator equals the pandas merge reference: random
+    buckets with duplicate rows and singletons under caps of 1, 2, 5 and
+    64, with int ids and with string ids inserted out of sort order (the
+    cap keeps the smallest ids, not the first seen). Pairs come out sorted
+    by (a, b), once each."""
+    import random
+    rng = random.Random(4)
+    for trial in range(40):
+        pool = [rng.randrange(10**6) for _ in range(rng.randint(1, 80))]
+        if ids == "str":
+            pool = [f"{rng.choice('zyxé')}{v}" for v in pool]
+        df = pd.DataFrame({
+            "bucket": [rng.randrange(-5, 12) * 2**40
+                       for _ in range(rng.randint(0, 400))]})
+        df["id"] = [rng.choice(pool) for _ in range(len(df))]
+        if ids == "int":
+            df["id"] = df["id"].astype("int64")
+        for cap in (1, 2, 5, 64):
+            a, b = lsh.bucket_pairs(df, "id", cap)
+            got = list(zip(a.tolist(), b.tolist()))
+            assert got == sorted(set(got)), (trial, cap)
+            assert set(got) == _bucket_pairs_pandas(df, "id", cap), \
+                (trial, cap)
+    a, b = lsh.bucket_pairs(pd.DataFrame({"bucket": [], "id": []}), "id", 8)
+    assert len(a) == len(b) == 0
 
 
 def _near_variants(n):
