@@ -10,10 +10,10 @@ Scale shapes:
   blocking (LSH bands / simhash bit-bands / hyperplane signs), verified
   inside the bucket, so the all-pairs comparison never happens globally.
   Candidate-pair volume is the scaling knob: band counts and bucket caps
-  bound it. The MinHash signature kernel, band keys, in-bucket pair
-  generator, Jaccard and union-find are shared with entity linking
-  (``ops/lsh.py``); this module keeps its word-n-gram shingles and its own
-  permutation table. Clusters are resolved over *verified pairs* (not
+  bound it. The MinHash permutation table and signature kernel, band
+  keys, in-bucket pair generator, Jaccard and union-find are shared with
+  entity linking (``ops/lsh.py``); this module keeps its word-n-gram
+  shingles. Clusters are resolved over *verified pairs* (not
   rows): union-find on the driver up to ``_DRIVER_PAIRS_MAX`` pairs,
   ``ops/cc.py`` above it (see ``drop_pair_clusters``).
 """
@@ -21,6 +21,7 @@ Scale shapes:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import zlib
 
 import numpy as np
@@ -287,32 +288,13 @@ def decontaminate(corpus: rd.Dataset, test_ds: rd.Dataset, *,
     return corpus.map_batches(keep, batch_format="pyarrow")
 
 
-# Wraparound multiply-add hash family: an ODD multiplier is a bijection of
-# Z_2^64, so min over (a*x + b) mod 2^64 is a valid minwise hash — and the
-# implicit mod-2^64 is free, unlike the % (2^61-1) reduction it replaces
-# (the uint64 modulo was the single hottest kernel in the dedup stack).
-_rng = np.random.RandomState(0x5EED)
-_PERM_A = (_rng.randint(1, 2**62, size=256).astype(np.uint64) << np.uint64(1)) | np.uint64(1)
-_PERM_B = _rng.randint(0, 2**62, size=256).astype(np.uint64)
-
-
-def _check_num_perm(num_perm: int) -> None:
-    if num_perm > len(_PERM_A):
-        raise ValueError(
-            f"num_perm={num_perm} exceeds the {len(_PERM_A)}-entry "
-            "permutation table; signatures would silently truncate and "
-            "every band past the table would collide globally")
-
-
 def _band_rows(t: pa.Table, *, text_col: str, id_col: str, num_perm: int,
                bands: int, ngram: int) -> pa.Table:
     """A block's slim LSH rows: ``(bucket, id_col)``, ``bands`` int64 band
     keys per document, from the MinHash of its word-``ngram`` shingles."""
-    _check_num_perm(num_perm)
     sigs = lsh.minhash_signatures(
         *lsh.flat_sets([word_ngrams(s or "", ngram)
-                        for s in t[text_col].to_pylist()]),
-        _PERM_A[:num_perm], _PERM_B[:num_perm])
+                        for s in t[text_col].to_pylist()]), num_perm)
     ids = np.repeat(t[id_col].to_numpy(zero_copy_only=False)
                     .astype(np.int64), bands)
     return pa.table({"bucket": pa.array(lsh.band_keys(sigs, bands).ravel()),
@@ -851,17 +833,24 @@ def dedup_against_index(new_ds: rd.Dataset, index_path: str,
         if sub.num_rows == 0:
             return empty
         o2n, gnew = ray.get(cand_ref)
-        olds, news, jac = [], [], []
-        for oid, s in zip(sub[id_col].to_pylist(),
-                          sub[text_col].to_pylist()):
-            go = word_ngrams(s or "", ngram)
-            for nid in o2n[int(oid)]:
-                jv = lsh.jaccard(go, gnew[nid])
-                if jv >= threshold:
-                    olds.append(oid); news.append(nid); jac.append(jv)
-        return pa.table({"old_id": pa.array(olds, pa.int64()),
-                         "new_id": pa.array(news, pa.int64()),
-                         "jaccard": pa.array(jac, pa.float64())})
+        # one pair per (old row, candidate) in row order, then candidate
+        # order; rows 0..n-1 of the CSR are the old rows, then the new
+        # candidates' gram sets in id order
+        oids = sub[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        news = [o2n[int(oid)] for oid in oids]
+        counts = np.fromiter(map(len, news), dtype=np.int64, count=len(news))
+        nid = np.fromiter(itertools.chain.from_iterable(news), dtype=np.int64,
+                          count=int(counts.sum()))
+        used = np.unique(nid)
+        a = np.repeat(np.arange(len(oids)), counts)
+        b = len(oids) + np.searchsorted(used, nid)
+        jac = lsh.pair_jaccard(*lsh.csr_of_sets(
+            [word_ngrams(s or "", ngram) for s in sub[text_col].to_pylist()]
+            + [gnew[int(x)] for x in used]), a, b)
+        keep = jac >= threshold
+        return pa.table({"old_id": pa.array(oids[a[keep]]),
+                         "new_id": pa.array(nid[keep]),
+                         "jaccard": pa.array(jac[keep], pa.float64())})
 
     return corpus.map_batches(verify, batch_format="pyarrow")
 

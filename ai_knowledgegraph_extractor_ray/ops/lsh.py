@@ -1,14 +1,14 @@
 """MinHash-LSH pieces shared by entity linking (``stages/canonicalize``) and
-near-duplicate detection (``ops/dedup``): the batch signature kernel, int64
-band keys, the in-bucket candidate-pair generator, the all-pairs exact
-Jaccard and the driver union-find. The kernels take sets in CSR form (one
-int64 ``indptr`` plus one flat uint64 array of each row's unique values,
-sorted within the row where the Jaccard needs it) and do no per-set or
-per-pair Python work.
+near-duplicate detection (``ops/dedup``): the one permutation table and the
+batch signature kernel over it, int64 band keys, the in-bucket
+candidate-pair generator, the all-pairs exact Jaccard and the driver
+union-find. The kernels take sets in CSR form (one int64 ``indptr`` plus
+one flat uint64 array of each row's unique values, sorted within the row
+where the Jaccard needs it) and do no per-set or per-pair Python work.
 
-Callers keep what makes their outputs theirs: the shingling, the
-permutation table (and whether it reduces mod a prime or wraps mod 2^64),
-the thresholds and the pipeline around these pieces.
+Callers keep what makes their outputs theirs: the shingling, the number of
+permutations and bands, the thresholds and the pipeline around these
+pieces.
 """
 
 from __future__ import annotations
@@ -22,6 +22,24 @@ import pandas as pd
 from .agg import _splitmix64
 
 _EMPTY_SIG = np.iinfo(np.uint64).max
+
+# The permutation table: ``(a * x + b) mod 2^64`` with an ODD multiplier,
+# a bijection of Z_2^64, so the minimum over a set is a valid minwise hash,
+# and the mod 2^64 is the free uint64 wraparound. ``a`` is a random odd
+# number below 2^63, so ``a * x`` wraps many times even for 32-bit shingles
+# and the permutations order them independently (fixed seed: signatures
+# must agree across workers).
+_rng = np.random.RandomState(0x5EED)
+_PERM_A = (_rng.randint(1, 2**62, size=256).astype(np.uint64) << np.uint64(1)) | np.uint64(1)
+_PERM_B = _rng.randint(0, 2**62, size=256).astype(np.uint64)
+
+
+def _check_num_perm(num_perm: int) -> None:
+    if num_perm > len(_PERM_A):
+        raise ValueError(
+            f"num_perm={num_perm} exceeds the {len(_PERM_A)}-entry "
+            "permutation table; signatures would silently truncate and "
+            "every band past the table would collide globally")
 
 
 def flat_sets(sets: Sequence[set[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -43,43 +61,41 @@ def csr_of_sets(sets: Sequence[set[int]]) -> tuple[np.ndarray, np.ndarray]:
     return indptr, vals[np.lexsort((vals, rows))]
 
 
-def minhash_signatures(indptr: np.ndarray, vals: np.ndarray, a: np.ndarray,
-                       b: np.ndarray, mod: int | None = None) -> np.ndarray:
-    """(rows, len(a)) uint64 MinHash signatures of the sets ``(indptr,
-    vals)`` (:func:`flat_sets`; rows need not be sorted): entry ``[i, j]`` is the minimum over row ``i`` of ``a[j] * x +
-    b[j]``, reduced ``% mod`` when ``mod`` is given and wrapping mod 2^64
-    otherwise. An empty row is all uint64 max.
+def minhash_signatures(indptr: np.ndarray, vals: np.ndarray,
+                       num_perm: int) -> np.ndarray:
+    """(rows, num_perm) uint64 MinHash signatures of the sets ``(indptr,
+    vals)`` (:func:`flat_sets`; rows need not be sorted): entry ``[i, j]``
+    is the minimum over row ``i`` of ``_PERM_A[j] * x + _PERM_B[j]`` mod
+    2^64. An empty row is all uint64 max. Raises ``ValueError`` past the
+    table's 256 permutations.
 
     Each permutation is one vectorized pass over ``vals`` plus a per-row
     segment minimum, so the working set is one uint64 per shingle (not a
     permutations x shingles matrix)."""
+    _check_num_perm(num_perm)
     lens = np.diff(indptr)
-    sig = np.full((len(lens), len(a)), _EMPTY_SIG, dtype=np.uint64)
+    sig = np.full((len(lens), num_perm), _EMPTY_SIG, dtype=np.uint64)
     if not vals.size:
         return sig
     nonempty = lens > 0
     starts = indptr[:-1][nonempty]
     with np.errstate(over="ignore"):
-        for j in range(len(a)):
-            h = a[j] * vals + b[j]
-            if mod is not None:
-                h %= np.uint64(mod)
-            sig[nonempty, j] = np.minimum.reduceat(h, starts)
+        for j in range(num_perm):
+            sig[nonempty, j] = np.minimum.reduceat(
+                _PERM_A[j] * vals + _PERM_B[j], starts)
     return sig
 
 
-def minhash_signature(sh: set[int], a: np.ndarray, b: np.ndarray,
-                      mod: int | None = None) -> np.ndarray:
+def minhash_signature(sh: set[int], num_perm: int) -> np.ndarray:
     """Per-set reference for :func:`minhash_signatures` (one full
     permutations x shingles matrix); tests compare the kernel against it."""
+    _check_num_perm(num_perm)
     if not sh:
-        return np.full(len(a), _EMPTY_SIG, dtype=np.uint64)
+        return np.full(num_perm, _EMPTY_SIG, dtype=np.uint64)
     vals = np.fromiter(sh, dtype=np.uint64, count=len(sh))
     with np.errstate(over="ignore"):
-        prod = a[:, None] * vals[None, :] + b[:, None]
-    if mod is not None:
-        prod %= np.uint64(mod)
-    return prod.min(axis=1)
+        return (_PERM_A[:num_perm, None] * vals[None, :]
+                + _PERM_B[:num_perm, None]).min(axis=1)
 
 
 def band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:

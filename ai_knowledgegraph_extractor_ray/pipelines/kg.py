@@ -448,10 +448,14 @@ def read_versions_harmonized(out_dir: str, versions: list[int],
 
 
 def _stamp_version(version: int, t: pa.Table) -> pa.Table:
+    """``t`` with the int32 ``version`` column and no schema metadata: the
+    files' ``pandas`` metadata is a dict, which pyarrow hashes when Ray
+    Data dedups block schemas, and that fails on every block."""
     if "version" in t.column_names:
         t = t.drop_columns(["version"])
     return t.append_column("version", pa.array(
-        np.full(t.num_rows, version, dtype=np.int32)))
+        np.full(t.num_rows, version, dtype=np.int32))
+    ).replace_schema_metadata(None)
 
 
 def schema_report(out_dir: str) -> pd.DataFrame:

@@ -22,21 +22,21 @@ Dataset functions wrap the same waves' refs with ``from_arrow_refs``:
   distinct label. Each bucket's surface block stays in the object store
   as a ref.
 * **LSH blocking over *distinct norms*, not mentions (the band wave).** The
-  MinHash-LSH pieces are the ones near-dedup uses (``ops/lsh.py``); this
-  module keeps its char-3-gram shingles and its own permutation table,
-  reduced mod 2^61 - 1. Every step runs on whole columns, with no Python
-  loop per norm or per pair: ``shingle_csr`` shingles a column of norms
-  into CSR form (offsets plus sorted crc32s), ``lsh.minhash_signatures``
-  signs the CSR rows and ``lsh.band_keys`` bands them into int64 keys, all
-  in the band wave's maps, which route on the keys. Each coarse bucket is
-  verified in one pass over integer codes of its norms (factorized in
-  string order): ``lsh.bucket_pairs`` drops singleton band buckets and
-  yields each distinct pair of the coarse bucket once however many of its
-  bands collide, and ``lsh.pair_jaccard`` scores all of them with exact
-  Jaccard at once (then an embedding-cosine score from a hash-feature
-  scorer runs on the driver below 10k pairs and in an actor pool above).
-  Band buckets are size-capped: a degenerate bucket degrades to "no link"
-  for the norms past the cap instead of an O(n^2) blowup.
+  MinHash-LSH pieces are the ones near-dedup uses (``ops/lsh.py``), its
+  permutation table included; this module keeps its char-3-gram shingles,
+  its 32 permutations in 8 bands and its thresholds. Every step runs on
+  whole columns, with no Python loop per norm or per pair: ``shingle_csr``
+  shingles a column of norms into CSR form (offsets plus sorted crc32s),
+  ``lsh.minhash_signatures`` signs the CSR rows and ``lsh.band_keys`` bands
+  them into int64 keys, all in the band wave's maps, which route on the
+  keys. Each coarse bucket is verified in one pass over integer codes of its
+  norms (factorized in string order): ``lsh.bucket_pairs`` drops singleton
+  band buckets and yields each distinct pair of the coarse bucket once
+  however many of its bands collide, and ``lsh.pair_jaccard`` scores all of
+  them with exact Jaccard at once (then an embedding-cosine score from a
+  hash-feature scorer runs on the driver below 10k pairs and in an actor
+  pool above). Band buckets are size-capped: a degenerate bucket degrades to
+  "no link" for the norms past the cap instead of an O(n^2) blowup.
 * **Cluster merge is the driver-side ``lsh.union_find_roots`` over
   verified PAIRS** (tiny: bounded by sum of bucket-pair counts), never
   over mentions or the full vocabulary; unlike near-dedup there is no
@@ -205,19 +205,6 @@ def shingle_csr(norms: pa.Array | pa.ChunkedArray, k: int = 3
     return indptr, key & np.uint64(0xFFFFFFFF)
 
 
-_MERSENNE = 2**61 - 1
-
-
-@functools.lru_cache(maxsize=None)
-def _link_perm(num_perm: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase 2's MinHash permutation table, ``(a * x + b) % (2^61 - 1)``
-    (fixed seed: signatures must agree across workers)."""
-    rng = np.random.RandomState(0xC0FFEE)
-    a = rng.randint(1, 2**31 - 1, size=num_perm).astype(np.uint64)
-    b = rng.randint(0, 2**31 - 1, size=num_perm).astype(np.uint64)
-    return a, b
-
-
 class _PairScorer:
     """Shared per-batch body of the embed-scorer actor pool (stage A4):
     embed both sides, append the pair cosine. Subclasses provide
@@ -297,6 +284,8 @@ def make_embed_scorer(cfg: KGConfig) -> tuple[type, dict]:
 
 @dataclass(frozen=True)
 class LinkParams:
+    # at most the 256 permutations of ``lsh``'s table: the band wave
+    # raises ValueError past that, as near-dedup does
     num_perm: int = 32
     bands: int = 8            # 8 bands x 4 rows: ~Jaccard 0.5+ candidates
     jaccard_threshold: float = 0.66
@@ -350,8 +339,7 @@ def _band_rows(p: LinkParams, *blocks: pa.Table) -> pa.Table:
     signatures -> one ``(bucket, norm)`` row per band of each norm, the
     bucket an int64 band key."""
     norms = pa.chunked_array([t["norm"] for t in blocks], pa.string())
-    sigs = lsh.minhash_signatures(*shingle_csr(norms),
-                                  *_link_perm(p.num_perm), mod=_MERSENNE)
+    sigs = lsh.minhash_signatures(*shingle_csr(norms), p.num_perm)
     rep = pa.array(np.repeat(np.arange(len(norms)), p.bands))
     return pa.table({"bucket": pa.array(lsh.band_keys(sigs, p.bands).ravel()),
                      "norm": norms.take(rep)})
@@ -738,29 +726,21 @@ def unclustered_nodes(df: pd.DataFrame) -> pa.Table:
     return arrow_out(out[CANON_NODE_COLS])
 
 
-def _canonical_nodes_merge(df: pd.DataFrame) -> pd.DataFrame:
-    g = df.groupby(["canonical_id", "canonical_label"], sort=False)
-    out = g.agg(n_mentions=("cluster_mentions", "max"),
-                n_aliases=("norm", "nunique")).reset_index()
-    return out.sort_values("canonical_id", kind="mergesort").reset_index(drop=True)
-
-
 def clustered_nodes(clustered: pd.DataFrame) -> pa.Table:
     """Canonical nodes of the CLUSTERED alias rows: the cross-row reduce
     per entity, driver-side (the rows are pair-bounded)."""
-    return arrow_out(_canonical_nodes_merge(
-        clustered.drop(columns="is_clustered"))[CANON_NODE_COLS])
+    out = (clustered.groupby(["canonical_id", "canonical_label"], sort=False)
+           .agg(n_mentions=("cluster_mentions", "max"),
+                n_aliases=("norm", "nunique")).reset_index()
+           .sort_values("canonical_id", kind="mergesort"))
+    return arrow_out(out[CANON_NODE_COLS])
 
 
-def canonical_nodes_table(alias: rd.Dataset | pd.DataFrame):
-    """Distinct canonical entities (id, label, total mentions, n_aliases).
-    Dataset in -> Dataset out; DataFrame in -> DataFrame out. Same
-    split-stream shape as the alias build: ``unclustered_nodes`` per block
-    plus ``clustered_nodes`` over the collected clustered rows."""
-    if isinstance(alias, pd.DataFrame):
-        return _canonical_nodes_merge(alias.drop(columns="is_clustered",
-                                                 errors="ignore"))
-
+def canonical_nodes_table(alias: rd.Dataset) -> rd.Dataset:
+    """Distinct canonical entities (id, label, total mentions, n_aliases)
+    of an alias table. Same split-stream shape as the alias build:
+    ``unclustered_nodes`` per block plus ``clustered_nodes`` over the
+    collected clustered rows."""
     def clustered_only(t):
         # Arrow in/out: a pandas filter here returned empty object-dtype
         # blocks that Ray's size estimator warns on ("vectorize on size 0

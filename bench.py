@@ -441,25 +441,27 @@ def main() -> None:
     ap.add_argument("--cpus", default="8,32",
                     help="comma pair for --scaling, e.g. 2,8")
     args = ap.parse_args()
-    # Host-state stamp: this box's first-touch of fresh memory drifts
-    # 0.06s-13s+ within a day (BASELINE.md "host pathology") and
-    # selectively collapses wide legs; recording it WITH the numbers lets
-    # a reader judge whether a regression is code or environment.
-    # Healthy < ~0.3 s.
-    import time as _time
+    # Host stamp, the one perfbench writes: the first touch of fresh
+    # memory drifts 0.06 s to 13 s+ within a day on some hosts
+    # (BASELINE.md "host pathology") and selectively collapses wide legs;
+    # recording it WITH the numbers lets a reader judge whether a
+    # regression is code or environment.
+    import ray
 
-    import numpy as _np
-    _a = _np.ones(200_000_000, dtype=_np.uint8)
-    _t0 = _time.perf_counter()
-    _a.copy()
-    host_first_touch_s = round(_time.perf_counter() - _t0, 3)
-    del _a
+    from perfbench.run import (
+        DEGRADED_FIRST_TOUCH_S,
+        host_first_touch_s,
+        nproc,
+    )
+    host = {"nproc": nproc(), "ray": ray.__version__,
+            "host_first_touch_s": round(host_first_touch_s(), 3)}
+    host["degraded_host"] = host["host_first_touch_s"] > DEGRADED_FIRST_TOUCH_S
     if args.scaling:
         lo, hi = (int(x) for x in args.cpus.split(","))
         result = run_scaling(SF_DIR, (lo, hi))
     else:
         result = run_benchmarks(SF_DIR, NUM_CPUS, kg_only=args.kg_only)
-    result["host_first_touch_s"] = host_first_touch_s
+    result.update(host)
     full_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "bench_full.json")
     try:

@@ -24,9 +24,8 @@ def test_normalize_surface():
 
 
 def _link_sig(norm: str, num_perm: int = 32) -> np.ndarray:
-    """Per-norm reference signature over phase 2's permutation table."""
-    return lsh.minhash_signature(cz.shingles(norm), *cz._link_perm(num_perm),
-                                 mod=cz._MERSENNE)
+    """Per-norm reference signature of phase 2's shingles."""
+    return lsh.minhash_signature(cz.shingles(norm), num_perm)
 
 
 def test_minhash_identical_and_disjoint():
@@ -53,13 +52,12 @@ def test_band_keys_batch_matches_per_norm():
     norms = ["", "a", "é", "漢字 ü", "x" * 200, "y" * 200] + [
         "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         for _ in range(500)]
-    got = lsh.minhash_signatures(*cz.shingle_csr(pa.array(norms)),
-                                 *cz._link_perm(32), mod=cz._MERSENNE)
+    got = lsh.minhash_signatures(*cz.shingle_csr(pa.array(norms)), 32)
     want = np.stack([_link_sig(n) for n in norms])
     assert got.dtype == np.uint64 and (got == want).all()
     assert (lsh.band_keys(got, 8) == lsh.band_keys(want, 8)).all()
     empty = lsh.minhash_signatures(*cz.shingle_csr(pa.array([], pa.string())),
-                                   *cz._link_perm(32), mod=cz._MERSENNE)
+                                   32)
     assert empty.shape == (0, 32) and lsh.band_keys(empty, 8).shape == (0, 8)
 
 

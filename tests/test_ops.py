@@ -140,30 +140,84 @@ def test_simhash_pairs():
     assert (0, 2) not in got
 
 
-def _phase2_perm():
-    from ai_knowledgegraph_extractor_ray.stages import canonicalize as cz
-    return (*cz._link_perm(32), cz._MERSENNE)
-
-
 @pytest.mark.parametrize("table", ["phase2", "dedup"])
 def test_minhash_kernel_matches_per_set_reference(table):
-    """The one batch kernel equals the per-set reference under both
-    callers' permutation tables (phase 2 reduces mod 2^61 - 1, dedup wraps
-    mod 2^64), with empty sets anywhere in the batch, on rows in set order
-    (``flat_sets``, near-dedup's input) and sorted (``csr_of_sets``)."""
-    a, b, mod = (_phase2_perm() if table == "phase2"
-                 else (dedup._PERM_A[:128], dedup._PERM_B[:128], None))
+    """The one batch kernel equals the per-set reference at both callers'
+    signature widths (phase 2: 32 permutations, of values below 2^32 like
+    its crc32 shingles; dedup: 128, of values over the whole uint64
+    range), with empty sets anywhere in the batch, on rows in set order
+    (``flat_sets``, near-dedup's input) and sorted (``csr_of_sets``); past
+    the table's 256 permutations both raise."""
+    num_perm, top = (32, 2**32) if table == "phase2" else (128, 2**64)
     rng = np.random.RandomState(5)
-    sets = [set(), {0}, {2**32 - 1}, set()] + [
-        set(rng.randint(0, 2**32, size=rng.randint(0, 50)).tolist())
+    sets = [set(), {0}, {top - 1}, set()] + [
+        set(rng.randint(0, top, size=rng.randint(0, 50),
+                        dtype=np.uint64).tolist())
         for _ in range(200)] + [set()]
-    want = np.stack([lsh.minhash_signature(s, a, b, mod) for s in sets])
+    want = np.stack([lsh.minhash_signature(s, num_perm) for s in sets])
     for to_csr in (lsh.flat_sets, lsh.csr_of_sets):
-        got = lsh.minhash_signatures(*to_csr(sets), a, b, mod)
+        got = lsh.minhash_signatures(*to_csr(sets), num_perm)
         assert got.dtype == np.uint64 and (got == want).all()
         assert (got[0] == np.iinfo(np.uint64).max).all()
-        assert lsh.minhash_signatures(*to_csr([set(), set()]), a, b,
-                                      mod).shape == (2, len(a))
+        assert lsh.minhash_signatures(*to_csr([set(), set()]),
+                                      num_perm).shape == (2, num_perm)
+    with pytest.raises(ValueError, match="256-entry"):
+        lsh.minhash_signatures(*lsh.flat_sets(sets), 257)
+    with pytest.raises(ValueError, match="256-entry"):
+        lsh.minhash_signature({1}, 257)
+
+
+def _edited_pairs(shape: str, n: int) -> list[set[int]]:
+    """``2n`` seeded sets, row ``i`` paired with row ``n + i``: a random
+    string and a copy with a few random edits, so the pairs' Jaccard
+    spreads over (0, 1]. ``phase2``: char strings shingled by
+    ``canonicalize.shingles`` (crc32s of char 3-grams); ``dedup``: word
+    texts shingled by ``dedup.word_ngrams`` (crc32s of word 3-grams)."""
+    import random
+
+    from ai_knowledgegraph_extractor_ray.stages import canonicalize as cz
+    rng = random.Random(1)
+    if shape == "phase2":
+        alphabet, lo, hi, edits = "abcdefghijklmnopqrstuvwxyz ", 8, 30, 6
+        shingle, join = cz.shingles, "".join
+    else:
+        alphabet, lo, hi, edits = [f"w{i}" for i in range(300)], 10, 40, 8
+        shingle, join = (lambda t: dedup.word_ngrams(t, 3)), " ".join
+    left, right = [], []
+    for _ in range(n):
+        x = [rng.choice(alphabet) for _ in range(rng.randint(lo, hi))]
+        y = list(x)
+        for _ in range(rng.randint(0, edits)):
+            y[rng.randrange(len(y))] = rng.choice(alphabet)
+        left.append(shingle(join(x)))
+        right.append(shingle(join(y)))
+    return left + right
+
+
+@pytest.mark.parametrize("shape", ["phase2", "dedup"])
+def test_minhash_agreement_is_binomial_in_jaccard(shape):
+    """The permutation table is min-wise independent on both callers'
+    shingles: with independent permutations, a pair's signature agreement
+    over ``k`` of them is Binomial(k, J) / k for its exact Jaccard J. The
+    mean |agreement - J| over 1,000 edited pairs must lie within 4 standard
+    errors of that binomial expectation. A table whose permutations order
+    values almost alike (multipliers below 2^31, reduced mod 2^61 - 1)
+    agrees or disagrees on whole runs of permutations at once, and lands
+    90 or more standard errors above on both inputs."""
+    import math
+    n, k = 1000, 32
+    sets = _edited_pairs(shape, n)
+    jac = np.array([lsh.jaccard(sets[i], sets[n + i]) for i in range(n)])
+    assert 0.2 < jac.mean() < 0.8 and (jac < 1).sum() > n // 2
+    sig = lsh.minhash_signatures(*lsh.flat_sets(sets), k)
+    got = np.abs((sig[:n] == sig[n:]).mean(axis=1) - jac).mean()
+    hits = np.arange(k + 1)
+    pmf = (np.array([math.comb(k, h) for h in hits], dtype=float)
+           * jac[:, None] ** hits * (1 - jac[:, None]) ** (k - hits))
+    dev = np.abs(hits / k - jac[:, None])
+    mean = (pmf * dev).sum(axis=1)
+    var = (pmf * dev ** 2).sum(axis=1) - mean ** 2
+    assert abs(got - mean.mean()) <= 4 * np.sqrt(var.sum()) / n
 
 
 def test_jaccard_of_two_empty_sets_is_one():
@@ -264,9 +318,8 @@ def test_minhash_candidate_pairs_matches_brute_force():
                                   "", "short"]
     ids = [3 * i + 1 for i in range(len(texts))]
     max_bucket, threshold = 8, 0.5
-    sigs = np.stack([lsh.minhash_signature(
-        dedup.word_ngrams(t, 3), dedup._PERM_A[:128], dedup._PERM_B[:128])
-        for t in texts])
+    sigs = np.stack([lsh.minhash_signature(dedup.word_ngrams(t, 3), 128)
+                     for t in texts])
     keys = lsh.band_keys(sigs, 32)
     members: dict = {}
     for i, row in zip(ids, keys):
@@ -1941,6 +1994,40 @@ def test_incremental_dedup_against_index(tmp_path):
     assert list(zip(got["old_id"], got["new_id"], got["jaccard"])) == want
     assert (0, 1) in {(a, b) for a, b, _ in want}      # near-dup found
     assert (4, 5) in {(a, b) for a, b, _ in want}      # exact dup found
+
+
+def test_incremental_dedup_scores_every_candidate_of_a_row(tmp_path):
+    """Two families of near-variants, old rows interleaved: each old doc
+    has several new candidates (its family's), some above and some below
+    the threshold, and none in the other family. The verified pairs and
+    their float64 Jaccard equal a brute-force cross join, bit for bit."""
+    from ai_knowledgegraph_extractor_ray.ops.dedup import (
+        build_minhash_index,
+        dedup_against_index,
+        word_ngrams,
+    )
+
+    fam_a = _near_variants(8)
+    fam_b = [t.replace("tok", "alt") for t in fam_a]
+    old_texts = [t for pair in zip(fam_a[:5], fam_b[:5]) for t in pair]
+    new_texts = fam_a[5:] + fam_b[5:]
+    old_ids, new_ids = list(range(0, 20, 2)), [101, 103, 105, 107, 109, 111]
+    old = docs_ds(old_texts, ids=old_ids).repartition(3)
+    new = docs_ds(new_texts, ids=new_ids)
+    idx = str(tmp_path / "lsh_index")
+    build_minhash_index(old, idx)
+    got = dedup_against_index(new, idx, old, threshold=0.75).to_pandas()
+    got = sorted(zip(got["old_id"], got["new_id"], got["jaccard"]))
+    want, rejected = [], 0
+    for oid, ot in zip(old_ids, old_texts):
+        for nid, nt in zip(new_ids, new_texts):
+            j = lsh.jaccard(word_ngrams(ot, 3), word_ngrams(nt, 3))
+            if j >= 0.75:
+                want.append((oid, nid, j))
+            elif j > 0.5:
+                rejected += 1
+    assert got == want
+    assert len(want) >= 4 and rejected >= 4
 
 
 def test_incremental_dedup_cap_is_layout_independent(tmp_path):

@@ -329,6 +329,29 @@ def test_package_root_api_and_canonical_readers(job):
     assert pkg.get_stats(out, cfg.version)["total_conversations"] == 60
 
 
+def test_phase1_blocks_have_hashable_schemas(job):
+    """The phase-1 readers' blocks carry no schema metadata, so Ray Data
+    can hash their schemas (a ``pandas`` metadata dict is unhashable), and
+    their pandas dtypes are the ones the files' own pandas metadata gives,
+    plus the int32 ``version`` stamp."""
+    import glob
+
+    import numpy as np
+    import ray
+    cfg, out, _ = job
+    for name, read in PHASE1_READERS.items():
+        blocks = ray.get(read(out, cfg.version).to_arrow_refs())
+        assert blocks
+        for b in blocks:
+            assert b.schema.metadata is None
+            hash(b.schema)
+        files = sorted(glob.glob(f"{out}/version={cfg.version}/*/"
+                                 f"{name}.parquet"))
+        want = pd.read_parquet(files[0]).dtypes.to_dict()
+        want["version"] = np.dtype("int32")
+        assert read(out, cfg.version).to_pandas().dtypes.to_dict() == want
+
+
 @pytest.mark.parametrize("backend", [{}, LLM_GARBAGE], ids=["rules", "llm"])
 def test_auto_split_skew_rebalances_partitions(tmp_path, backend):
     """Straggler mitigation (round-3 item 8): a corpus where ~90% of
