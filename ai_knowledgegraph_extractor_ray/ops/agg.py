@@ -21,20 +21,12 @@ high-cardinality merges.
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-
-
-def _crc_bucket(s: str, buckets: int) -> int:
-    return zlib.crc32(s.encode()) % buckets
-
-
-XKEY = "__xkey"   # collision-proof composite-key stamp (ADVICE round 2)
 
 
 def bucketed_groupby(partials: rd.Dataset, key_cols: list[str],
@@ -53,26 +45,17 @@ def bucketed_groupby(partials: rd.Dataset, key_cols: list[str],
     merge frame.
 
     The exchange is the raw-Ray map/reduce of ``ops/exchange.py`` (round 2)
-    rather than Ray Data's sort-based groupby: identical bucket assignment
-    (crc32 of the composite key string mod ``buckets``), without the sort
-    barrier's near-serial section. Note the exchange executes the upstream
-    Dataset when called — bucketed pipelines are eager at the exchange
-    point (results, schemas and downstream laziness are unchanged)."""
-    import pyarrow as pa
-
-    from .exchange import hash_exchange_dataset, key_column
-
-    def stamp(t: pa.Table) -> pa.Table:
-        # arrow-native composite key: payload columns pass through zero-copy
-        # (a pandas round-trip would wrap list columns in tensor extensions)
-        if t.num_rows == 0:
-            return t.append_column(XKEY, pa.array([], pa.string()))
-        return t.append_column(XKEY, key_column(t, key_cols))
+    rather than Ray Data's sort-based groupby, routed on the key columns
+    themselves: the bucket is crc32 of the composite key string mod
+    ``buckets`` (``exchange.key_column``), with no stamped key column and
+    no sort barrier's near-serial section. Note the exchange executes the
+    upstream Dataset when called — bucketed pipelines are eager at the
+    exchange point (results, schemas and downstream laziness are
+    unchanged)."""
+    from .exchange import hash_exchange_dataset
 
     def merge_tbl(tbl: pa.Table) -> pa.Table:
-        df = (tbl.drop_columns([XKEY])
-              .replace_schema_metadata(None).to_pandas())
-        out = merge(df)
+        out = merge(tbl.replace_schema_metadata(None).to_pandas())
         # merge may return an Arrow table directly — callers that must pin
         # exact output types (joins with all-null columns) bypass pandas
         # inference that way
@@ -80,8 +63,7 @@ def bucketed_groupby(partials: rd.Dataset, key_cols: list[str],
             return out
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    stamped = partials.map_batches(stamp, batch_format="pyarrow")
-    return hash_exchange_dataset(stamped, buckets, merge_tbl, key=XKEY)
+    return hash_exchange_dataset(partials, buckets, merge_tbl, key=key_cols)
 
 
 def per_group_apply(key_cols: list[str], fn: Callable[[pd.DataFrame], pd.DataFrame]):

@@ -21,7 +21,6 @@ ts:timestamp[us]):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -257,12 +256,3 @@ def transcripts_from_documents(sf_dir: str, titlecase: bool = False) -> rd.Datas
                            columns=["doc_id", "text"]).map_batches(
         derive, batch_format="pyarrow")
 
-
-def fingerprint_turns(conv_ids, turn_idxs, texts) -> str:
-    """Order-insensitive input fingerprint for lineage manifests: xor of
-    per-turn sha256 over (conv_id, turn_idx, text-length, text-prefix)."""
-    acc = 0
-    for c, i, t in zip(conv_ids, turn_idxs, texts):
-        h = hashlib.sha256(f"{c}\x00{i}\x00{len(t)}\x00{t[:64]}".encode()).digest()
-        acc ^= int.from_bytes(h[:16], "big")
-    return f"{acc:032x}"

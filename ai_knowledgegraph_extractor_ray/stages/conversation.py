@@ -10,26 +10,35 @@ is also the engine's commit/lineage granularity. Inside each partition group
 the assembly is vectorized pandas (sort + groupby-join, C path, no per-row
 Python). Only *within-conversation* order matters, so no global sort is ever
 performed — the ordering invariant is enforced per group (SURVEY.md §4.2).
+
+This module also defines phase 1's two lineage keys, once each:
+
+* the partition id: ``ops/hashing.effective_pids`` of the conv id's crc32
+  (``add_partition_id`` for a Dataset, ``partition_of`` for one id);
+* the input fingerprint: ``turn_hashes`` per turn, xored per key by
+  ``xor_by_key`` — per conversation in ``assemble_partition`` (the
+  ``conv_fp`` column ``lineage.write_partition`` folds into the manifest)
+  and per partition in ``partition_fingerprints`` (what a resume compares
+  with the manifest).
 """
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
+
+from ..ops.hashing import crc32_column, effective_pids
 
 
 def partition_of(conv_id: str, num_partitions: int,
                  split_map: dict[int, tuple[int, int]] | None = None) -> int:
-    h = zlib.crc32(conv_id.encode())
-    p = h % num_partitions
-    if split_map and p in split_map:
-        off, s = split_map[p]
-        return num_partitions + off + (h // num_partitions) % s
-    return p
+    """The partition of one conversation: ``effective_pids`` of a one-row
+    column, so point lookups and the exchange cannot disagree."""
+    return int(effective_pids(crc32_column(pa.array([conv_id], pa.string())),
+                              num_partitions, split_map)[0])
 
 
 def add_partition_id(ds: rd.Dataset, num_partitions: int,
@@ -39,7 +48,6 @@ def add_partition_id(ds: rd.Dataset, num_partitions: int,
     identical to per-row ``zlib.crc32``, which — unlike Python hash() — is
     stable across processes, as resumability requires). ``split_map``
     applies the same skew sub-splitting as the exchange."""
-    from ..ops.hashing import crc32_column, effective_pids
 
     def stamp(t: pa.Table) -> pa.Table:
         pids = effective_pids(crc32_column(t["conv_id"]), num_partitions,
@@ -49,29 +57,33 @@ def add_partition_id(ds: rd.Dataset, num_partitions: int,
     return ds.map_batches(stamp, batch_format="pyarrow")
 
 
-def _text_crc(texts: pd.Series) -> np.ndarray:
-    """Vectorized per-row crc32 of a text column (uint64) — the same
-    ``ops/hashing`` kernel the exchange uses, replacing a per-row Python
-    ``zlib.crc32(s.encode())`` map in the assemble/fingerprint hot path."""
-    from ..ops.hashing import crc32_column
-    return crc32_column(pa.array(texts, pa.string())).astype(np.uint64)
+def turn_hashes(t: pa.Table) -> np.ndarray:
+    """The input fingerprint of each turn of ``t`` (uint64):
+    ``len(conv_id)·1000003 ^ turn_idx·8191 ^ crc32(text)``, where the length
+    counts code points. The lineage fingerprint of a conversation or a
+    partition is the xor of its turns' hashes (``xor_by_key``), so it does
+    not depend on row order."""
+    n = pc.utf8_length(t["conv_id"]).to_numpy().astype(np.uint64)
+    turn = t["turn_idx"].to_numpy().astype(np.uint64)
+    return (n * np.uint64(1000003) ^ turn * np.uint64(8191)
+            ^ crc32_column(t["text"]).astype(np.uint64))
 
 
-def _conv_fingerprints(df: pd.DataFrame) -> pd.Series:
-    """Per-conversation input fingerprint (order-insensitive xor of per-turn
-    hashes) for lineage manifests. df must already be sorted."""
-    h = (
-        df["conv_id"].astype("string").str.len().astype("uint64") * 1000003
-        ^ df["turn_idx"].astype("uint64") * 8191
-        ^ pd.Series(_text_crc(df["text"]), index=df.index)
-    )
-    return h.groupby(df["conv_id"], sort=False).agg(lambda s: np.bitwise_xor.reduce(s.values))
+def xor_by_key(keys: np.ndarray, vals: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct keys, xor of vals per key)``, keys in sorted order."""
+    if not len(keys):
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    return k[starts], np.bitwise_xor.reduceat(vals[order], starts)
 
 
 def partition_fingerprints(ds: rd.Dataset, *, version_cutoff: int | None = None,
                            only: set[int] | None = None) -> dict[int, str]:
     """Current per-partition input fingerprints, computed as a streaming
-    map_batches pass (per-block xor partials per partition_id) + a tiny
+    Arrow pass (per-block xor partials per partition_id) + a tiny
     driver-side merge — xor is associative/commutative, so the per-block
     partials combine to exactly the xor-of-conv_fp value that
     ``lineage.write_partition`` records. No text shuffle: only
@@ -80,30 +92,26 @@ def partition_fingerprints(ds: rd.Dataset, *, version_cutoff: int | None = None,
     ``ds`` must already carry partition_id (``add_partition_id``). ``only``
     restricts the hash work to the named partitions (resume validation only
     cares about committed ones)."""
+    only_arr = None if only is None else np.array(sorted(only), np.int64)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def partial(t: pa.Table) -> pa.Table:
+        keep = np.ones(t.num_rows, dtype=bool)
         if version_cutoff is not None:
-            df = df[df["turn_idx"] <= version_cutoff]
-        if only is not None and len(df):
-            df = df[df["partition_id"].isin(only)]
-        if len(df) == 0:
-            return pd.DataFrame({"partition_id": pd.Series([], dtype="int32"),
-                                 "fp": pd.Series([], dtype="uint64")})
-        h = (
-            df["conv_id"].astype("string").str.len().astype("uint64") * 1000003
-            ^ df["turn_idx"].astype("uint64") * 8191
-            ^ pd.Series(_text_crc(df["text"]), index=df.index)
-        )
-        g = h.groupby(df["partition_id"], sort=False).agg(
-            lambda s: np.bitwise_xor.reduce(s.values))
-        return pd.DataFrame({"partition_id": g.index.astype("int32"),
-                             "fp": g.values.astype("uint64")})
+            keep &= t["turn_idx"].to_numpy() <= version_cutoff
+        if only_arr is not None:
+            keep &= np.isin(t["partition_id"].to_numpy(), only_arr)
+        if not keep.all():
+            t = t.filter(pa.array(keep))
+        pids, fps = xor_by_key(t["partition_id"].to_numpy(), turn_hashes(t))
+        return pa.table({"partition_id": pa.array(pids, pa.int32()),
+                         "fp": pa.array(fps, pa.uint64())})
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out: dict[int, int] = {}
-    for pid, fp in zip(parts["partition_id"], parts["fp"]):
-        out[int(pid)] = out.get(int(pid), 0) ^ int(fp)
-    return {pid: f"{v:016x}" for pid, v in out.items()}
+    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    if not len(parts):
+        return {}
+    pids, fps = xor_by_key(parts["partition_id"].to_numpy(),
+                           parts["fp"].to_numpy(np.uint64))
+    return {int(p): f"{int(v):016x}" for p, v in zip(pids, fps)}
 
 
 def assemble_partition(df: pd.DataFrame, *, window_chars: int = 0,
@@ -128,7 +136,10 @@ def assemble_partition(df: pd.DataFrame, *, window_chars: int = 0,
             "conv_fp": pd.Series([], dtype="uint64"),
         })
     df = df.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    fps = _conv_fingerprints(df)
+    codes, convs = pd.factorize(df["conv_id"])
+    keys, xors = xor_by_key(codes, turn_hashes(pa.Table.from_pandas(
+        df[["conv_id", "turn_idx", "text"]], preserve_index=False)))
+    fps = pd.Series(xors, index=convs[keys])
     grouped = df.groupby("conv_id", sort=False)
     joined = grouped["text"].agg("\n".join)
     n_turns = grouped.size().astype("int32")

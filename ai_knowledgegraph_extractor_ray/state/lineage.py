@@ -26,7 +26,12 @@ bytes a later version links to untouched; deleting a version
 
 Each manifest records the partition's input fingerprint (xor of per-turn
 hashes, order-insensitive): a resume over *changed* input is detected by
-``validate_manifest`` rather than silently reusing stale output.
+``validate_manifest`` rather than silently reusing stale output. The
+fingerprint is defined once, in ``stages/conversation.py``: ``turn_hashes``
+hashes each turn and ``xor_by_key`` folds them. ``write_partition`` xors the
+``conv_fp`` column ``assemble_partition`` computes with them, and a resume
+compares it with ``partition_fingerprints``, which computes it from the
+input.
 """
 
 from __future__ import annotations

@@ -256,9 +256,9 @@ def test_cli_rejects_invalid_args():
 def test_point_lookup_rejects_invalid(admin_out):
     from ai_knowledgegraph_extractor_ray.functions.validation import ValidationError
     with pytest.raises(ValidationError):
-        kg.get_conversation_graph(admin_out, 1, "../etc/passwd", 4)
+        kg.get_conversation_graph(admin_out, 1, "../etc/passwd")
     with pytest.raises(ValidationError):
-        kg.get_conversation_graph(admin_out, 0, "conv_00000001", 4)
+        kg.get_conversation_graph(admin_out, 0, "conv_00000001")
 
 
 def test_cli_end_to_end_subprocess(tmp_path):

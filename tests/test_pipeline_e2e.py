@@ -64,8 +64,7 @@ def test_golden_conversations_match_reference(job):
     cfg, out, _ = job
     for name in ("demo_sample", "seed_doc1", "seed_doc2", "seed_doc3_csv"):
         fix = GOLDEN[name]
-        got = kg.get_conversation_graph(out, cfg.version, f"golden_{name}",
-                                        cfg.num_partitions)
+        got = kg.get_conversation_graph(out, cfg.version, f"golden_{name}")
         assert got["nodes"] == fix["graph"]["nodes"], name
         assert got["edges"] == fix["graph"]["edges"], name
 
@@ -330,26 +329,44 @@ def test_package_root_api_and_canonical_readers(job):
 
 
 def test_phase1_blocks_have_hashable_schemas(job):
-    """The phase-1 readers' blocks carry no schema metadata, so Ray Data
-    can hash their schemas (a ``pandas`` metadata dict is unhashable), and
-    their pandas dtypes are the ones the files' own pandas metadata gives,
-    plus the int32 ``version`` stamp."""
+    """The phase-1 and canonical readers' blocks carry no schema metadata,
+    so Ray Data can hash their schemas (a ``pandas`` metadata dict is
+    unhashable). Phase-1 pandas dtypes are the ones the files' own pandas
+    metadata gives, plus the int32 ``version`` stamp; canonical rows are
+    the files' rows, with string columns read as object."""
     import glob
 
     import numpy as np
     import ray
     cfg, out, _ = job
-    for name, read in PHASE1_READERS.items():
-        blocks = ray.get(read(out, cfg.version).to_arrow_refs())
+
+    def assert_hashable(ds):
+        blocks = ray.get(ds.to_arrow_refs())
         assert blocks
         for b in blocks:
             assert b.schema.metadata is None
             hash(b.schema)
+
+    for name, read in PHASE1_READERS.items():
+        assert_hashable(read(out, cfg.version))
         files = sorted(glob.glob(f"{out}/version={cfg.version}/*/"
                                  f"{name}.parquet"))
         want = pd.read_parquet(files[0]).dtypes.to_dict()
         want["version"] = np.dtype("int32")
         assert read(out, cfg.version).to_pandas().dtypes.to_dict() == want
+
+    kg.run_canonicalize_job(out, cfg)
+    for name, read in CANONICAL_READERS.items():
+        assert_hashable(read(out, cfg.version))
+        want = pd.read_parquet(
+            f"{out}/version={cfg.version}/canonical/{name}")
+        # the reader also parses ``version`` out of the hive path
+        got = read(out, cfg.version).to_pandas()[list(want.columns)]
+        assert len(got) and got.dtypes.to_dict() == {
+            c: np.dtype(object) if pd.api.types.is_string_dtype(t) else t
+            for c, t in want.dtypes.items()}
+        pd.testing.assert_frame_equal(
+            _sorted_rows(got), _sorted_rows(want.astype(got.dtypes)))
 
 
 @pytest.mark.parametrize("backend", [{}, LLM_GARBAGE], ids=["rules", "llm"])
@@ -417,7 +434,7 @@ def test_auto_split_skew_rebalances_partitions(tmp_path, backend):
 
     # split map persisted with the version; point lookup honors it
     assert kg.load_split_map(split_out, 1)
-    g = kg.get_conversation_graph(split_out, 1, hot[0], P)
+    g = kg.get_conversation_graph(split_out, 1, hot[0])
     assert g["conv_id"] == hot[0]
 
     # resume under the persisted layout: everything already committed
@@ -502,6 +519,9 @@ def _sorted_rows(df: pd.DataFrame) -> pd.DataFrame:
 
 PHASE1_READERS = {"nodes": kg.read_nodes, "edges": kg.read_edges,
                   "convs": kg.read_convs}
+CANONICAL_READERS = {"aliases": kg.read_aliases,
+                     "canonical_nodes": kg.read_canonical_nodes,
+                     "canonical_edges": kg.read_canonical_edges}
 
 
 def _phase1_tables(out: str, version: int) -> dict[str, pd.DataFrame]:
@@ -787,3 +807,123 @@ def test_parent_format_partitions_read_and_are_not_linked(tmp_path):
     ref = str(tmp_path / "ref")
     kg.run_kg_job(src.read_transcripts(path), cfg2, ref, resume=False)
     _assert_tables_equal(_phase1_tables(out, 2), _phase1_tables(ref, 2))
+
+
+def _incremental_lake(tmp_path, P=4):
+    """A 40-conversation lake: version 1, then version 2 with one
+    conversation changed (P - 1 partitions linked, one computed)."""
+    import pyarrow.parquet as pq
+    base = src.synthetic_transcripts_table(n_convs=40, seed=7)
+    convs = sorted(set(base.column("conv_id").to_pylist()))
+    p1, p2 = (str(tmp_path / f"v{i}.parquet") for i in (1, 2))
+    pq.write_table(base, p1)
+    _with_changed_convs(base, convs[:1], "two").to_parquet(p2, index=False)
+    out = str(tmp_path / "lake")
+    kg.run_kg_job(src.read_transcripts(p1),
+                  KGConfig(num_partitions=P, version=1), out, resume=False)
+    s2 = kg.run_kg_job(src.read_transcripts(p2),
+                       KGConfig(num_partitions=P, version=2), out)
+    assert (s2["partitions_linked"], s2["partitions_computed"]) == (P - 1, 1)
+    return out, p2, convs, s2
+
+
+def test_crash_resumed_incremental_version_scans_input_once(tmp_path,
+                                                            monkeypatch):
+    """Rerunning an incremental version after a crash lost one linked
+    partition validates the committed partitions and relinks the lost one
+    from one fingerprint scan: two Ray Data executions (that scan and the
+    exchange), the same counts and the same tables."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        partition_of,
+    )
+    from ai_knowledgegraph_extractor_ray.state import lineage
+
+    P = 4
+    out, p2, convs, s2 = _incremental_lake(tmp_path, P)
+    want = _phase1_tables(out, 2)
+    lost = min(set(range(P)) - {partition_of(convs[0], P)})
+    lineage.uncommit_partition(out, 2, lost)
+
+    starts = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        starts.append(1)
+        return execute(self, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(StreamingExecutor, "execute", counting)
+        s = kg.run_kg_job(src.read_transcripts(p2),
+                          KGConfig(num_partitions=P, version=2), out)
+    assert len(starts) == 2
+    assert (s["partitions_resumed"], s["partitions_linked"],
+            s["partitions_computed"]) == (P - 1, 1, 0)
+    counts = ["partitions_total", "n_conversations", "n_turns", "n_nodes",
+              "n_edges"]
+    assert {k: s[k] for k in counts} == {k: s2[k] for k in counts}
+    assert lineage.committed_partitions(out, 2)[lost][
+        "linked_from_version"] == 1
+    _assert_tables_equal(_phase1_tables(out, 2), want)
+
+
+@pytest.mark.parametrize("auto_split_skew", [False, True],
+                         ids=["plain", "skew_split"])
+def test_building_a_version_reads_two_manifest_sets_once(
+        corpus_path, tmp_path, monkeypatch, auto_split_skew):
+    """With versions 1 and 2 committed, building version 3 reads the
+    manifests of version 3 (its own resume) and version 2 (the newest
+    prior version, to link from) once each, and no other version's."""
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    out = str(tmp_path / "out")
+    for v in (1, 2):
+        kg.run_kg_job(src.read_transcripts(corpus_path),
+                      KGConfig(num_partitions=4, version=v,
+                               auto_split_skew=auto_split_skew), out)
+    reads = []
+    committed_partitions = lineage.committed_partitions
+
+    def recording(out_dir, version):
+        reads.append(version)
+        return committed_partitions(out_dir, version)
+
+    monkeypatch.setattr(lineage, "committed_partitions", recording)
+    s3 = kg.run_kg_job(src.read_transcripts(corpus_path),
+                       KGConfig(num_partitions=4, version=3,
+                                auto_split_skew=auto_split_skew), out)
+    assert sorted(reads) == [2, 3]
+    assert s3["partitions_linked"] == s3["partitions_total"] == 4
+
+
+def test_point_lookup_reads_the_layout_from_the_manifests(tmp_path):
+    """``get_conversation_graph`` finds every conversation of a P=4 lake
+    without being told P, and names the version when no manifest records a
+    layout."""
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    out, _, convs, _ = _incremental_lake(tmp_path)
+    nodes = kg.read_nodes(out, 2).to_pandas()
+    edges = kg.read_edges(out, 2).to_pandas()
+    assert set(nodes["conv_id"]) == set(convs)
+    for cid in convs:
+        g = kg.get_conversation_graph(out, 2, cid)
+        n = nodes[nodes["conv_id"] == cid]
+        e = edges[edges["conv_id"] == cid]
+        assert g["nodes"] == [{"id": r.node_id, "label": r.label,
+                               "type": r.node_type} for r in n.itertuples()]
+        assert g["edges"] == [{"source": r.src_node_id,
+                               "target": r.dst_node_id,
+                               "relationship": r.pred}
+                              for r in e.itertuples()]
+        assert g["nodes"]
+    assert kg.get_conversation_graph(out, None, convs[0])["version"] == 2
+
+    for pid, m in lineage.committed_partitions(out, 1).items():
+        del m["config_sig"]
+        lineage.manifest_path(out, 1, pid).write_text(json.dumps(m))
+    with pytest.raises(ValueError, match="version 1 "):
+        kg.get_conversation_graph(out, 1, convs[0])
+    with pytest.raises(FileNotFoundError, match="version 5 "):
+        kg.get_conversation_graph(out, 5, convs[0])

@@ -102,6 +102,100 @@ def test_llm_job_resume(tmp_path):
     assert again["n_edges"] == first["n_edges"]
 
 
+# --- phase-1 lineage keys ----------------------------------------------------
+
+conv_keys = st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(conv_keys, min_size=1, max_size=40), st.integers(1, 40),
+       st.lists(st.integers(0, 4), max_size=40))
+def test_partition_of_matches_hash_route(keys, num_partitions, splits):
+    """``partition_of`` (point lookups) gives the exchange's partition id,
+    with and without a skew split map (``splits[p] > 1`` fans base
+    partition p out into that many sub-partitions)."""
+    import pyarrow as pa
+
+    from ai_knowledgegraph_extractor_ray.ops.exchange import HashRoute
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        partition_of,
+    )
+    split_map, offset = {}, 0
+    for p, s in enumerate(splits[:num_partitions]):
+        if s > 1:
+            split_map[p] = (offset, s)
+            offset += s
+    tbl = pa.table({"conv_id": pa.array(keys, pa.string())})
+    for sm in (None, split_map):
+        want = HashRoute("conv_id", num_partitions, sm).fine(tbl)
+        assert [partition_of(k, num_partitions, sm) for k in keys] \
+            == want.tolist()
+
+
+def _fingerprint_corpus():
+    """Turns with non-ASCII conv ids and texts and some empty texts, in a
+    shuffled row order."""
+    import numpy as np
+    import pyarrow as pa
+    rng = np.random.default_rng(5)
+    stems = ["conv", "café", "日本語", "emoji🙂", "x"]
+    words = ["", "hello", "naïve résumé", "Ωmega", "東京 Tower", "🙂🙂",
+             "a b c"]
+    rows = []
+    for i in range(60):
+        cid = f"{stems[i % len(stems)]}-{i}"
+        for turn in range(int(rng.integers(1, 6))):
+            text = " ".join(rng.choice(words, int(rng.integers(0, 4))))
+            rows.append((cid, turn, text))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return pa.table({"conv_id": pa.array([r[0] for r in rows], pa.string()),
+                     "turn_idx": pa.array([r[1] for r in rows], pa.int32()),
+                     "text": pa.array([r[2] for r in rows], pa.string())})
+
+
+def _reference_fingerprints(tbl, key, cutoff):
+    """xor per ``key(conv_id)`` of ``len(conv_id)·1000003 ^ turn_idx·8191 ^
+    crc32(text)`` over the turns up to ``cutoff``, per turn in Python."""
+    import zlib
+    out = {}
+    for cid, turn, text in zip(*(tbl[c].to_pylist()
+                                 for c in ("conv_id", "turn_idx", "text"))):
+        if cutoff is None or turn <= cutoff:
+            h = len(cid) * 1000003 ^ turn * 8191 ^ zlib.crc32(text.encode())
+            out[key(cid)] = out.get(key(cid), 0) ^ h
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [None, 2])
+def test_fingerprints_match_per_turn_reference(cutoff):
+    """The per-conversation ``conv_fp`` of ``assemble_partition`` and the
+    per-partition ``partition_fingerprints`` equal a per-turn Python
+    reference, over several blocks and with an ``only`` subset."""
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        add_partition_id,
+        assemble_partition,
+        partition_fingerprints,
+        partition_of,
+    )
+    tbl = _fingerprint_corpus()
+    P = 5
+
+    conv = assemble_partition(tbl.to_pandas().assign(partition_id=0),
+                              version_cutoff=cutoff)
+    want = _reference_fingerprints(tbl, lambda c: c, cutoff)
+    assert dict(zip(conv["conv_id"], conv["conv_fp"].astype(int))) == want
+
+    ds = add_partition_id(rd.from_arrow(
+        [tbl.slice(0, 50), tbl.slice(50, 70), tbl.slice(120)]), P)
+    want = {pid: f"{v:016x}" for pid, v in _reference_fingerprints(
+        tbl, lambda c: partition_of(c, P), cutoff).items()}
+    assert len(want) == P
+    assert partition_fingerprints(ds, version_cutoff=cutoff) == want
+    only = {1, 3}
+    assert partition_fingerprints(ds, version_cutoff=cutoff, only=only) \
+        == {pid: fp for pid, fp in want.items() if pid in only}
+
+
 # --- bucketed aggregation helper --------------------------------------------
 
 def test_bucketed_groupby_equals_pandas():

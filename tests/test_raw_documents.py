@@ -136,8 +136,8 @@ def test_latest_version_lookup(tmp_path):
     for version, cutoff in ((1, 1), (2, None)):
         cfg = KGConfig(num_partitions=2, version=version, version_cutoff=cutoff)
         kg.run_kg_job(src.read_transcripts(str(p)), cfg, out, resume=False)
-    latest = kg.get_conversation_graph(out, None, "conv_00000001", 2)
-    explicit = kg.get_conversation_graph(out, 2, "conv_00000001", 2)
+    latest = kg.get_conversation_graph(out, None, "conv_00000001")
+    explicit = kg.get_conversation_graph(out, 2, "conv_00000001")
     assert latest == explicit and latest["version"] == 2
 
 
