@@ -24,6 +24,17 @@ produced by running the reference on probe texts):
   and exact duplicate (src, dst, rel) suppressed          (services.py:486-505)
 * entity type from ordered keyword/context heuristics      (services.py:507-547)
 
+Entity typing is linear in the text's length. The reference's title
+check (a title ``Mr.``/``Mrs.``/``Dr.``/``Ms.`` and a whitespace run ending at
+an entity occurrence) looks back from the occurrence instead of searching
+forward from the start of the text. A match must end exactly where the
+maximal whitespace run before the occurrence starts: a title ends in ``.``,
+which is not whitespace, and ``str.isspace`` is ``re``'s whitespace class
+on ``str``. So the lookback walks back over that run and matches the title,
+with IGNORECASE's case folds, against the few characters before it. A
+forward search from 0 for every occurrence of every entity made extraction
+quadratic in the conversation's length.
+
 The quirks are part of the contract and deliberately preserved — e.g. the
 IGNORECASE relationship patterns can capture lowercase-containing spans
 ("San Francisco in") that then fail endpoint resolution and are dropped, and
@@ -112,7 +123,11 @@ _TITLE_KW = ("engineer", "manager", "director", "ceo", "cto", "cfo",
 _VERB_AFTER = re.compile(
     r"\s+(?:is|was|works|worked|manages|founded|serves as|joined|left)",
     re.IGNORECASE)
-_TITLE_BEFORE = re.compile(r"(?:Mr\.|Mrs\.|Dr\.|Ms\.)\s+\Z", re.IGNORECASE)
+# the title before an occurrence's whitespace run (module docstring): at most
+# _TITLE_LEN characters, as each pattern character matches one character,
+# case folds included
+_TITLE_END = re.compile(r"(?:Mr\.|Mrs\.|Dr\.|Ms\.)\Z", re.IGNORECASE)
+_TITLE_LEN = 4
 
 
 def _person_context(entity: str, context: str, context_low: str) -> bool:
@@ -121,7 +136,10 @@ def _person_context(entity: str, context: str, context_low: str) -> bool:
     while i != -1:
         if _VERB_AFTER.match(context, i + n):
             return True
-        if i and _TITLE_BEFORE.search(context, 0, i):
+        j = i
+        while j and context[j - 1].isspace():
+            j -= 1
+        if j < i and _TITLE_END.search(context, max(0, j - _TITLE_LEN), j):
             return True
         i = context_low.find(low, i + 1)
     return False
@@ -207,14 +225,13 @@ def extract_rule_graph(text: str) -> RuleGraph:
 
     entities = extract_entities(text)
     text_low = text.lower()
-    # label -> (node id, lowercased label); insertion order mirrors first
-    # appearance, which endpoint resolution depends on.
-    node_map: dict[str, str] = {}
-    lowered: list[tuple[str, str]] = []
+    # lowercased label -> node id, filled in first-appearance order: when
+    # two labels lower to the same string, endpoint resolution takes the
+    # first
+    node_of_low: dict[str, str] = {}
     for i, label in enumerate(entities, start=1):
         nid = f"n{i}"
-        node_map[label] = nid
-        lowered.append((label.lower(), nid))
+        node_of_low.setdefault(label.lower(), nid)
         g.node_ids.append(nid)
         g.labels.append(label)
         g.types.append(guess_entity_type(label, text, text_low))
@@ -222,9 +239,8 @@ def extract_rule_graph(text: str) -> RuleGraph:
     seen_edges: set[tuple[str, str, str]] = set()
 
     def add_edge(src_surface: str, dst_surface: str, rel: str) -> None:
-        src_low, dst_low = src_surface.lower(), dst_surface.lower()
-        src_id = next((nid for low, nid in lowered if low == src_low), None)
-        dst_id = next((nid for low, nid in lowered if low == dst_low), None)
+        src_id = node_of_low.get(src_surface.lower())
+        dst_id = node_of_low.get(dst_surface.lower())
         if src_id is None or dst_id is None or src_id == dst_id:
             return
         key = (src_id, dst_id, rel)

@@ -11,9 +11,12 @@ init/xorout 0xFFFFFFFF — bit-identical to ``zlib.crc32``) evaluated one
 BYTE POSITION at a time across all rows: rows are processed in
 length-sorted order so the active set at byte j is a contiguous suffix,
 making total work O(sum of key lengths) with ``max_len`` numpy passes.
-Right for many short keys (conv ids, composite bucket keys). For long keys
-(max_len > _VECTOR_MAX_LEN) it falls back to per-row ``zlib.crc32`` calls,
-which are C-fast per call and only loop-bound for short strings.
+Each pass costs a fixed numpy overhead, and each byte costs more than in
+``zlib.crc32``, so the kernel wins only for many short keys (conv ids,
+composite bucket keys, shingles). Elsewhere — turn texts, small blocks —
+per-row ``zlib.crc32`` over slices of the value buffer is faster;
+``crc32_column`` picks the path by a fitted cost model
+(``_crc32_kernel_pays``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,14 @@ def _make_crc_table(poly: int = 0xEDB88320) -> np.ndarray:
 
 _CRC_TABLE = _make_crc_table()                      # IEEE 802.3 (zlib)
 _CRC32C_TABLE = _make_crc_table(0x82F63B78)         # Castagnoli
-_VECTOR_MAX_LEN = 1024   # beyond this, per-row zlib (C) beats max_len passes
+_VECTOR_MAX_LEN = 1024   # crc32c: beyond this, the per-row scalar is used
+# crc32 path costs in ns, fitted on 1 CPU (numpy 1.26, pyarrow 16) over
+# fixed-length keys of 6-40 bytes x 1k-1M rows: the kernel costs a pass per
+# byte position plus a gather per byte (8-12 ns, more once the buffer
+# leaves the cache); per-row zlib costs a Python call per row plus ~2 ns
+# per byte
+_KERNEL_PASS_NS, _KERNEL_BYTE_NS = 11_000, 10
+_ZLIB_ROW_NS, _ZLIB_BYTE_NS = 250, 2
 
 
 def _binary_view(col) -> pa.Array:
@@ -56,7 +66,10 @@ def _binary_view(col) -> pa.Array:
     return col
 
 
-def _crc_column(col, table: np.ndarray, scalar_fallback) -> np.ndarray:
+def _crc_column(col, table: np.ndarray, scalar, use_kernel) -> np.ndarray:
+    """``scalar`` of every value of ``col`` as uint32: by the byte-position
+    kernel over ``table`` when ``use_kernel(rows, max_len, total_bytes)``,
+    else per row over slices of the value buffer."""
     arr = _binary_view(col)
     n = len(arr)
     if n == 0:
@@ -65,16 +78,19 @@ def _crc_column(col, table: np.ndarray, scalar_fallback) -> np.ndarray:
     wide = pa.types.is_large_binary(arr.type)
     offsets = np.frombuffer(bufs[1], dtype=np.int64 if wide else np.int32,
                             count=arr.offset + n + 1)[arr.offset:].astype(np.int64)
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
     starts, lens = offsets[:-1], offsets[1:] - offsets[:-1]
     max_len = int(lens.max())
+    if max_len == 0:
+        return np.full(n, scalar(b""), dtype=np.uint32)
 
-    if max_len > _VECTOR_MAX_LEN:
-        db = data.tobytes()
+    if not use_kernel(n, max_len, int(offsets[-1] - offsets[0])):
+        mv = memoryview(bufs[2]).cast("B")
         return np.fromiter(
-            (scalar_fallback(db[s:s + l]) for s, l in zip(starts, lens)),
+            (scalar(mv[s:e]) for s, e in zip(starts.tolist(),
+                                             offsets[1:].tolist())),
             dtype=np.uint32, count=n)
 
+    data = np.frombuffer(bufs[2], dtype=np.uint8)
     order = np.argsort(lens, kind="stable")
     sstarts, slens = starts[order], lens[order]
     crc = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
@@ -90,9 +106,16 @@ def _crc_column(col, table: np.ndarray, scalar_fallback) -> np.ndarray:
     return out
 
 
+def _crc32_kernel_pays(n: int, max_len: int, total: int) -> bool:
+    """True when the kernel is expected to beat per-row zlib on ``n`` keys
+    of ``total`` bytes, the longest ``max_len``."""
+    return (_KERNEL_PASS_NS * max_len + _KERNEL_BYTE_NS * total
+            < _ZLIB_ROW_NS * n + _ZLIB_BYTE_NS * total)
+
+
 def crc32_column(col) -> np.ndarray:
     """``zlib.crc32`` of every value in a binary/string column as uint32."""
-    return _crc_column(col, _CRC_TABLE, zlib.crc32)
+    return _crc_column(col, _CRC_TABLE, zlib.crc32, _crc32_kernel_pays)
 
 
 def _crc32c_scalar(b: bytes) -> int:
@@ -108,7 +131,8 @@ def crc32c_column(col) -> np.ndarray:
     (a pair collides in both only when its XOR-difference is divisible by
     BOTH generator polynomials), which is what the fast content hash
     stacks with length into a 128-bit-shaped key."""
-    return _crc_column(col, _CRC32C_TABLE, _crc32c_scalar)
+    return _crc_column(col, _CRC32C_TABLE, _crc32c_scalar,
+                       lambda n, max_len, total: max_len <= _VECTOR_MAX_LEN)
 
 
 def crc32_mod(col, modulus: int) -> np.ndarray:

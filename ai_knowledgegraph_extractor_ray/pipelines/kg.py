@@ -11,10 +11,14 @@ entry point main.py:81-132):
          rows of committed/linked partitions
       -> hash exchange on crc32(conv_id) % P           [ops/exchange.py;
            optional skew split map, two levels above 1024 partitions]
-      -> one fused reduce per partition (``partition_graph_rows``):
-         sort-within-conversation -> assemble -> extract -> renumber, then
-         write the partition's three tables + lineage manifest (atomic
-         per-partition commit)
+      -> one fused reduce per partition, Arrow from the exchange slice to
+         the files: ``partition_graph_rows`` (``assemble_table``: sort
+         within conversation, join; ``Extractor``: rules per text unit,
+         graph rows built column by column;
+         ``renumber_conversation_windows`` in pandas, only when windowed),
+         then ``lineage.write_partition`` (split by kind, three
+         fixed-schema tables + lineage manifest with the stages' walls:
+         atomic per-partition commit)
       -> manifests (tiny) -> job summary
 
 The extractor is built once on the driver and pickled into the reduce
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +76,7 @@ from ..ops.exchange import hash_exchange, hash_exchange_dataset
 from ..stages import canonicalize as cz
 from ..stages.conversation import (
     add_partition_id,
-    assemble_partition,
+    assemble_table,
     partition_fingerprints,
 )
 from ..stages.extract import (
@@ -85,17 +90,27 @@ CANONICAL_TABLES = ("aliases", "canonical_nodes", "canonical_edges")
 
 
 def partition_graph_rows(cfg: KGConfig, extractor: Extractor,
-                         tbl: pa.Table) -> pd.DataFrame:
-    """One partition's turns -> its graph rows: assemble -> extract ->
-    conversation-level renumbering when windowed. Empty when the version
-    cutoff filtered the whole partition."""
-    conv = assemble_partition(
-        tbl.to_pandas(), window_chars=cfg.window_chars,
-        version_cutoff=cfg.version_cutoff, version=cfg.version)
-    rows = extractor(pa.Table.from_pandas(conv, preserve_index=False)
-                     ).to_pandas()
+                         tbl: pa.Table, stage_s: dict | None = None
+                         ) -> pa.Table:
+    """One partition's turns -> its graph rows (``GRAPH_ROWS``): assemble ->
+    extract -> conversation-level renumbering when windowed. Empty when the
+    version cutoff filtered the whole partition. ``stage_s``, when given,
+    receives the ``assemble`` and ``extract`` walls (renumbering counts as
+    extraction)."""
+    t0 = time.perf_counter()
+    conv = assemble_table(tbl, window_chars=cfg.window_chars,
+                          version_cutoff=cfg.version_cutoff,
+                          version=cfg.version)
+    t1 = time.perf_counter()
+    rows = extractor(conv)
     if cfg.window_chars > 0:
-        rows = renumber_conversation_windows(rows)
+        rows = pa.Table.from_pandas(
+            renumber_conversation_windows(rows.to_pandas()),
+            schema=GRAPH_ROWS, preserve_index=False
+        ).replace_schema_metadata(None)
+    if stage_s is not None:
+        stage_s["assemble"] = round(t1 - t0, 4)
+        stage_s["extract"] = round(time.perf_counter() - t1, 4)
     return rows
 
 
@@ -103,14 +118,11 @@ def build_graph_rows(transcripts: rd.Dataset, cfg: KGConfig) -> rd.Dataset:
     """transcripts -> unified graph-rows Dataset: ``run_kg_job``'s plan
     without the sink (no resume, skew split or commit)."""
     extractor = Extractor(cfg)
-
-    def merge(tbl: pa.Table) -> pa.Table:
-        return pa.Table.from_pandas(partition_graph_rows(cfg, extractor, tbl),
-                                    schema=GRAPH_ROWS, preserve_index=False)
-
     return hash_exchange_dataset(
         add_partition_id(transcripts, cfg.num_partitions),
-        cfg.num_partitions, merge, key="conv_id")
+        cfg.num_partitions,
+        functools.partial(partition_graph_rows, cfg, extractor),
+        key="conv_id")
 
 
 def _compute_split_map(transcripts: rd.Dataset, cfg: KGConfig
@@ -172,9 +184,11 @@ def load_split_map(out_dir: str, version: int) -> dict[int, tuple[int, int]]:
 
 # phase-1 file format: bumped whenever the stored bytes change meaning.
 # "f2" = version-free files (no version column, edge ids without the
-# version); a partition committed under another format is recomputed, never
-# linked or resumed
-_FILE_FORMAT = "f2"
+# version); "f3" = f2 with fixed file schemas (``lineage._FILE_KINDS``:
+# ``n_turns`` int32, strings typed ``string`` even in an entity-free
+# partition). A partition committed under another format is recomputed,
+# never linked or resumed
+_FILE_FORMAT = "f3"
 
 
 def _config_sig(cfg: KGConfig) -> str:
@@ -327,14 +341,15 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
             drop_committed_rows, batch_format="pyarrow")
 
     def reduce_fn(pid: int, tbl: pa.Table):
-        import time as _time
-        t_start = _time.perf_counter()
-        rows = partition_graph_rows(cfg, extractor, tbl)
-        if len(rows) == 0:      # cutoff filtered the whole partition
+        t_start = time.perf_counter()
+        stage_s: dict = {}
+        rows = partition_graph_rows(cfg, extractor, tbl, stage_s)
+        if rows.num_rows == 0:      # cutoff filtered the whole partition
             return None
         return lineage.write_partition(
             rows, out_dir, cfg.version, input_bytes=tbl.nbytes,
-            started_at=t_start, config_sig=sig).to_dict("records")[0]
+            started_at=t_start, config_sig=sig,
+            stage_s=stage_s).to_dict("records")[0]
 
     records = hash_exchange(transcripts, cfg.num_partitions, reduce_fn,
                             skip=frozenset(committed),

@@ -24,26 +24,39 @@ from ..functions.rules import extract_entities
 from ..ops import dedup, similarity, text as text_ops
 from ..sources import transcripts as src
 from ..stages import canonicalize as cz
-from ..stages.conversation import assemble_partition
+from ..stages.conversation import assemble_table
 
 QCFG = KGConfig(num_partitions=16)
 
 
+def _read(path: str, columns: list[str] | None = None) -> rd.Dataset:
+    """``rd.read_parquet(path, columns=columns)`` whose blocks carry no
+    schema metadata. The testdata files were written by pandas, and Ray
+    Data hashes each block's schema to dedup it: on their ``pandas``
+    metadata, a dict, it logs ``Failed to hash the schemas … unhashable
+    type: 'dict'`` for every block. So the read schema is the file's
+    without its metadata; a map after the read cannot drop it, as the read
+    splits its blocks and does not fuse with the map."""
+    import pyarrow.parquet as pq
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
+
+
 def _documents(sf_dir: str) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/documents.parquet")
+    return _read(f"{sf_dir}/documents.parquet")
 
 
 def _assembled(sf_dir: str, version_cutoff: int | None = None) -> rd.Dataset:
     ds = src.transcripts_from_documents(sf_dir)
 
     def merge(tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas()
-        # assemble_partition stamps its output with the partition id; the
+        # assemble_table stamps its output with the partition id; the
         # dataset exchange keeps its stamp internal, and this query projects
         # the column away, so any constant works
-        df["partition_id"] = np.int32(0)
-        out = assemble_partition(df, version_cutoff=version_cutoff)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return assemble_table(tbl.append_column("partition_id", pa.array(
+            np.zeros(tbl.num_rows, np.int32))), version_cutoff=version_cutoff)
 
     from ..ops.exchange import hash_exchange_dataset
     return hash_exchange_dataset(ds, QCFG.num_partitions, merge,
@@ -74,7 +87,9 @@ def q_transcript_stats(sf_dir: str) -> pd.DataFrame:
         tmp = pa.table({"conv_id": t["conv_id"], "n": chars})
         df = tmp.to_pandas().groupby("conv_id", as_index=False).agg(
             n_turns=("n", "size"), n_chars=("n", "sum"))
-        return pa.Table.from_pandas(df, preserve_index=False)
+        # no ``pandas`` metadata: the aggregate hashes block schemas (_read)
+        return pa.Table.from_pandas(df, preserve_index=False
+                                    ).replace_schema_metadata(None)
 
     per_conv = (ds.map_batches(partial, batch_format="pyarrow")
                 .groupby("conv_id")
@@ -97,7 +112,8 @@ def q_latest_turn(sf_dir: str) -> rd.Dataset:
     def partial(t: pa.Table) -> pa.Table:
         df = pa.table({"conv_id": t["conv_id"], "turn_idx": t["turn_idx"]}).to_pandas()
         out = df.groupby("conv_id", as_index=False)["turn_idx"].max()
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False
+                                    ).replace_schema_metadata(None)
 
     return (ds.map_batches(partial, batch_format="pyarrow")
             .groupby("conv_id")
@@ -108,14 +124,14 @@ def q_latest_turn(sf_dir: str) -> rd.Dataset:
 
 def q_token_stats(sf_dir: str) -> rd.Dataset:
     out = text_ops.token_stats(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
     return out.select_columns(["doc_id", "n_chars", "n_tokens",
                                "n_bpe_tokens", "n_punct"])
 
 
 def q_quality(sf_dir: str) -> rd.Dataset:
     out = text_ops.quality_score(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
 
     def to_bp(t: pa.Table) -> pa.Table:
         bp = np.round(t["quality"].to_numpy(zero_copy_only=False) * 10000)
@@ -127,19 +143,19 @@ def q_quality(sf_dir: str) -> rd.Dataset:
 
 def q_lang_id(sf_dir: str) -> rd.Dataset:
     out = text_ops.lang_id(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
     return out.select_columns(["doc_id", "lang_guess"])
 
 
 def q_fingerprint(sf_dir: str) -> rd.Dataset:
     out = text_ops.fingerprint(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
     return out.select_columns(["doc_id", "fp"])
 
 
 def _token_partials(sf_dir: str) -> rd.Dataset:
     """Per-block (token, cnt) partial counts over documents.text."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(t: pa.Table) -> pa.Table:
         counts: dict[str, int] = {}
@@ -196,7 +212,7 @@ def q_dup_groups(sf_dir: str) -> pd.DataFrame:
 
 def q_minhash_pairs(sf_dir: str) -> rd.Dataset:
     return dedup.minhash_candidate_pairs(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]),
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]),
         threshold=0.5)
 
 
@@ -214,19 +230,19 @@ def q_ngram_jaccard(sf_dir: str) -> rd.Dataset:
       j>=0.8 on these corpora so the analytic miss is (1-0.8^3)^42 ~ 1e-13.
     """
     return dedup.ngram_jaccard_pairs(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]),
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]),
         threshold=0.4, ngram=3, bands=42, num_perm=126)
 
 
 def q_simhash_pairs(sf_dir: str) -> rd.Dataset:
     return dedup.simhash_near_pairs(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]))
 
 
 def q_near_dedup(sf_dir: str) -> rd.Dataset:
     """End-to-end near-dedup: drop MinHash-cluster non-survivors."""
     return dedup.near_dedup_minhash(
-        rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]),
+        _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]),
         threshold=0.5)
 
 
@@ -235,8 +251,8 @@ def q_quality_sample(sf_dir: str) -> rd.Dataset:
     equal to its quality score (deterministic hash threshold)."""
     from ..ops.sampling import weighted_sample
     ds = text_ops.quality_score(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]))
     return weighted_sample(ds, weight_col="quality",
                            key_col="text").select_columns(["doc_id"])
 
@@ -245,8 +261,8 @@ def q_near_dedup_best(sf_dir: str) -> rd.Dataset:
     """Near-dedup keeping the BEST duplicate per cluster (highest
     n_chars, ties -> smallest id) instead of the smallest id — the
     keep-the-longest policy real training pipelines use."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text", "n_chars"])
+    ds = _read(f"{sf_dir}/documents.parquet",
+               columns=["doc_id", "text", "n_chars"])
     out = dedup.near_dedup_minhash(ds, threshold=0.5, score_col="n_chars")
     return out.select_columns(["doc_id", "n_chars"])
 
@@ -272,8 +288,8 @@ def q_data_prep(sf_dir: str) -> rd.Dataset:
     doc_id%97 test slice) -> token counts -> prefix-sum -> pack ids."""
     from .corpus_clean import prepare_training_data
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
 
     def part(test: bool):
         def fn(t: pa.Table) -> pa.Table:
@@ -291,16 +307,16 @@ def q_normalize(sf_dir: str) -> rd.Dataset:
     """Canonical text normalization (lowercase, ASCII punct strip,
     whitespace collapse)."""
     out = text_ops.normalize_text(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]))
     return out.select_columns(["doc_id", "norm_text"])
 
 
 def q_repetition(sf_dir: str) -> rd.Dataset:
     """Gopher-style repetition signal, as basis points for hash stability."""
     out = text_ops.repetition_ratio(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]))
 
     def to_bp(t: pa.Table) -> pa.Table:
         # half-away-from-zero like SQL round() — token-count ratios hit
@@ -317,8 +333,8 @@ def q_hash_sample(sf_dir: str) -> rd.Dataset:
     """Deterministic ~10% content-hash sample of the documents."""
     from ..ops.sampling import hash_sample
     return hash_sample(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]),
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]),
         key_col="text", rate=0.1).select_columns(["doc_id"])
 
 
@@ -327,8 +343,8 @@ def q_lang_balance(sf_dir: str, k: int = 50) -> rd.Dataset:
     doc_id wins) — the downsample-hot-languages operator."""
     from ..ops.sampling import cap_per_group
     ds = text_ops.lang_id(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]))
     out = cap_per_group(ds, group_col="lang_guess", order_col="doc_id", k=k)
     return out.select_columns(["doc_id", "lang_guess"])
 
@@ -337,8 +353,8 @@ def q_top_tokens_by_lang(sf_dir: str, k: int = 5) -> rd.Dataset:
     """Grouped top-k: the 5 hottest tokens per detected language. Per-block
     (lang, token) count partials -> one bucketed merge keyed on lang (the
     key space is the language set, tiny) -> per-group vectorized rank."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = _read(f"{sf_dir}/documents.parquet",
+               columns=["doc_id", "text"])
     ds = text_ops.lang_id(ds)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -371,8 +387,8 @@ def q_top_tokens_by_lang(sf_dir: str, k: int = 5) -> rd.Dataset:
 def q_decontaminate(sf_dir: str) -> rd.Dataset:
     """Benchmark decontamination: docs with doc_id % 97 == 0 play the test
     set; surviving train docs share no word-3-gram with any of them."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text", "n_chars"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text", "n_chars"])
 
     def is_test(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -390,8 +406,8 @@ def q_decontaminate(sf_dir: str) -> rd.Dataset:
 
 def q_embedding_near_pairs(sf_dir: str) -> rd.Dataset:
     return dedup.embedding_near_pairs(
-        rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"]), threshold=0.9)
+        _read(f"{sf_dir}/embeddings.parquet",
+              columns=["vec_id", "embedding"]), threshold=0.9)
 
 
 # --- events: windowed aggregate ---------------------------------------------
@@ -399,8 +415,8 @@ def q_embedding_near_pairs(sf_dir: str) -> rd.Dataset:
 def q_events_hourly(sf_dir: str) -> rd.Dataset:
     """Per (user, hour) event counts + exact integer-cents value sums.
     Partial aggregation inside map_batches; groupby moves partials only."""
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "value"])
+    ds = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts", "value"])
 
     from ..ops.agg import bucketed_groupby, sum_merge
 
@@ -424,8 +440,8 @@ def q_events_sliding(sf_dir: str) -> rd.Dataset:
     + floor), so the shuffle still moves only (user, window) count
     partials — the sliding multiplicity never amplifies the exchange
     beyond the distinct-window count."""
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ds = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts"])
 
     from ..ops.agg import bucketed_groupby, sum_merge
 
@@ -456,7 +472,7 @@ def q_events_sessions(sf_dir: str) -> rd.Dataset:
     each bucket's users."""
     from ..ops.agg import bucketed_groupby
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    ds = _read(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
 
     def sessionize(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts"], kind="mergesort")
@@ -478,8 +494,8 @@ def q_events_asof(sf_dir: str) -> rd.Dataset:
     preceding error event's value (backward, exact ts allowed)."""
     from ..ops.joins import asof_join_backward
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "event_type",
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "event_type",
                                   "ts", "value"])
     clicks = ev.filter(expr="event_type == 'click'").select_columns(
         ["event_id", "user_id", "ts"])
@@ -531,8 +547,8 @@ def q_events_range(sf_dir: str) -> rd.Dataset:
     +/- 10 minutes (the interval-join custom operator, count-aggregated)."""
     from ..ops.joins import range_join_count
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "event_type", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "event_type", "ts"])
     clicks = ev.filter(expr="event_type == 'click'").select_columns(
         ["event_id", "user_id", "ts"])
     errors = ev.filter(expr="event_type == 'error'").select_columns(
@@ -550,10 +566,10 @@ def q_join_broadcast(sf_dir: str) -> rd.Dataset:
     via ray.put — zero shuffle."""
     from ..ops.joins import broadcast_inner_join
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang"])
-    emb = (rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "label"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "lang"])
+    emb = (_read(f"{sf_dir}/embeddings.parquet",
+                 columns=["vec_id", "label"])
            .map_batches(lambda t: t.rename_columns(["doc_id", "label"]),
                         batch_format="pyarrow"))
     out = broadcast_inner_join(docs, emb, on="doc_id")
@@ -572,10 +588,10 @@ def q_join_shuffle(sf_dir: str) -> rd.Dataset:
     physical plans to the same SQL."""
     from ..ops.joins import hash_inner_join
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "lang"])
-    emb = (rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "label"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "lang"])
+    emb = (_read(f"{sf_dir}/embeddings.parquet",
+                 columns=["vec_id", "label"])
            .map_batches(lambda t: t.rename_columns(["doc_id", "label"]),
                         batch_format="pyarrow"))
     out = hash_inner_join(docs, emb, on="doc_id")
@@ -593,8 +609,8 @@ def q_events_quantiles(sf_dir: str) -> rd.Dataset:
     shuffle carries (key, cents, count) rows, never raw events."""
     from ..ops.agg import grouped_quantile_disc
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value"])
 
     def to_cents(t: pa.Table) -> pa.Table:
         cents = np.floor(
@@ -622,8 +638,8 @@ def q_events_rollup(sf_dir: str) -> rd.Dataset:
     the vocabulary-sized finer level)."""
     from ..ops.agg import grouped_rollup
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts", "value"])
+    ds = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts", "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(
@@ -648,8 +664,8 @@ def q_pack_sequences(sf_dir: str, budget: int = 2000) -> rd.Dataset:
     from ..ops.agg import ordered_prefix_sum
 
     toks = text_ops.token_stats(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"])
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"])
     ).select_columns(["doc_id", "n_tokens"])
     scanned = ordered_prefix_sum(toks, "doc_id", "n_tokens",
                                  out_col="prefix_tokens")
@@ -676,8 +692,8 @@ def q_events_pivot(sf_dir: str) -> rd.Dataset:
     type (fixed category list = fixed schema; per-block pivot partials)."""
     from ..ops.agg import pivot_count
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "event_type"])
     return pivot_count(ev, ["user_id"], "event_type", EVENT_TYPES)
 
 
@@ -686,8 +702,8 @@ def q_user_intersect(sf_dir: str) -> rd.Dataset:
     per-block-distinct side-tagged partials)."""
     from ..ops.setops import intersect_distinct
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "event_type"])
     clicks = ev.filter(expr="event_type == 'click'").select_columns(["user_id"])
     errors = ev.filter(expr="event_type == 'error'").select_columns(["user_id"])
     return intersect_distinct(clicks, errors, ["user_id"])
@@ -699,8 +715,8 @@ def q_custkey_except(sf_dir: str) -> rd.Dataset:
     the orders table is what gives EXCEPT a non-empty answer to pin)."""
     from ..ops.setops import except_distinct
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderstatus"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_custkey", "o_orderstatus"])
     o = orders.filter(expr="o_orderstatus == 'O'").select_columns(["o_custkey"])
     f = orders.filter(expr="o_orderstatus == 'F'").select_columns(["o_custkey"])
     return except_distinct(o, f, ["o_custkey"])
@@ -711,8 +727,8 @@ def q_distinct_users(sf_dir: str) -> rd.Dataset:
     partials (the shuffle carries distinct pairs, never raw events)."""
     from ..ops.agg import grouped_count_distinct
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "user_id"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "user_id"])
     return grouped_count_distinct(ev, ["event_type"], "user_id",
                                   out_col="n_users")
 
@@ -724,16 +740,16 @@ def q_approx_distinct(sf_dir: str) -> rd.Dataset:
     design); the unit suite pins relative error vs exact."""
     from ..ops.agg import grouped_approx_distinct
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "user_id"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "user_id"])
     return grouped_approx_distinct(ev, ["event_type"], "user_id")
 
 
 def q_knn(sf_dir: str, k: int = 10) -> rd.Dataset:
     """Exact cosine top-k, queries = the first N_KNN_QUERIES embeddings.
     Scores reported as integer basis points for hash-stable comparison."""
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
+    emb = _read(f"{sf_dir}/embeddings.parquet",
+                columns=["vec_id", "embedding"])
     queries, qids = _query_vectors(sf_dir)
     out = similarity.knn_brute_force(emb, queries, k=k, query_ids=qids)
 
@@ -747,8 +763,8 @@ def q_knn(sf_dir: str, k: int = 10) -> rd.Dataset:
 
 
 def q_ivf_knn(sf_dir: str, k: int = 10) -> rd.Dataset:
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
+    emb = _read(f"{sf_dir}/embeddings.parquet",
+                columns=["vec_id", "embedding"])
     queries, _ = _query_vectors(sf_dir)
     idx = similarity.IVFIndex.build(emb, n_clusters=16)
     return idx.search(queries, k=k, nprobe=4)
@@ -761,8 +777,8 @@ def q_ivf_exact(sf_dir: str, k: int = 10) -> rd.Dataset:
     brute-force oracle, since probing every cluster scores every vector.
     Puts the ANN infrastructure itself under the hash check; q_ivf_knn
     stays the approximate (rows-only) production mode."""
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
+    emb = _read(f"{sf_dir}/embeddings.parquet",
+                columns=["vec_id", "embedding"])
     queries, _ = _query_vectors(sf_dir)
     idx = similarity.IVFIndex.build(emb, n_clusters=16)
     res = idx.search(queries, k=k, nprobe=16)
@@ -788,8 +804,8 @@ def q_ivf_pruned(sf_dir: str, k: int = 10) -> rd.Dataset:
     import hashlib
     import shutil
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
+    emb = _read(f"{sf_dir}/embeddings.parquet",
+                columns=["vec_id", "embedding"])
     queries, _ = _query_vectors(sf_dir)
     layout = ("/tmp/ivf_pruned_"
               + hashlib.sha256(sf_dir.encode()).hexdigest()[:12])
@@ -815,7 +831,7 @@ def q_ivf_pruned(sf_dir: str, k: int = 10) -> rd.Dataset:
 def q_entities(sf_dir: str) -> rd.Dataset:
     """Reference entity-candidate semantics (services.py:392-419) over
     deterministically title-cased documents: (doc_id, node_id, label)."""
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def fn(t: pa.Table) -> pa.Table:
         ids, nids, labels = [], [], []
@@ -843,8 +859,8 @@ def q_edges_sql(sf_dir: str) -> rd.Dataset:
     in the edge machinery shows up as a hash mismatch."""
     from ..functions.rules import extract_rule_graph
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    ds = _read(f"{sf_dir}/documents.parquet",
+               columns=["doc_id", "text"])
 
     def fn(t: pa.Table) -> pa.Table:
         dids, subjs, preds, objs = [], [], [], []
@@ -989,8 +1005,8 @@ def q_events_window(sf_dir: str) -> rd.Dataset:
     (ts, event_id) — the one co-bucketed shuffle of keyed_window."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "ts", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1015,8 +1031,8 @@ def q_events_window(sf_dir: str) -> rd.Dataset:
 # --- semi / anti joins (ops/joins.py) ----------------------------------------
 
 def _orders_custkeys(sf_dir: str, status: str | None = None) -> rd.Dataset:
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_custkey", "o_orderstatus"])
+    ds = _read(f"{sf_dir}/orders.parquet",
+               columns=["o_custkey", "o_orderstatus"])
     if status is not None:
         ds = ds.filter(expr=f"o_orderstatus == '{status}'")
     return (ds.select_columns(["o_custkey"])
@@ -1030,10 +1046,10 @@ def q_join_left(sf_dir: str) -> rd.Dataset:
     sf0.01 customers with no 'F' order (join_anti's complement) — the
     filter is what makes the corpus exercise the unmatched-left path."""
     from ..ops.joins import hash_inner_join
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name"])
-    orders = (rd.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_custkey", "o_orderkey",
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_name"])
+    orders = (_read(f"{sf_dir}/orders.parquet",
+                    columns=["o_custkey", "o_orderkey",
                                        "o_totalprice", "o_orderstatus"])
               .filter(expr="o_orderstatus == 'F'")
               .select_columns(["o_custkey", "o_orderkey", "o_totalprice"])
@@ -1046,8 +1062,8 @@ def q_join_semi(sf_dir: str) -> rd.Dataset:
     """Customers with at least one order (co-bucketed semi join; the right
     side ships only per-block-distinct keys)."""
     from ..ops.joins import hash_semi_join
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_name"])
     return hash_semi_join(cust, _orders_custkeys(sf_dir), "c_custkey")
 
 
@@ -1056,8 +1072,8 @@ def q_join_anti(sf_dir: str) -> rd.Dataset:
     shape; the status filter keeps the result non-degenerate (every
     customer has SOME order in this data)."""
     from ..ops.joins import hash_anti_join
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_name"])
     return hash_anti_join(cust, _orders_custkeys(sf_dir, status="F"),
                           "c_custkey")
 
@@ -1074,8 +1090,8 @@ def q_stratified_split(sf_dir: str) -> rd.Dataset:
     from ..ops.sampling import stratified_split
 
     docs = text_ops.lang_id(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]))
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]))
     out = stratified_split(docs.select_columns(["doc_id", "lang_guess"]),
                            strata_col="lang_guess", key_col="doc_id",
                            ratios=SPLIT_RATIOS, mode="exact")
@@ -1087,8 +1103,8 @@ def q_stratified_split(sf_dir: str) -> rd.Dataset:
 def q_tfidf(sf_dir: str, k: int = 3) -> rd.Dataset:
     """Top-3 distinctive terms per document by TF-IDF: one
     vocabulary-sized DF shuffle + broadcast idf + pure scoring map."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
     return text_ops.tfidf_top_terms(docs, k=k)
 
 
@@ -1101,8 +1117,8 @@ def q_events_quantiles_cont(sf_dir: str) -> rd.Dataset:
     semantics bit-for-bit off the cumulative counts."""
     from ..ops.agg import grouped_quantile_cont
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value"])
 
     def to_cents(t: pa.Table) -> pa.Table:
         cents = np.floor(
@@ -1130,8 +1146,8 @@ def q_events_cube(sf_dir: str) -> rd.Dataset:
     every other level re-aggregates the vocabulary-sized result."""
     from ..ops.agg import grouped_cube
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts", "value"])
+    ds = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts", "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(
@@ -1156,11 +1172,11 @@ def q_join_outer(sf_dir: str) -> rd.Dataset:
         import pyarrow.compute as pc
         return t.filter(pc.equal(pc.bit_wise_and(t["c_custkey"], 1), 0))
 
-    cust = (rd.read_parquet(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_acctbal"])
+    cust = (_read(f"{sf_dir}/customer.parquet",
+                  columns=["c_custkey", "c_acctbal"])
             .map_batches(even_only, batch_format="pyarrow"))
-    orders = (rd.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_custkey", "o_orderkey",
+    orders = (_read(f"{sf_dir}/orders.parquet",
+                    columns=["o_custkey", "o_orderkey",
                                        "o_totalprice", "o_orderstatus"])
               .filter(expr="o_orderstatus == 'F'")
               .select_columns(["o_custkey", "o_orderkey", "o_totalprice"])
@@ -1177,10 +1193,10 @@ def q_join_skew(sf_dir: str) -> rd.Dataset:
     have >4 lineitems). Same oracle SQL as any inner-join plan."""
     from ..ops.joins import skew_aware_inner_join
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_quantity"])
-    orders = (rd.read_parquet(f"{sf_dir}/orders.parquet",
-                              columns=["o_orderkey", "o_totalprice"])
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_quantity"])
+    orders = (_read(f"{sf_dir}/orders.parquet",
+                    columns=["o_orderkey", "o_totalprice"])
               .map_batches(lambda df: df.rename(columns={
                   "o_orderkey": "l_orderkey"}), batch_format="pandas"))
     return skew_aware_inner_join(li, orders, "l_orderkey", hot_threshold=4)
@@ -1189,8 +1205,8 @@ def q_join_skew(sf_dir: str) -> rd.Dataset:
 def q_doc_chunks(sf_dir: str) -> rd.Dataset:
     """RAG-prep document chunking: 512-char chunks with 64-char overlap,
     one row per chunk — a pure fan-out map, no shuffle."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
     return text_ops.chunk_documents(docs, chunk_chars=512, overlap=64)
 
 
@@ -1200,8 +1216,8 @@ def q_events_rank(sf_dir: str) -> rd.Dataset:
     total order — same single keyed_window shuffle as q_events_window."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1229,8 +1245,8 @@ def q_approx_quantiles(sf_dir: str) -> rd.Dataset:
     sketches)."""
     from ..ops.agg import grouped_approx_quantile
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value"])
     out = grouped_approx_quantile(ev, ["event_type"], "value",
                                   {"p50_est": 0.5, "p95_est": 0.95})
 
@@ -1250,8 +1266,8 @@ def q_events_argmax(sf_dir: str) -> rd.Dataset:
     group, the merge re-selects."""
     from ..ops.agg import grouped_argmax
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "event_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "event_id", "value"])
     out = grouped_argmax(ev, ["event_type"], "value", tiebreak="event_id")
     return out.select_columns(["event_type", "event_id", "value"])
 
@@ -1261,8 +1277,8 @@ def q_lineitem_unpivot(sf_dir: str) -> rd.Dataset:
     fan-out map (3 rows out per row in, no shuffle)."""
     from ..ops.agg import unpivot
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_linenumber",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_linenumber",
                                   "l_quantity", "l_discount", "l_tax"])
     return unpivot(li, id_cols=["l_orderkey", "l_linenumber"],
                    value_cols=["l_quantity", "l_discount", "l_tax"],
@@ -1276,10 +1292,10 @@ def q_join_bloom(sf_dir: str) -> rd.Dataset:
     the matching fraction, not the whole fact table."""
     from ..ops.joins import bloom_filtered_inner_join
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-    cust = (rd.read_parquet(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_name", "c_mktsegment"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_custkey"])
+    cust = (_read(f"{sf_dir}/customer.parquet",
+                  columns=["c_custkey", "c_name", "c_mktsegment"])
             .filter(expr="c_mktsegment == 'BUILDING'")
             .select_columns(["c_custkey", "c_name"])
             .map_batches(lambda df: df.rename(columns={
@@ -1304,8 +1320,8 @@ def q_incr_dedup(sf_dir: str) -> rd.Dataset:
             return t.filter(even if keep_even else pc.invert(even))
         return fn
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
     old = docs.map_batches(parity(True), batch_format="pyarrow")
     new = docs.map_batches(parity(False), batch_format="pyarrow")
     idx = os.path.join(tempfile.gettempdir(),
@@ -1321,8 +1337,8 @@ def q_dup_ngrams(sf_dir: str) -> rd.Dataset:
     synthetic vocabulary actually collides; production default n=8)."""
     from ..ops.dedup import dup_ngram_stats
     return dup_ngram_stats(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]), n=3)
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]), n=3)
 
 
 def q_dedup_spans(sf_dir: str) -> rd.Dataset:
@@ -1330,8 +1346,8 @@ def q_dedup_spans(sf_dir: str) -> rd.Dataset:
     cross-document trigram are dropped, text re-joined."""
     from ..ops.dedup import remove_dup_spans
     return remove_dup_spans(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"]), n=3)
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "text"]), n=3)
 
 
 def q_temperature_mix(sf_dir: str) -> rd.Dataset:
@@ -1340,8 +1356,8 @@ def q_temperature_mix(sf_dir: str) -> rd.Dataset:
     smallest-sha256 selection per source."""
     from ..ops.sampling import temperature_mix
     return temperature_mix(
-        rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "source"]),
+        _read(f"{sf_dir}/documents.parquet",
+              columns=["doc_id", "source"]),
         group_col="source", id_col="doc_id", k=100, alpha=0.5)
 
 
@@ -1362,8 +1378,8 @@ def q_pii_redact(sf_dir: str) -> rd.Dataset:
             " tel +1-555-", s(1000 + d % 9000), "")
         return t.drop_columns(["text"]).append_column("text", planted)
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
     out = text_ops.redact_pii(docs.map_batches(plant, batch_format="pyarrow"))
     return out.select_columns(["doc_id", "text_redacted", "n_email",
                                "n_ipv4", "n_ssn", "n_phone"])
@@ -1378,8 +1394,8 @@ def q_join_multi(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.joins import hash_inner_join
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "event_type",
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "event_type",
                                   "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1406,8 +1422,8 @@ def q_events_pctrank(sf_dir: str) -> rd.Dataset:
     rational ranks divide identically in IEEE float64 on both engines."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1431,8 +1447,8 @@ def q_events_asof_fwd(sf_dir: str) -> rd.Dataset:
     backward direction, mirrored merge."""
     from ..ops.joins import asof_join
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "event_type",
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "event_type",
                                   "ts", "value"])
 
     def side(kind):
@@ -1465,8 +1481,8 @@ def q_events_gsets(sf_dir: str) -> rd.Dataset:
     that vocabulary-sized level."""
     from ..ops.agg import grouped_grouping_sets
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts", "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return (pd.DataFrame({
@@ -1491,8 +1507,8 @@ def q_events_moments(sf_dir: str) -> rd.Dataset:
     same formula in SQL (streaming var_pop would drift in the last ulp)."""
     from ..ops.agg import grouped_moments
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1511,8 +1527,8 @@ def q_events_funnel(sf_dir: str) -> rd.Dataset:
     that click). One user-bucketed shuffle, vectorized per-stage mins."""
     from ..ops.events import funnel_stages
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts", "event_type"])
     return funnel_stages(ev, user_col="user_id", ts_col="ts",
                          type_col="event_type",
                          stages=["view", "click", "purchase"])
@@ -1524,8 +1540,8 @@ def q_events_retention(sf_dir: str) -> rd.Dataset:
     distinct pass + calendar-sized count sum."""
     from ..ops.events import cohort_retention
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts"])
     return cohort_retention(ev, user_col="user_id", ts_col="ts")
 
 
@@ -1558,7 +1574,7 @@ def q_tpch_q1(sf_dir: str) -> rd.Dataset:
     only on the final tiny table."""
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    li = rd.read_parquet(
+    li = _read(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"])
@@ -1617,14 +1633,14 @@ def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
 
     cutoff = pd.Timestamp(Q3_CUTOFF)
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_mktsegment"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_mktsegment"])
     keys = np.unique(cust.filter(expr="c_mktsegment == 'BUILDING'")
                      .to_pandas()["c_custkey"].to_numpy(np.int64))
     keys_ref = ray.put(keys)
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_custkey",
                                       "o_orderdate", "o_orderpriority"])
 
     def keep_orders(df: pd.DataFrame) -> pd.DataFrame:
@@ -1636,8 +1652,8 @@ def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
             "o_orderdate": df["o_orderdate"].dt.strftime("%Y-%m-%d"),
             "o_orderpriority": df["o_orderpriority"]})
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_extendedprice",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_extendedprice",
                                   "l_discount", "l_shipdate"])
 
     def li_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1677,8 +1693,8 @@ def q_events_corr(sf_dir: str) -> rd.Dataset:
     the identical SQL expression."""
     from ..ops.agg import grouped_corr
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1696,8 +1712,8 @@ def q_user_paths(sf_dir: str) -> rd.Dataset:
     building block; one user-bucketed shuffle."""
     from ..ops.agg import grouped_string_agg
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_id",
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts", "event_id",
                                   "event_type"])
     return grouped_string_agg(ev, ["user_id"], "event_type",
                               ["ts", "event_id"], sep=">", out_col="path")
@@ -1709,8 +1725,8 @@ def q_events_mode(sf_dir: str) -> rd.Dataset:
     deterministic smallest-value tiebreak."""
     from ..ops.agg import grouped_mode
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"event_type": df["event_type"],
@@ -1727,8 +1743,8 @@ def q_events_firstlast(sf_dir: str) -> rd.Dataset:
     the same bucket-aligned blocks the window shuffle produced."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts", "event_id", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1757,8 +1773,8 @@ def q_type_encode(sf_dir: str) -> rd.Dataset:
     id assignment pinned by a dense_rank SQL oracle."""
     from ..ops.sampling import vocab_encode
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "event_type"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "event_type"])
     return vocab_encode(ev, "event_type", out_col="type_id")
 
 
@@ -1769,8 +1785,8 @@ def q_user_types(sf_dir: str) -> rd.Dataset:
     ORDER BY ...) pins it exactly."""
     from ..ops.agg import grouped_string_agg
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "event_type"])
 
     def distinct(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates()
@@ -1815,8 +1831,8 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
                                    sup["s_nationkey"].astype(int))))
     asia_ref = ray.put(frozenset(nation_name))
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_nationkey"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_nationkey"])
 
     def cust_slim(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["c_nationkey"].isin(ray.get(asia_ref))]
@@ -1824,8 +1840,8 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
             "o_custkey": df["c_custkey"].to_numpy(np.int64),
             "c_nationkey": df["c_nationkey"].to_numpy(np.int64)})
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"])
 
     def dated(df: pd.DataFrame) -> pd.DataFrame:
@@ -1838,8 +1854,8 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(dated, batch_format="pandas"),
         cust.map_batches(cust_slim, batch_format="pandas"), "o_custkey")
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_suppkey",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_suppkey",
                                   "l_extendedprice", "l_discount"])
 
     def li_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1880,8 +1896,8 @@ def q_tpch_q6(sf_dir: str) -> pd.DataFrame:
     int64 partial, the driver sums ≤num_blocks scalars. Zero shuffle."""
     lo, hi = pd.Timestamp("1996-01-01"), pd.Timestamp("1997-01-01")
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_shipdate", "l_discount",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_shipdate", "l_discount",
                                   "l_quantity", "l_extendedprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1904,8 +1920,8 @@ def q_events_topn(sf_dir: str) -> rd.Dataset:
     full window shuffle."""
     from ..ops.agg import grouped_top_n
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1924,8 +1940,8 @@ def q_events_regr(sf_dir: str) -> rd.Dataset:
     bit-matched by the identical SQL expression."""
     from ..ops.agg import grouped_regression
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1946,8 +1962,8 @@ def q_events_global_rank(sf_dir: str) -> rd.Dataset:
     partition counts with no extra pass."""
     from ..ops.sort import global_row_number
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1986,8 +2002,8 @@ def q_reservoir_sample(sf_dir: str) -> pd.DataFrame:
     block. The identical ln(u)/w formula in SQL pins the selection."""
     from ..ops.sampling import weighted_reservoir_topk
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "n_chars", "lang"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "n_chars", "lang"])
     out = weighted_reservoir_topk(docs, id_col="doc_id",
                                   weight_col="n_chars", k=200,
                                   keep_cols=["lang"])
@@ -2001,8 +2017,8 @@ def q_events_share(sf_dir: str) -> rd.Dataset:
     back in one co-bucketed exchange."""
     from ..ops.window import keyed_share
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2020,8 +2036,8 @@ def q_events_ewma(sf_dir: str) -> rd.Dataset:
     a recursive CTE running the identical float64 recursion."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "value", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "value", "ts"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2054,8 +2070,8 @@ def q_tpch_q10(sf_dir: str) -> pd.DataFrame:
     nat = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
     nation_name = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_returnflag",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_returnflag",
                                   "l_extendedprice", "l_discount"])
 
     def li_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2066,8 +2082,8 @@ def q_tpch_q10(sf_dir: str) -> pd.DataFrame:
                               "revenue_e4": ext_c * (100 - disc_p)})
                 .groupby("l_orderkey", as_index=False, sort=False).sum())
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"])
 
     def dated(df: pd.DataFrame) -> pd.DataFrame:
@@ -2088,8 +2104,8 @@ def q_tpch_q10(sf_dir: str) -> pd.DataFrame:
         joined.map_batches(per_cust, batch_format="pandas"),
         ["c_custkey"], sum_merge(["c_custkey"], ["revenue_e4"]))
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name", "c_acctbal",
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_name", "c_acctbal",
                                     "c_nationkey"])
 
     def cust_slim(df: pd.DataFrame) -> pd.DataFrame:
@@ -2132,8 +2148,8 @@ def q_tpch_q18(sf_dir: str) -> pd.DataFrame:
     from ..ops.agg import bucketed_groupby
     from ..ops.joins import auto_inner_join, hash_inner_join
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_quantity"])
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_quantity"])
 
     def qty_partial(df: pd.DataFrame) -> pd.DataFrame:
         return (pd.DataFrame({"o_orderkey": df["l_orderkey"].to_numpy(np.int64),
@@ -2150,8 +2166,8 @@ def q_tpch_q18(sf_dir: str) -> pd.DataFrame:
         li.map_batches(qty_partial, batch_format="pandas"),
         ["o_orderkey"], having)
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_custkey",
                                       "o_orderdate", "o_totalprice"])
 
     def ord_slim(df: pd.DataFrame) -> pd.DataFrame:
@@ -2166,8 +2182,8 @@ def q_tpch_q18(sf_dir: str) -> pd.DataFrame:
         big, orders.map_batches(ord_slim, batch_format="pandas"),
         "o_orderkey")
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_name"])
 
     def cust_slim(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"c_custkey": df["c_custkey"].to_numpy(np.int64),
@@ -2200,8 +2216,8 @@ def q_events_rolling(sf_dir: str) -> rd.Dataset:
     shuffle computes all four."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "value", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "value", "ts"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2230,7 +2246,7 @@ def q_lineitem_profile(sf_dir: str) -> pd.DataFrame:
     from ..ops.agg import profile_numeric
 
     cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=cols)
+    li = _read(f"{sf_dir}/lineitem.parquet", columns=cols)
     # exact_scale=100: TPC-H measures are exact 2-decimal values, making
     # the mean bit-exact vs the oracle's integer-cents sum (round-4 gate
     # hash miss); generic float columns must NOT opt in
@@ -2275,8 +2291,8 @@ def q_events_outliers(sf_dir: str) -> rd.Dataset:
     joined back through one exchange, no driver broadcast."""
     from ..ops.agg import grouped_zscore_outliers
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "event_type", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2351,8 +2367,8 @@ def q_user_intersect_all(sf_dir: str) -> rd.Dataset:
     count partials per side, one exchange, np.repeat re-expansion."""
     from ..ops.setops import intersect_all
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "event_type"])
     buy = ev.filter(expr="event_type == 'purchase'")
     view = ev.filter(expr="event_type == 'view'")
     return intersect_all(buy.select_columns(["user_id"]),
@@ -2379,8 +2395,8 @@ def q_events_json(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.jsonops import json_extract_columns
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "props"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "props"])
     withk = json_extract_columns(ev, "props", {"k": ("$.k", "int64")})
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2410,8 +2426,8 @@ def q_events_winsorize(sf_dir: str) -> rd.Dataset:
 
     from ..ops.agg import grouped_quantile_cont
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "event_type", "value"])
 
     def to_cents(t: pa.Table) -> pa.Table:
         cents = np.floor(
@@ -2454,15 +2470,15 @@ def q_tpch_q14(sf_dir: str) -> rd.Dataset:
 
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    part = rd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_type"]).to_pandas()
+    part = _read(f"{sf_dir}/part.parquet",
+                 columns=["p_partkey", "p_type"]).to_pandas()
     promo = np.sort(part.loc[part["p_type"] == "PROMO",
                              "p_partkey"].to_numpy(np.int64))
     pref = ray.put(promo)
 
     lo, hi = pd.Timestamp(Q14_START), pd.Timestamp(Q14_END)
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_extendedprice",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_partkey", "l_extendedprice",
                                   "l_discount", "l_shipdate"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2505,16 +2521,16 @@ def q_tpch_q4(sf_dir: str) -> rd.Dataset:
     from ..ops.joins import hash_semi_join
 
     lo, hi = pd.Timestamp(Q4_START), pd.Timestamp(Q4_END)
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderdate",
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_orderdate",
                                       "o_orderpriority"])
 
     def owin(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[(df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi)]
         return keep[["o_orderkey", "o_orderpriority"]]
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_returnflag"])
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_returnflag"])
 
     def lkeys(df: pd.DataFrame) -> pd.DataFrame:
         k = df.loc[df["l_returnflag"] == "R", "l_orderkey"]
@@ -2555,14 +2571,14 @@ def q_tpch_q19(sf_dir: str) -> rd.Dataset:
 
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    part = rd.read_parquet(f"{sf_dir}/part.parquet",
-                           columns=["p_partkey", "p_brand",
+    part = _read(f"{sf_dir}/part.parquet",
+                 columns=["p_partkey", "p_brand",
                                     "p_size"]).to_pandas()
     lut = (part.set_index("p_partkey")[["p_brand", "p_size"]])
     pref = ray.put((lut["p_brand"], lut["p_size"].astype(np.int64)))
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_quantity",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_partkey", "l_quantity",
                                   "l_extendedprice", "l_discount"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2626,8 +2642,8 @@ def q_tpch_q7(sf_dir: str) -> pd.DataFrame:
                                sup["s_nationkey"].astype(int))))
     pair_ref = ray.put(frozenset(pair_keys))
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_nationkey"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_nationkey"])
 
     def cust_slim(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["c_nationkey"].isin(ray.get(pair_ref))]
@@ -2635,8 +2651,8 @@ def q_tpch_q7(sf_dir: str) -> pd.DataFrame:
             "o_custkey": df["c_custkey"].to_numpy(np.int64),
             "c_nationkey": df["c_nationkey"].to_numpy(np.int64)})
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_custkey"])
 
     def okeys(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2647,8 +2663,8 @@ def q_tpch_q7(sf_dir: str) -> pd.DataFrame:
         orders.map_batches(okeys, batch_format="pandas"),
         cust.map_batches(cust_slim, batch_format="pandas"), "o_custkey")
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_suppkey", "l_shipdate",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_suppkey", "l_shipdate",
                                   "l_extendedprice", "l_discount"])
 
     def li_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2712,10 +2728,10 @@ def q_tpch_q13(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.joins import hash_inner_join
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey"])
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderstatus"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_custkey", "o_orderstatus"])
 
     def opartial(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["o_orderstatus"] != "F"]
@@ -2757,8 +2773,8 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
     from ..ops.agg import bucketed_groupby, sum_merge
 
     lo, hi = pd.Timestamp(Q15_START), pd.Timestamp(Q15_END)
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_suppkey", "l_shipdate",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_suppkey", "l_shipdate",
                                   "l_extendedprice", "l_discount"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2813,8 +2829,8 @@ def q_tpch_q17(sf_dir: str) -> rd.Dataset:
                                   "p_partkey"].to_numpy(np.int64))
     bref = ray.put(brand_keys)
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_quantity",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_partkey", "l_quantity",
                                   "l_extendedprice"])
 
     def qty_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2886,8 +2902,8 @@ def q_tpch_q22(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.joins import hash_anti_join
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_nationkey",
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_nationkey",
                                     "c_acctbal"])
 
     def cents(df: pd.DataFrame) -> pd.DataFrame:
@@ -2918,8 +2934,8 @@ def q_tpch_q22(sf_dir: str) -> rd.Dataset:
 
     rich = cust_c.map_batches(rich_only, batch_format="pandas")
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderdate"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_custkey", "o_orderdate"])
     recent = pd.Timestamp(Q22_RECENT)
 
     def okeys(df: pd.DataFrame) -> pd.DataFrame:
@@ -2981,16 +2997,16 @@ def q_tpch_q8(sf_dir: str) -> rd.Dataset:
     econ_ref = ray.put(np.sort(part.loc[part["p_type"] == Q8_TYPE,
                                         "p_partkey"].to_numpy(np.int64)))
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_nationkey"])
+    cust = _read(f"{sf_dir}/customer.parquet",
+                 columns=["c_custkey", "c_nationkey"])
 
     def cust_slim(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["c_nationkey"].isin(ray.get(asia_ref))]
         return pd.DataFrame(
             {"o_custkey": df["c_custkey"].to_numpy(np.int64)})
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_custkey",
                                       "o_orderdate"])
 
     def dated(df: pd.DataFrame) -> pd.DataFrame:
@@ -3004,8 +3020,8 @@ def q_tpch_q8(sf_dir: str) -> rd.Dataset:
         orders.map_batches(dated, batch_format="pandas"),
         cust.map_batches(cust_slim, batch_format="pandas"), "o_custkey")
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_partkey", "l_suppkey",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_partkey", "l_suppkey",
                                   "l_extendedprice", "l_discount"])
 
     def li_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -3063,8 +3079,8 @@ def q_events_histogram(sf_dir: str) -> rd.Dataset:
 
     from ..ops.agg import bucketed_groupby
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value"])
 
     def to_cents(t: pa.Table) -> pa.Table:
         cents = np.floor(
@@ -3135,8 +3151,8 @@ def q_doc_logprob(sf_dir: str) -> rd.Dataset:
     """Unigram LM perplexity-filter score per document (CCNet-style
     quality tier): one vocab count shuffle + broadcast logprob table +
     pure scoring map."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
     return text_ops.unigram_logprob_score(docs)
 
 
@@ -3148,8 +3164,8 @@ def q_events_vrange(sf_dir: str) -> rd.Dataset:
     microseconds so the window boundary is integer arithmetic."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "ts", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return _events_cents_prep(df)
@@ -3166,8 +3182,8 @@ def q_collocations(sf_dir: str) -> rd.Dataset:
     """Bigram collocations by PMI over document tokens (phrase
     discovery): two vocab-sized count shuffles + broadcast unigram map +
     distributed PMI finish with the min-count filter applied in place."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
     return text_ops.bigram_collocations(docs, min_count=5)
 
 
@@ -3180,8 +3196,8 @@ def q_events_transitions(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts",
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "ts",
                                   "event_type"])
     led = keyed_window(
         ev, by="user_id", order=["ts", "event_id"],
@@ -3224,8 +3240,8 @@ def q_events_spikes(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(
@@ -3288,8 +3304,8 @@ def q_events_wquantiles(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import grouped_weighted_quantile_disc
     from ..ops.jsonops import json_extract_columns
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value", "props"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value", "props"])
     withk = json_extract_columns(ev, "props", {"k": ("$.k", "int64")})
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
@@ -3312,8 +3328,8 @@ def q_lineitem_skyline(sf_dir: str) -> rd.Dataset:
     quadratic NOT EXISTS."""
     from ..ops.agg import skyline_2d
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_extendedprice", "l_quantity"])
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_extendedprice", "l_quantity"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3333,8 +3349,8 @@ def q_events_wquantiles_cont(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import grouped_weighted_quantile_cont
     from ..ops.jsonops import json_extract_columns
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value", "props"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value", "props"])
     withk = json_extract_columns(ev, "props", {"k": ("$.k", "int64")})
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
@@ -3370,8 +3386,8 @@ def q_events_systematic(sf_dir: str) -> rd.Dataset:
     exactly reproducible, unlike random_shuffle-based takes."""
     from ..ops.sort import global_row_number
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "ts", "user_id"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3410,8 +3426,8 @@ def q_tpch_q12(sf_dir: str) -> rd.Dataset:
     from ..ops.joins import auto_inner_join
 
     lo, hi = pd.Timestamp(Q12_START), pd.Timestamp(Q12_END)
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_linestatus",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_linestatus",
                                   "l_shipdate"])
 
     def lslim(df: pd.DataFrame) -> pd.DataFrame:
@@ -3420,8 +3436,8 @@ def q_tpch_q12(sf_dir: str) -> rd.Dataset:
             "l_orderkey": df["l_orderkey"].to_numpy(np.int64),
             "l_linestatus": df["l_linestatus"].astype("string")})
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderpriority"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_orderpriority"])
 
     def oslim(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3466,8 +3482,8 @@ def q_tpch_q21(sf_dir: str) -> pd.DataFrame:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.joins import hash_semi_join
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_suppkey",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_suppkey",
                                   "l_returnflag"])
 
     def lpartial(df: pd.DataFrame) -> pd.DataFrame:
@@ -3503,8 +3519,8 @@ def q_tpch_q21(sf_dir: str) -> pd.DataFrame:
         li.map_batches(lpartial, batch_format="pandas"),
         ["l_orderkey"], order_merge)
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderstatus"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_orderstatus"])
 
     def okeys(df: pd.DataFrame) -> pd.DataFrame:
         k = df.loc[df["o_orderstatus"] == "F", "o_orderkey"]
@@ -3571,8 +3587,8 @@ def q_tpch_q9(sf_dir: str) -> pd.DataFrame:
                      index=sup["s_suppkey"].astype(np.int64))
     lut_ref = ray.put((retail_c, smap))
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_partkey", "l_suppkey",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_orderkey", "l_partkey", "l_suppkey",
                                   "l_quantity", "l_extendedprice",
                                   "l_discount"])
 
@@ -3597,8 +3613,8 @@ def q_tpch_q9(sf_dir: str) -> pd.DataFrame:
         }).groupby(["l_orderkey", "s_nationkey"], as_index=False,
                    sort=False).sum())
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderdate"])
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_orderkey", "o_orderdate"])
 
     def oyears(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3648,8 +3664,8 @@ def q_tpch_q11(sf_dir: str) -> pd.DataFrame:
     lineitem."""
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_extendedprice",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_partkey", "l_extendedprice",
                                   "l_discount"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -3688,8 +3704,8 @@ def q_events_twa(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, sum_merge
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "ts", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return _events_cents_prep(df)
@@ -3740,8 +3756,8 @@ def q_events_gapfill(sf_dir: str) -> rd.Dataset:
     key — never a Python loop over hours or users."""
     from ..ops.agg import bucketed_groupby
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "ts", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return _events_cents_prep(df)
@@ -3796,8 +3812,8 @@ def q_events_mad(sf_dir: str) -> pd.DataFrame:
 
     from ..ops.agg import grouped_quantile_disc
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3840,8 +3856,8 @@ def q_events_lift(sf_dir: str) -> pd.DataFrame:
     integer products exact first)."""
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return (pd.DataFrame({
@@ -3887,8 +3903,8 @@ def q_events_rollmed(sf_dir: str) -> rd.Dataset:
     interpolate (mean of the two middles), matching SQL median() OVER."""
     from ..ops.window import WindowSpec, keyed_window
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "ts", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return _events_cents_prep(df)
@@ -3910,8 +3926,8 @@ def q_events_newusers(sf_dir: str) -> pd.DataFrame:
     driver-side."""
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3976,8 +3992,8 @@ def q_session_concurrency(sf_dir: str) -> rd.Dataset:
     from ..ops.agg import bucketed_groupby, ordered_prefix_sum, sum_merge
     from ..ops.joins import hash_inner_join
 
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
+    ds = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts"])
 
     def sessionize(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts"], kind="mergesort")
@@ -4047,8 +4063,8 @@ def q_vocab_stats(sf_dir: str) -> pd.DataFrame:
         g["cnt"] = g["cnt"].astype(np.int64)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    docs = _read(f"{sf_dir}/documents.parquet",
+                 columns=["doc_id", "text"])
     counts = bucketed_groupby(
         docs.map_batches(count_partial, batch_format="pyarrow"),
         ["token"], sum_merge(["token"], ["cnt"]))
@@ -4114,8 +4130,8 @@ def q_tpch_q2(sf_dir: str) -> pd.DataFrame:
         .astype(int))
     luts = ray.put((sup_keys, fp))
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_suppkey",
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_partkey", "l_suppkey",
                                   "l_extendedprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -4185,8 +4201,8 @@ def q_tpch_q16(sf_dir: str) -> rd.Dataset:
                        index=part["p_partkey"].astype(np.int64))
     luts = ray.put((excl, brand, bucket))
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_suppkey"])
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_partkey", "l_suppkey"])
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
         ex, br, bu = ray.get(luts)
@@ -4228,8 +4244,8 @@ def q_tpch_q20(sf_dir: str) -> pd.DataFrame:
                  "p_partkey"].astype(int))
     red_ref = ray.put(red)
 
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_suppkey", "l_quantity"])
+    li = _read(f"{sf_dir}/lineitem.parquet",
+               columns=["l_partkey", "l_suppkey", "l_quantity"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["l_partkey"].isin(ray.get(red_ref))]
@@ -4318,8 +4334,8 @@ def q_events_equidepth(sf_dir: str) -> "rd.Dataset | pd.DataFrame":
     the broadcast row count, so no second pass."""
     from ..ops.sort import global_row_number
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return _events_cents_prep(df, cols=("event_id", "cents"))
@@ -4358,8 +4374,8 @@ def q_embed_centroids(sf_dir: str) -> rd.Dataset:
     never a Python loop over vectors."""
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["label", "embedding"])
+    emb = _read(f"{sf_dir}/embeddings.parquet",
+                columns=["label", "embedding"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
@@ -4421,8 +4437,8 @@ def q_orders_rfm(sf_dir: str) -> pd.DataFrame:
     formula)."""
     from ..ops.agg import bucketed_groupby
 
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey", "o_orderdate",
+    orders = _read(f"{sf_dir}/orders.parquet",
+                   columns=["o_custkey", "o_orderdate",
                                       "o_totalprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -4480,8 +4496,8 @@ def q_events_impute(sf_dir: str) -> rd.Dataset:
 
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "event_type", "value"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "event_type", "value"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return _events_cents_prep(df,
@@ -4541,8 +4557,8 @@ def q_basket_rules(sf_dir: str) -> pd.DataFrame:
     sum shuffle and an integer-bp driver finish follow."""
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts", "event_type"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return (pd.DataFrame({
@@ -4631,7 +4647,7 @@ def q_fk_audit(sf_dir: str) -> pd.DataFrame:
 
     def count_orphans(child_path: str, child_key: str,
                       parent_path: str, parent_key: str) -> tuple:
-        child = rd.read_parquet(child_path, columns=[child_key])
+        child = _read(child_path, columns=[child_key])
         n_parent = pq.ParquetFile(parent_path).metadata.num_rows
         if n_parent <= FK_BROADCAST_MAX_PARENT:
             keys = pq.read_table(parent_path, columns=[parent_key])
@@ -4657,7 +4673,7 @@ def q_fk_audit(sf_dir: str) -> pd.DataFrame:
             batch_format="pandas")
         counts = bucketed_groupby(
             ck, ["k"], sum_merge(["k"], ["n"])).materialize()
-        pk = rd.read_parquet(parent_path, columns=[parent_key])             .map_batches(
+        pk = _read(parent_path, columns=[parent_key])             .map_batches(
             lambda df, c=parent_key: pd.DataFrame(
                 {"k": np.unique(df[c].to_numpy(np.int64))}),
             batch_format="pandas")
@@ -4690,8 +4706,8 @@ def q_events_drift(sf_dir: str) -> pd.DataFrame:
     finish on the vocabulary-sized table with integer bp math."""
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"]).materialize()
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_type", "ts"]).materialize()
     from ray.data.aggregate import Max, Min
     stats = ev.aggregate(Min("ts"), Max("ts"))
     lo, hi = stats["min(ts)"], stats["max(ts)"]
@@ -4747,8 +4763,8 @@ def q_user_mobility(sf_dir: str) -> pd.DataFrame:
 
     from ..ops.agg import bucketed_groupby, sum_merge
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "value"]).materialize()
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["user_id", "ts", "value"]).materialize()
     stats = ev.aggregate(Min("ts"), Max("ts"))
     lo, hi = stats["min(ts)"], stats["max(ts)"]
     if lo is None:
@@ -4811,8 +4827,8 @@ def q_events_timeband(sf_dir: str) -> rd.Dataset:
     O(n log n + output), never an n^2 cross join."""
     from ..ops.agg import bucketed_groupby
 
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts",
+    ev = _read(f"{sf_dir}/events.parquet",
+               columns=["event_id", "user_id", "ts",
                                   "event_type"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:

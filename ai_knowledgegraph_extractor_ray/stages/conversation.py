@@ -7,16 +7,19 @@ ordered by turn_idx); version K = the prefix of turns with turn_idx <= cutoff.
 
 Scale design: ONE shuffle, keyed on partition_id = crc32(conv_id) % P, which
 is also the engine's commit/lineage granularity. Inside each partition group
-the assembly is vectorized pandas (sort + groupby-join, C path, no per-row
-Python). Only *within-conversation* order matters, so no global sort is ever
-performed — the ordering invariant is enforced per group (SURVEY.md §4.2).
+the assembly is one Arrow kernel (``assemble_table``): a stable sort on
+(conv_id, turn_idx), conversation runs from the sorted ids, and the text
+joined by ``binary_join`` over a list array on the run offsets, with no
+per-row Python. Only *within-conversation* order matters, so no global sort
+is ever performed — the ordering invariant is enforced per group (SURVEY.md
+§4.2).
 
 This module also defines phase 1's two lineage keys, once each:
 
 * the partition id: ``ops/hashing.effective_pids`` of the conv id's crc32
   (``add_partition_id`` for a Dataset, ``partition_of`` for one id);
 * the input fingerprint: ``turn_hashes`` per turn, xored per key by
-  ``xor_by_key`` — per conversation in ``assemble_partition`` (the
+  ``xor_by_key`` — per conversation in ``assemble_table`` (the
   ``conv_fp`` column ``lineage.write_partition`` folds into the manifest)
   and per partition in ``partition_fingerprints`` (what a resume compares
   with the manifest).
@@ -114,110 +117,107 @@ def partition_fingerprints(ds: rd.Dataset, *, version_cutoff: int | None = None,
     return {int(p): f"{int(v):016x}" for p, v in zip(pids, fps)}
 
 
+def _assembled(conv_ids: pa.Array, window_ids: np.ndarray, texts: pa.Array,
+               n_turns: np.ndarray, partition_id: int, version: int,
+               fps: np.ndarray) -> pa.Table:
+    n = len(window_ids)
+    return pa.table({
+        "conv_id": conv_ids,
+        "window_id": pa.array(window_ids, pa.int32()),
+        "text": texts,
+        "n_turns": pa.array(n_turns, pa.int32()),
+        "partition_id": pa.array(np.full(n, partition_id, np.int32)),
+        "version": pa.array(np.full(n, version, np.int32)),
+        "conv_fp": pa.array(fps, pa.uint64()),
+    })
+
+
+def _pack_windows(turns: list[str], window_chars: int) -> list[str]:
+    """One oversized conversation's turns -> its windows: turns packed
+    greedily up to ``window_chars`` (joined with "\n"); a single turn
+    longer than that is hard-split."""
+    wins: list[str] = []
+    win: list[str] = []
+    size = 0
+    for t in turns:
+        # the running size counts a separator after every turn, so a
+        # multi-turn window whose join would EQUAL window_chars flushes
+        if size and size + 1 + len(t) > window_chars:
+            wins.append("\n".join(win))
+            win, size = [], 0
+        if len(t) > window_chars:   # single over-long turn: hard split
+            if win:
+                wins.append("\n".join(win))
+                win, size = [], 0
+            wins += [t[s:s + window_chars]
+                     for s in range(0, len(t), window_chars)]
+            continue
+        win.append(t)
+        size += len(t) + 1
+    if win:
+        wins.append("\n".join(win))
+    return wins
+
+
+def assemble_table(t: pa.Table, *, window_chars: int = 0,
+                   version_cutoff: int | None = None,
+                   version: int = 1) -> pa.Table:
+    """Assemble every conversation of one partition group (``t`` holds its
+    turns: conv_id, turn_idx, text, partition_id).
+
+    Returns rows (conv_id, window_id, text, n_turns, partition_id, version,
+    conv_fp), conversations in conv_id order. A stable sort on (conv_id,
+    turn_idx) makes each conversation one run of turns; ``n_turns`` is the
+    run length, ``conv_fp`` the xor of the run's ``turn_hashes`` and the
+    text the run joined with "\n". With ``window_chars > 0`` a
+    conversation whose joined text is shorter than ``window_chars`` is one
+    window; the others, after them, are split by ``_pack_windows`` (the
+    only per-conversation Python, over oversized conversations alone).
+    """
+    if version_cutoff is not None:
+        t = t.filter(pc.less_equal(t["turn_idx"], version_cutoff))
+    if t.num_rows == 0:
+        none = np.empty(0, np.int64)
+        return _assembled(t["conv_id"].combine_chunks(), none,
+                          t["text"].combine_chunks(), none, 0, version, none)
+    t = t.select(["conv_id", "turn_idx", "text", "partition_id"]).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    conv = t["conv_id"].combine_chunks()
+    text = t["text"].combine_chunks()
+    starts = np.flatnonzero(np.r_[True, ~pc.equal(
+        conv[1:], conv[:-1]).to_numpy(zero_copy_only=False)])
+    bounds = np.r_[starts, len(conv)]
+    n_turns = np.diff(bounds)
+    fps = np.bitwise_xor.reduceat(turn_hashes(t), starts)
+    turns = pa.ListArray.from_arrays(pa.array(bounds, pa.int32()), text)
+    joined = pc.binary_join(turns, pa.scalar("\n", text.type))
+    ids = conv.take(pa.array(starts))
+    pid = t["partition_id"][0].as_py()
+    if window_chars <= 0:
+        return _assembled(ids, np.zeros(len(starts), np.int32), joined,
+                          n_turns, pid, version, fps)
+
+    small = pc.less(pc.utf8_length(joined), window_chars).to_numpy(
+        zero_copy_only=False)
+    big = np.flatnonzero(~small)
+    wins = [_pack_windows(ts, window_chars)
+            for ts in turns.take(pa.array(big)).to_pylist()]
+    rows = np.r_[np.flatnonzero(small),
+                 np.repeat(big, [len(ws) for ws in wins]).astype(np.int64)]
+    window_ids = np.concatenate([np.zeros(int(small.sum()), np.int64)]
+                                + [np.arange(len(ws)) for ws in wins])
+    texts = pa.concat_arrays([
+        joined.filter(pa.array(small)),
+        pa.array([w for ws in wins for w in ws], text.type)])
+    return _assembled(ids.take(pa.array(rows)), window_ids, texts,
+                      n_turns[rows], pid, version, fps[rows])
+
+
 def assemble_partition(df: pd.DataFrame, *, window_chars: int = 0,
                        version_cutoff: int | None = None,
                        version: int = 1) -> pd.DataFrame:
-    """Assemble every conversation inside one partition group.
-
-    Returns rows (conv_id, window_id, text, n_turns, partition_id, version,
-    conv_fp). Vectorized except the optional windowing split (rare path,
-    per-conversation Python over already-joined strings).
-    """
-    if version_cutoff is not None:
-        df = df[df["turn_idx"] <= version_cutoff]
-    if len(df) == 0:
-        return pd.DataFrame({
-            "conv_id": pd.Series([], dtype="string"),
-            "window_id": pd.Series([], dtype="int32"),
-            "text": pd.Series([], dtype="string"),
-            "n_turns": pd.Series([], dtype="int32"),
-            "partition_id": pd.Series([], dtype="int32"),
-            "version": pd.Series([], dtype="int32"),
-            "conv_fp": pd.Series([], dtype="uint64"),
-        })
-    df = df.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    codes, convs = pd.factorize(df["conv_id"])
-    keys, xors = xor_by_key(codes, turn_hashes(pa.Table.from_pandas(
-        df[["conv_id", "turn_idx", "text"]], preserve_index=False)))
-    fps = pd.Series(xors, index=convs[keys])
-    grouped = df.groupby("conv_id", sort=False)
-    joined = grouped["text"].agg("\n".join)
-    n_turns = grouped.size().astype("int32")
-    pid = int(df["partition_id"].iloc[0])
-
-    if window_chars <= 0:
-        out = pd.DataFrame({
-            "conv_id": joined.index.astype("string"),
-            "window_id": np.zeros(len(joined), dtype="int32"),
-            "text": joined.values,
-            "n_turns": n_turns.values,
-        })
-    else:
-        # Fast path: a conversation whose JOINED text fits one window needs
-        # no packing at all — identical output to the loop (one window 0
-        # row). Only oversized conversations (rare: window_chars is the
-        # 2000-char LLM prompt cap vs typically-short conversations) pay
-        # the per-conversation Python loop. Measured: windowed mode was
-        # ~15% behind whole-text mode with the all-Python loop.
-        # STRICT bound: the packing loop's separator accounting flushes a
-        # multi-turn conversation whose joined text would EQUAL
-        # window_chars (its running size counts a trailing separator), so
-        # only joined < window_chars is loop-equivalent to one window;
-        # boundary cases take the loop
-        joined_len = joined.str.len()
-        small = joined_len < window_chars
-        conv_ids, win_ids, texts, nts = [], [], [], []
-        big_ids = set(joined.index[~small])
-        turn_lists = (df[df["conv_id"].isin(big_ids)]
-                      .groupby("conv_id", sort=False)["text"].agg(list)
-                      if big_ids else pd.Series(dtype=object))
-        for cid, turns in turn_lists.items():
-            nt = len(turns)
-            win, size, wid = [], 0, 0
-
-            def flush():
-                nonlocal win, size, wid
-                if win:
-                    conv_ids.append(cid)
-                    win_ids.append(wid)
-                    texts.append("\n".join(win))
-                    nts.append(nt)
-                    wid += 1
-                    win, size = [], 0
-
-            for t in turns:
-                if size and size + 1 + len(t) > window_chars:
-                    flush()
-                if len(t) > window_chars:   # single over-long turn: hard split
-                    flush()
-                    for s in range(0, len(t), window_chars):
-                        conv_ids.append(cid)
-                        win_ids.append(wid)
-                        texts.append(t[s:s + window_chars])
-                        nts.append(nt)
-                        wid += 1
-                    continue
-                win.append(t)
-                size += len(t) + 1
-            flush()
-        out = pd.concat([
-            pd.DataFrame({
-                "conv_id": pd.Series(joined.index[small], dtype="string"),
-                "window_id": np.zeros(int(small.sum()), dtype="int32"),
-                "text": pd.Series(joined.values[small.to_numpy()],
-                                  dtype="string"),
-                "n_turns": n_turns.values[small.to_numpy()],
-            }),
-            pd.DataFrame({
-                "conv_id": pd.Series(conv_ids, dtype="string"),
-                "window_id": pd.Series(win_ids, dtype="int32"),
-                "text": pd.Series(texts, dtype="string"),
-                "n_turns": pd.Series(nts, dtype="int32"),
-            }),
-        ], ignore_index=True)
-
-    out["partition_id"] = np.int32(pid)
-    out["version"] = np.int32(version)
-    out["conv_fp"] = out["conv_id"].map(fps).astype("uint64")
-    return out
-
+    """``assemble_table`` with pandas in and out."""
+    return assemble_table(pa.Table.from_pandas(df, preserve_index=False),
+                          window_chars=window_chars,
+                          version_cutoff=version_cutoff,
+                          version=version).to_pandas()

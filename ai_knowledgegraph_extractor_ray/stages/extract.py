@@ -183,40 +183,18 @@ class Extractor:
         self.backend = make_backend(cfg)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cols: dict[str, list] = {name: [] for name, _ in GRAPH_ROW_FIELDS}
-        conv_ids = batch["conv_id"].to_pylist()
-        win_ids = batch["window_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        versions = batch["version"].to_pylist()
-        pids = batch["partition_id"].to_pylist()
-        fps = batch["conv_fp"].to_pylist()
-        n_turns = batch["n_turns"].to_pylist()
-
+        """Graph rows of every text unit of ``batch``, unit by unit: its
+        ``conv`` marker row, then its node rows, then its edge rows. The
+        unit's own columns are repeated onto its rows with one ``take`` per
+        column; the node and edge columns are filled from lists extended
+        once per unit."""
         bname = self.backend.name
-
-        def emit(kind, cid, wid, ver, pid, fp, *, node_id=None, label=None,
-                 node_type=None, edge_id=None, src=None, dst=None, subj=None,
-                 pred=None, obj=None, nt=None):
-            cols["kind"].append(kind)
-            cols["conv_id"].append(cid)
-            cols["window_id"].append(wid)
-            cols["node_id"].append(node_id)
-            cols["label"].append(label)
-            cols["node_type"].append(node_type)
-            cols["edge_id"].append(edge_id)
-            cols["src_node_id"].append(src)
-            cols["dst_node_id"].append(dst)
-            cols["subj"].append(subj)
-            cols["pred"].append(pred)
-            cols["obj"].append(obj)
-            cols["version"].append(ver)
-            cols["partition_id"].append(pid)
-            cols["conv_fp"].append(fp)
-            cols["backend"].append(bname)
-            cols["n_turns"].append(nt)
-
-        for cid, wid, text, ver, pid, fp, nt in zip(
-                conv_ids, win_ids, texts, versions, pids, fps, n_turns):
+        statuses: list[str] = []
+        sizes: list[tuple[int, int, int]] = []     # rows per unit and kind
+        node_ids, labels, types = [], [], []
+        edge_ids, srcs, dsts, subjs, preds, objs = [], [], [], [], [], []
+        for cid, text in zip(batch["conv_id"].to_pylist(),
+                             batch["text"].to_pylist()):
             try:
                 g = self.backend.extract(text)
                 status = bname
@@ -230,25 +208,60 @@ class Extractor:
                 except Exception:
                     g = RuleGraph()
                     status = "error"
-            # marker row per text unit: lineage counts + guarantees every
-            # input partition commits even when extraction yields no graph
-            emit("conv", cid, wid, ver, pid, fp, nt=nt)
-            if status != bname:
-                cols["backend"][-1] = status
+            statuses.append(status)
+            sizes.append((1, len(g.node_ids), len(g.edge_src)))
+            node_ids += g.node_ids
+            labels += g.labels
+            types += g.types
             label_of = dict(zip(g.node_ids, g.labels))
-            for nid, label, typ in zip(g.node_ids, g.labels, g.types):
-                emit("node", cid, wid, ver, pid, fp,
-                     node_id=nid, label=label, node_type=typ)
             for src, dst, rel in zip(g.edge_src, g.edge_dst, g.edge_rel):
                 subj, obj = label_of.get(src, ""), label_of.get(dst, "")
-                emit("edge", cid, wid, ver, pid, fp,
-                     edge_id=edge_id_of(cid, subj, rel, obj),
-                     src=src, dst=dst, subj=subj, pred=rel, obj=obj)
+                edge_ids.append(edge_id_of(cid, subj, rel, obj))
+                subjs.append(subj)
+                objs.append(obj)
+            srcs += g.edge_src
+            dsts += g.edge_dst
+            preds += g.edge_rel
 
-        return pa.Table.from_pydict(
-            {name: pa.array(cols[name], typ) for name, typ in GRAPH_ROW_FIELDS},
-            schema=GRAPH_ROWS,
-        )
+        # per unit: one marker row (kind 0: conv), its nodes (1), its edges
+        # (2); a row's ``pos`` is its index among the rows of its kind
+        per_kind = np.array(sizes, np.int64).reshape(-1, 3)
+        kind = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(sizes)),
+                         per_kind.reshape(-1))
+        unit = np.repeat(np.arange(len(sizes)), per_kind.sum(axis=1))
+        pos = np.zeros(len(kind), np.int64)
+        for k in range(3):
+            m = kind == k
+            pos[m] = np.arange(int(m.sum()))
+
+        def of_kind(k: int, values: list, typ) -> pa.Array:
+            """``values`` on the rows of kind ``k``, null elsewhere."""
+            return pa.array(values, typ).take(pa.array(pos, mask=kind != k))
+
+        units = pa.array(unit)
+        cols = {
+            "kind": pa.array(["conv", "node", "edge"]).take(pa.array(kind)),
+            **{c: batch[c].take(units).cast(GRAPH_ROWS.field(c).type)
+               for c in ("conv_id", "window_id", "version", "partition_id",
+                         "conv_fp")},
+            "node_id": of_kind(1, node_ids, pa.string()),
+            "label": of_kind(1, labels, pa.string()),
+            "node_type": of_kind(1, types, pa.string()),
+            "edge_id": of_kind(2, edge_ids, pa.string()),
+            "src_node_id": of_kind(2, srcs, pa.string()),
+            "dst_node_id": of_kind(2, dsts, pa.string()),
+            "subj": of_kind(2, subjs, pa.string()),
+            "pred": of_kind(2, preds, pa.string()),
+            "obj": of_kind(2, objs, pa.string()),
+            # the unit's extraction status on its marker row, the backend on
+            # its graph rows
+            "backend": pa.array([bname] + statuses).take(pa.array(
+                np.where(kind == 0, pos + 1, 0))),
+            "n_turns": batch["n_turns"].take(pa.array(unit, mask=kind != 0))
+            .cast(GRAPH_ROWS.field("n_turns").type),
+        }
+        return pa.table([cols[name] for name, _ in GRAPH_ROW_FIELDS],
+                         schema=GRAPH_ROWS)
 
 
 def renumber_conversation_windows(df) -> "pd.DataFrame":

@@ -29,7 +29,7 @@ hashes, order-insensitive): a resume over *changed* input is detected by
 ``validate_manifest`` rather than silently reusing stale output. The
 fingerprint is defined once, in ``stages/conversation.py``: ``turn_hashes``
 hashes each turn and ``xor_by_key`` folds them. ``write_partition`` xors the
-``conv_fp`` column ``assemble_partition`` computes with them, and a resume
+``conv_fp`` column ``assemble_table`` computes with them, and a resume
 compares it with ``partition_fingerprints``, which computes it from the
 input.
 """
@@ -45,7 +45,10 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+from ..stages.extract import GRAPH_ROWS
 from . import schema_evo
 
 
@@ -77,55 +80,75 @@ def committed_partitions(out_dir: str, version: int) -> dict[int, dict]:
 
 
 # stored columns: no ``version`` (stamped at read time), so the bytes of a
-# partition are the same under every version that links it
+# partition are the same under every version that links it. Each file has a
+# fixed schema, typed as the graph rows are, whatever rows the partition has
 NODE_COLS = ["conv_id", "node_id", "label", "node_type", "window_id"]
 EDGE_COLS = ["conv_id", "edge_id", "src_node_id", "dst_node_id",
              "subj", "pred", "obj", "window_id"]
 CONV_COLS = ["conv_id", "window_id", "n_turns", "backend"]
 PARTITION_FILES = ("nodes.parquet", "edges.parquet", "convs.parquet")
+_FILE_KINDS = (("node", NODE_COLS), ("edge", EDGE_COLS), ("conv", CONV_COLS))
 
 
-def _replace_parquet(df: pd.DataFrame, path: Path) -> None:
-    """Write ``df`` to ``path`` through a tmp file and a rename: the old
+def _replace_parquet(t: pa.Table, path: Path) -> None:
+    """Write ``t`` to ``path`` through a tmp file and a rename: the old
     inode, which a later version may hard-link, is never truncated."""
     tmp = path.with_name(path.name + ".tmp")
-    df.to_parquet(tmp, index=False)
+    pq.write_table(t, tmp)
     tmp.replace(path)
 
 
-def write_partition(group: pd.DataFrame, out_dir: str, version: int,
-                    input_bytes: int = 0,
+def _first_row_per_conv(t: pa.Table) -> np.ndarray:
+    """Index of the first row of each distinct ``conv_id`` of ``t``."""
+    codes = t["conv_id"].combine_chunks().dictionary_encode().indices
+    return np.unique(codes.to_numpy(), return_index=True)[1]
+
+
+def write_partition(group: pa.Table | pd.DataFrame, out_dir: str,
+                    version: int, input_bytes: int = 0,
                     started_at: float | None = None,
-                    config_sig: str = "") -> pd.DataFrame:
-    """Commit one partition's graph rows. Runs inside the partition's
+                    config_sig: str = "",
+                    stage_s: dict | None = None) -> pd.DataFrame:
+    """Commit one partition's graph rows (``extract.GRAPH_ROWS``; a
+    DataFrame is converted to them first). Runs inside the partition's
     reduce task, returning the manifest as a one-row DataFrame so the
     manifests themselves form a small Dataset the driver can aggregate.
     ``started_at`` (a perf_counter value) lets the caller charge the whole
     partition task (assemble+extract+write) to ``wall_time_s``; the
-    default times only the commit."""
-    t0 = started_at if started_at is not None else time.perf_counter()
-    pid = int(group["partition_id"].iloc[0])
+    default times only the commit. The manifest's ``stage_s`` holds the
+    caller's ``stage_s`` walls plus this commit's ``write`` wall."""
+    t_write = time.perf_counter()
+    t0 = started_at if started_at is not None else t_write
+    if isinstance(group, pd.DataFrame):
+        group = pa.Table.from_pandas(group, schema=GRAPH_ROWS,
+                                     preserve_index=False)
+    pid = group["partition_id"][0].as_py()
     pdir = partition_dir(out_dir, version, pid)
     pdir.mkdir(parents=True, exist_ok=True)
 
-    nodes = group.loc[group["kind"] == "node", NODE_COLS]
-    edges = group.loc[group["kind"] == "edge", EDGE_COLS]
-    convs = group.loc[group["kind"] == "conv", CONV_COLS]
-    for name, df in zip(PARTITION_FILES, (nodes, edges, convs)):
-        _replace_parquet(df, pdir / name)
+    nodes, edges, convs = tables = [
+        group.filter(pc.equal(group["kind"], kind)).select(cols).cast(
+            pa.schema([GRAPH_ROWS.field(c) for c in cols]))
+        for kind, cols in _FILE_KINDS]
+    for name, t in zip(PARTITION_FILES, tables):
+        _replace_parquet(t, pdir / name)
 
-    conv_fp = group.drop_duplicates("conv_id")["conv_fp"].astype("uint64").values
+    firsts = _first_row_per_conv(group)
+    conv_fp = group["conv_fp"].take(pa.array(firsts)).to_numpy()
     fingerprint = f"{np.bitwise_xor.reduce(conv_fp) if len(conv_fp) else 0:016x}"
+    n_turns = convs["n_turns"].take(pa.array(_first_row_per_conv(convs)))
     manifest = {
         "partition_id": pid,
         "version": version,
         "input_fingerprint": fingerprint,
-        "n_conversations": int(group["conv_id"].nunique()),
-        "n_turns": int(convs.drop_duplicates("conv_id")["n_turns"].sum()),
-        "n_nodes": int(len(nodes)),
-        "n_edges": int(len(edges)),
+        "n_conversations": len(firsts),
+        "n_turns": int(pc.sum(n_turns).as_py() or 0),
+        "n_nodes": nodes.num_rows,
+        "n_edges": edges.num_rows,
         "input_bytes": int(input_bytes),
         "wall_time_s": round(time.perf_counter() - t0, 4),
+        "stage_s": {**(stage_s or {}),
+                    "write": round(time.perf_counter() - t_write, 4)},
         # partition-layout + extraction-config signature: cross-version
         # reuse links a partition only when this matches (same
         # num_partitions / window_chars / backend — a fingerprint match
@@ -134,14 +157,8 @@ def write_partition(group: pd.DataFrame, out_dir: str, version: int,
         # per-table schema signatures (state/schema_evo.py): lets readers
         # and audits detect mixed-schema version ranges from manifests
         # alone — the lake's Alembic-revision analogue
-        "schema_sig": {
-            "nodes": schema_evo.schema_sig(
-                pa.Schema.from_pandas(nodes, preserve_index=False)),
-            "edges": schema_evo.schema_sig(
-                pa.Schema.from_pandas(edges, preserve_index=False)),
-            "convs": schema_evo.schema_sig(
-                pa.Schema.from_pandas(convs, preserve_index=False)),
-        },
+        "schema_sig": {name.split(".")[0]: schema_evo.schema_sig(t.schema)
+                       for name, t in zip(PARTITION_FILES, tables)},
     }
     _commit_manifest(out_dir, version, pid, manifest)
     return pd.DataFrame([manifest])

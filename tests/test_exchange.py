@@ -226,6 +226,39 @@ def test_crc32_kernel_bit_identical_to_zlib():
         [zlib.crc32(f"conv_{i}".encode()) % 7 for i in range(500)])).all()
 
 
+@pytest.mark.parametrize("kernel", [True, False])
+def test_crc32_both_paths_equal_zlib(kernel):
+    """Both paths ``crc32_column`` picks between by cost — the byte-position
+    kernel and per-row ``zlib.crc32`` over slices of the value buffer —
+    equal ``zlib.crc32``: empty strings, non-ASCII text, ``large_string``,
+    sliced arrays (non-zero offset), values longer than 1024 bytes, and a
+    column of empty strings only."""
+    import random
+    import zlib
+
+    import numpy as np
+
+    from ai_knowledgegraph_extractor_ray.ops import hashing
+    rng = random.Random(0xC4)
+    alphabet = "abcXYZ é日本🙂\n\x00"
+    vals = ["".join(rng.choice(alphabet) for _ in range(
+        rng.choice([0, 1, 5, 14, 55, 700, 1500]))) for _ in range(300)]
+    want = np.array([zlib.crc32(v.encode()) for v in vals], dtype=np.uint32)
+
+    def crc(col):
+        return hashing._crc_column(col, hashing._CRC_TABLE, zlib.crc32,
+                                   lambda *sizes: kernel)
+
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(vals, typ)
+        assert (crc(arr) == want).all()
+        assert (crc(arr.slice(37, 150)) == want[37:187]).all()
+        assert (crc(pa.chunked_array([arr[:100], arr[100:]])) == want).all()
+    assert (crc(pa.array(["", ""])) == zlib.crc32(b"")).all()
+    assert len(crc(pa.array([], pa.string()))) == 0
+    assert (hashing.crc32_column(pa.array(vals)) == want).all()
+
+
 def test_exchange_missing_key_raises():
     """A wrong key name is an error, not silent data loss (ADVICE round 2)."""
     with pytest.raises(Exception, match="nonexistent"):

@@ -927,3 +927,60 @@ def test_point_lookup_reads_the_layout_from_the_manifests(tmp_path):
         kg.get_conversation_graph(out, 1, convs[0])
     with pytest.raises(FileNotFoundError, match="version 5 "):
         kg.get_conversation_graph(out, 5, convs[0])
+
+
+def test_entity_free_partition_stores_the_same_schemas(tmp_path):
+    """Phase-1 files have fixed schemas: a P=2 lake whose second partition
+    holds no entity reports one ``schema_sig`` per table, and its files
+    read with the same column types as the other partition's."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ai_knowledgegraph_extractor_ray.stages.conversation import partition_of
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    ids = [f"conv-{i}" for i in range(20)]
+    with_entities = next(c for c in ids if partition_of(c, 2) == 0)
+    entity_free = next(c for c in ids if partition_of(c, 2) == 1)
+    texts = {with_entities: ["Alice Johnson is the CEO of Acme Corp.",
+                             "Bob Smith works at Globex."],
+             entity_free: ["hello there", "no names here at all"]}
+    rows = [(c, i, t) for c, ts in texts.items() for i, t in enumerate(ts)]
+    path = tmp_path / "t.parquet"
+    pq.write_table(pa.table({
+        "conv_id": [r[0] for r in rows],
+        "turn_idx": pa.array([r[1] for r in rows], pa.int32()),
+        "text": [r[2] for r in rows]}), path)
+    out = str(tmp_path / "lake")
+    s = kg.run_kg_job(src.read_transcripts(str(path)),
+                      KGConfig(num_partitions=2), out, resume=False)
+    assert s["partitions_computed"] == 2
+    ms = lineage.committed_partitions(out, 1)
+    assert ms[0]["n_nodes"] > 0 and ms[1]["n_nodes"] == 0
+
+    report = kg.schema_report(out)
+    assert report.groupby("table")["schema_sig"].nunique().to_dict() == \
+        {"convs": 1, "edges": 1, "nodes": 1}
+    for name in lineage.PARTITION_FILES:
+        schemas = [pq.read_schema(lineage.partition_dir(out, 1, pid) / name)
+                   for pid in (0, 1)]
+        assert schemas[0].equals(schemas[1])
+        assert not any(pa.types.is_null(f.type) for f in schemas[1])
+    assert pq.read_schema(lineage.partition_dir(out, 1, 0) / "convs.parquet"
+                          ).field("n_turns").type == pa.int32()
+
+
+def test_manifests_record_stage_walls(tmp_path):
+    """Each computed phase-1 manifest records the reduce's ``stage_s``
+    walls (assemble, extract, write); a linked manifest carries the prior
+    version's values forward."""
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    out, _, _, _ = _incremental_lake(tmp_path)
+    v1 = lineage.committed_partitions(out, 1)
+    v2 = lineage.committed_partitions(out, 2)
+    for m in list(v1.values()) + list(v2.values()):
+        assert set(m["stage_s"]) == {"assemble", "extract", "write"}
+        assert all(v >= 0 for v in m["stage_s"].values())
+    linked = [pid for pid, m in v2.items() if "linked_from_version" in m]
+    assert len(linked) == 3
+    for pid in linked:
+        assert v2[pid]["stage_s"] == v1[pid]["stage_s"]

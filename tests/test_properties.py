@@ -445,6 +445,145 @@ def test_windowed_fast_path_equals_pure_loop():
     assert got == expected
 
 
+def _pandas_assemble_partition(df, *, window_chars=0, version_cutoff=None,
+                               version=1):
+    """The pandas assembly ``assemble_table`` replaced (sort, groupby-join,
+    a per-conversation packing loop), kept verbatim as the reference."""
+    import numpy as np
+    import pyarrow as pa
+
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        turn_hashes,
+        xor_by_key,
+    )
+    if version_cutoff is not None:
+        df = df[df["turn_idx"] <= version_cutoff]
+    if len(df) == 0:
+        return pd.DataFrame({
+            "conv_id": pd.Series([], dtype="string"),
+            "window_id": pd.Series([], dtype="int32"),
+            "text": pd.Series([], dtype="string"),
+            "n_turns": pd.Series([], dtype="int32"),
+            "partition_id": pd.Series([], dtype="int32"),
+            "version": pd.Series([], dtype="int32"),
+            "conv_fp": pd.Series([], dtype="uint64"),
+        })
+    df = df.sort_values(["conv_id", "turn_idx"], kind="mergesort")
+    codes, convs = pd.factorize(df["conv_id"])
+    keys, xors = xor_by_key(codes, turn_hashes(pa.Table.from_pandas(
+        df[["conv_id", "turn_idx", "text"]], preserve_index=False)))
+    fps = pd.Series(xors, index=convs[keys])
+    grouped = df.groupby("conv_id", sort=False)
+    joined = grouped["text"].agg("\n".join)
+    n_turns = grouped.size().astype("int32")
+    pid = int(df["partition_id"].iloc[0])
+
+    if window_chars <= 0:
+        out = pd.DataFrame({
+            "conv_id": joined.index.astype("string"),
+            "window_id": np.zeros(len(joined), dtype="int32"),
+            "text": joined.values,
+            "n_turns": n_turns.values,
+        })
+    else:
+        joined_len = joined.str.len()
+        small = joined_len < window_chars
+        conv_ids, win_ids, texts, nts = [], [], [], []
+        big_ids = set(joined.index[~small])
+        turn_lists = (df[df["conv_id"].isin(big_ids)]
+                      .groupby("conv_id", sort=False)["text"].agg(list)
+                      if big_ids else pd.Series(dtype=object))
+        for cid, turns in turn_lists.items():
+            nt = len(turns)
+            win, size, wid = [], 0, 0
+
+            def flush():
+                nonlocal win, size, wid
+                if win:
+                    conv_ids.append(cid)
+                    win_ids.append(wid)
+                    texts.append("\n".join(win))
+                    nts.append(nt)
+                    wid += 1
+                    win, size = [], 0
+
+            for t in turns:
+                if size and size + 1 + len(t) > window_chars:
+                    flush()
+                if len(t) > window_chars:
+                    flush()
+                    for s in range(0, len(t), window_chars):
+                        conv_ids.append(cid)
+                        win_ids.append(wid)
+                        texts.append(t[s:s + window_chars])
+                        nts.append(nt)
+                        wid += 1
+                    continue
+                win.append(t)
+                size += len(t) + 1
+            flush()
+        out = pd.concat([
+            pd.DataFrame({
+                "conv_id": pd.Series(joined.index[small], dtype="string"),
+                "window_id": np.zeros(int(small.sum()), dtype="int32"),
+                "text": pd.Series(joined.values[small.to_numpy()],
+                                  dtype="string"),
+                "n_turns": n_turns.values[small.to_numpy()],
+            }),
+            pd.DataFrame({
+                "conv_id": pd.Series(conv_ids, dtype="string"),
+                "window_id": pd.Series(win_ids, dtype="int32"),
+                "text": pd.Series(texts, dtype="string"),
+                "n_turns": pd.Series(nts, dtype="int32"),
+            }),
+        ], ignore_index=True)
+
+    out["partition_id"] = np.int32(pid)
+    out["version"] = np.int32(version)
+    out["conv_fp"] = out["conv_id"].map(fps).astype("uint64")
+    return out
+
+
+@pytest.mark.parametrize("window_chars", [0, 150, 2000])
+@pytest.mark.parametrize("cutoff", [None, 2, -1])
+def test_arrow_assembly_equals_pandas_assembly(window_chars, cutoff):
+    """``assemble_table`` returns the pandas assembly's rows, in its order:
+    non-ASCII conv ids, empty texts, duplicate (conv_id, turn_idx) turns
+    (kept in input order), oversized conversations split into windows, and
+    a cutoff that filters every turn (-1)."""
+    import numpy as np
+    import pyarrow as pa
+
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        assemble_table,
+    )
+    tbl = _fingerprint_corpus()
+    rng = np.random.default_rng(11)
+    long_turns = [" ".join(rng.choice(["Alice", "met", "Bob", "in",
+                                       "Paris", "é"], 60))
+                  for _ in range(6)]
+    extra = pa.table({
+        "conv_id": ["café-0", "café-0", "long", "long", "long", "long",
+                    "long", "long"],
+        "turn_idx": pa.array([1, 1, 0, 1, 2, 3, 0, 5], pa.int32()),
+        "text": ["dup a", "dup b"] + long_turns})
+    tbl = pa.concat_tables([tbl, extra]).append_column(
+        "partition_id", pa.array(np.full(tbl.num_rows + extra.num_rows, 7,
+                                         np.int32)))
+    got = assemble_table(tbl, window_chars=window_chars,
+                         version_cutoff=cutoff, version=3).to_pandas()
+    want = _pandas_assemble_partition(tbl.to_pandas(),
+                                      window_chars=window_chars,
+                                      version_cutoff=cutoff, version=3)
+    assert list(got.columns) == list(want.columns)
+    if cutoff == -1:
+        assert len(got) == 0
+        return
+    assert len(want) > 60 and (window_chars != 150 or want["window_id"].max() > 2)
+    pd.testing.assert_frame_equal(
+        got, want.astype({"conv_id": object, "text": object}))
+
+
 # --- round-3 operators: distributed scan / quantiles / joins ----------------
 
 @settings(max_examples=6, deadline=None)
