@@ -11,14 +11,16 @@ terms (median 198k -> 516k turns/s at 8 -> 32 CPUs).
 Two pieces, shared by every shuffle in the package:
 
 * the MAP PRIMITIVE (``launch_map``): one task per group of input blocks
-  concatenates them, computes a partition id per row with a picklable
+  (or of parquet files, which the task reads itself) concatenates them
+  (or ``combine``s them), computes a partition id per row with a picklable
   ``route(table) -> pids``, stable-sorts by pid and returns ``n``
   zero-copy slices plus a ``(rows, bytes)`` size matrix — always
   ``n + 1`` returns, so no caller special-cases ``n == 1``;
 * the DRIVER LOOP (``run_maps``): streams the Dataset's blocks out of
-  ``iter_internal_ref_bundles`` in groups of ``blocks_per_map``, launches
-  the maps as blocks arrive (the map wave pipelines with the input scan)
-  and returns the slice refs per pid plus the folded size matrix.
+  ``iter_internal_ref_bundles`` (or walks a list of block refs or paths)
+  in groups of ``blocks_per_map``, launches the maps as blocks arrive (the
+  map wave pipelines with the input scan) and returns the slice refs per
+  pid plus the folded size matrix.
 
 Reduces run as ``reduce_slices(fn, *slices)``. The routes and their users:
 
@@ -50,6 +52,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -124,28 +127,39 @@ def split_table(tbl: pa.Table, route: Callable[[pa.Table], np.ndarray],
                                             0)])
 
 
-def fetch_tables(block_refs) -> list[pa.Table]:
-    """Fetch blocks as Arrow tables (pandas-block datasets converted)."""
+def fetch_tables(items: list, columns: list[str] | None = None
+                 ) -> list[pa.Table]:
+    """A map's input tables. ``items`` are block refs, fetched (pandas
+    blocks converted), or parquet file paths, which the task reads itself,
+    projected to ``columns``."""
+    if items and isinstance(items[0], str):
+        return [_read_file(path, columns) for path in items]
     return [pa.Table.from_pandas(b, preserve_index=False)
             if isinstance(b, pd.DataFrame) else b
-            for b in ray.get(list(block_refs))]
+            for b in ray.get(list(items))]
+
+
+def _read_file(path: str, columns: list[str] | None) -> pa.Table:
+    with pq.ParquetFile(path) as f:
+        return f.read(columns=columns)
 
 
 @ray.remote
-def _map(block_refs, route, n: int, combine=None):
-    tables = fetch_tables(block_refs)
+def _map(items, route, n: int, combine=None, columns=None):
+    tables = fetch_tables(items, columns)
     tbl = (combine(*tables) if combine is not None
            else pa.concat_tables(tables, promote_options="permissive"))
     slices, sizes = split_table(tbl, route, n)
     return (*slices, sizes)
 
 
-def launch_map(block_refs: list, route, n: int, combine=None):
-    """Submit one map task over ``block_refs``: returns its ``n`` slice refs
-    and its size-matrix ref. ``combine(*tables)`` replaces the default
-    concatenation of the fetched blocks."""
-    outs = _map.options(num_returns=n + 1).remote(block_refs, route, n,
-                                                   combine)
+def launch_map(items: list, route, n: int, combine=None, columns=None):
+    """Submit one map task over ``items`` (block refs or parquet paths, as
+    in ``fetch_tables``): returns its ``n`` slice refs and its size-matrix
+    ref. ``combine(*tables)`` replaces the default concatenation of the
+    fetched tables."""
+    outs = _map.options(num_returns=n + 1).remote(items, route, n, combine,
+                                                   columns)
     return outs[:n], outs[n]
 
 
@@ -176,6 +190,13 @@ def _stream(ds: rd.Dataset):
         yield from bundle.blocks                     # (ref, BlockMetadata)
 
 
+def source_items(source: rd.Dataset | list) -> Iterable:
+    """A map wave's input items: a Dataset's block refs, streamed, or the
+    list itself (block refs or parquet paths)."""
+    return ((r for r, _ in _stream(source))
+            if isinstance(source, rd.Dataset) else source)
+
+
 def buffer_blocks(ds: rd.Dataset) -> tuple[list, int]:
     """Every block ref of ``ds`` plus their total bytes, for callers that
     size the exchange before mapping (losing map/scan overlap)."""
@@ -184,18 +205,16 @@ def buffer_blocks(ds: rd.Dataset) -> tuple[list, int]:
 
 
 def run_maps(source: rd.Dataset | list, route, n: int,
-             blocks_per_map: int = 4, combine=None
+             blocks_per_map: int = 4, combine=None, columns=None
              ) -> tuple[list[list], np.ndarray]:
-    """The map wave: one map per ``blocks_per_map`` blocks of ``source``
-    (a Dataset, streamed, or a list of block refs), ``combine`` as in
-    ``launch_map``. Returns the slice refs per pid and the ``(2, n)``
+    """The map wave: one map per ``blocks_per_map`` items of ``source``
+    (``source_items``), ``combine`` and ``columns`` as in ``launch_map`` and
+    ``fetch_tables``. Returns the slice refs per pid and the ``(2, n)``
     rows/bytes matrix summed over maps."""
-    blocks = ((r for r, _ in _stream(source))
-              if isinstance(source, rd.Dataset) else source)
     refs_per_pid: list[list] = [[] for _ in range(n)]
     size_refs: list = []
-    for group in block_groups(blocks, blocks_per_map):
-        slices, size_ref = launch_map(group, route, n, combine)
+    for group in block_groups(source_items(source), blocks_per_map):
+        slices, size_ref = launch_map(group, route, n, combine, columns)
         for p, r in enumerate(slices):
             refs_per_pid[p].append(r)
         size_refs.append(size_ref)
@@ -338,16 +357,17 @@ def auto_partitions(total_bytes: int,
 def exchange_refs(source: rd.Dataset | list, key: str | Sequence[str],
                   num_partitions: int | None,
                   reduce_fn: Callable[[int, pa.Table], object], *,
-                  blocks_per_map: int = 4, combine=None
+                  blocks_per_map: int = 4, combine=None, columns=None
                   ) -> tuple[list, np.ndarray, list]:
     """The Dataset-free core of the hash exchange: one map wave over
-    ``source`` (a Dataset, streamed, or a list of block refs; ``combine``
-    as in ``launch_map``) routed on ``HashRoute(key, num_partitions)``,
-    then ``reduce_fn(pid, table)`` as one task per non-empty partition, in
-    pid order. Nothing is collected. Returns the reduce output refs, the
-    map wave's ``(2, n)`` rows/bytes matrix and partition 0's first map
-    slice ref (none when ``source`` has no blocks): with no rows anywhere
-    it is the only trace of the input schema.
+    ``source`` (a Dataset, streamed, or a list of block refs or parquet
+    paths; ``combine`` and ``columns`` as in ``launch_map`` and
+    ``fetch_tables``) routed on ``HashRoute(key, num_partitions)``, then
+    ``reduce_fn(pid, table)`` as one task per non-empty partition, in pid
+    order. Nothing is collected. Returns the reduce output refs, the map
+    wave's ``(2, n)`` rows/bytes matrix and partition 0's first map slice
+    ref (none when ``source`` has no items): with no rows anywhere it is
+    the only trace of the input schema.
 
     ``num_partitions=None`` auto-sizes the partition count from the
     input's block metadata (``auto_partitions``), buffering a Dataset's
@@ -356,7 +376,7 @@ def exchange_refs(source: rd.Dataset | list, key: str | Sequence[str],
         source, total_bytes = buffer_blocks(source)
         num_partitions = auto_partitions(total_bytes)
     refs, sizes = run_maps(source, HashRoute(key, num_partitions),
-                           num_partitions, blocks_per_map, combine)
+                           num_partitions, blocks_per_map, combine, columns)
     out = [reduce_slices.remote(functools.partial(reduce_fn, p), *refs[p])
            for p in np.flatnonzero(sizes[0]).tolist()]
     return out, sizes, refs[0][:1]

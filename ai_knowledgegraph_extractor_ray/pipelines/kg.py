@@ -38,23 +38,26 @@ Phase 2 (``run_canonicalize_job``): mention counts -> blocking -> verify
 as a chain of raw task waves over object refs (``ops/exchange.exchange_refs``
 and plain tasks), each consuming the refs the previous wave returned:
 
-    node read -> surface wave (exchange on norm) -> band wave (exchange on
-      the band key, Jaccard verify) -> driver: scorer, typo tier,
-      union-find
+    node files -> surface wave (maps read the files; exchange on norm) ->
+      band wave (exchange on the band key, Jaccard verify) -> driver:
+      scorer, typo tier, union-find
       -> clear the old canonical output (manifest first)
       -> alias wave (one task per surface block; writes its aliases and
          canonical_nodes parts) -> driver: clustered parts + broadcast
-      -> edge read -> edge wave (exchange on the canonical triple; each
-         bucket writes its canonical_edges part) -> manifest
+      -> edge files -> edge wave (rewrite tasks read the files; exchange
+         on the canonical triple; each bucket writes its canonical_edges
+         part) -> manifest
 
-Only the node read and the edge read are Ray Data executions. Each
-canonical table is written by the tasks that compute it, as deterministic
-``part-{i:05d}.parquet`` files, so a retried task overwrites its own part;
-the driver writes only the clustered alias and node parts. The manifest's
-counts are the row counts those writes return, and the manifest, written
-last via a tmp file and a rename, is the commit point — the same shape as
-phase 1's per-partition commit. The canonical readers refuse a version
-without it.
+Phase 2 runs no Ray Data execution (with the default scorer below 10k
+pairs and no typo tier): its file lists come from the committed
+manifests, and the tasks that compute on the files read them.
+Each canonical table is written by the tasks that compute it, as
+deterministic ``part-{i:05d}.parquet`` files, so a retried task overwrites
+its own part; the driver writes only the clustered alias and node parts.
+The manifest's counts are the row counts those writes return, and the
+manifest, written last via a tmp file and a rename, is the commit point —
+the same shape as phase 1's per-partition commit. The canonical readers
+refuse a version without it.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -397,13 +401,17 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     return summary
 
 
-def _committed_files(out_dir: str, version: int, name: str) -> list[str]:
+def _committed_files(out_dir: str, version: int, name: str,
+                     committed: dict[int, dict] | None = None) -> list[str]:
     """Parquet paths for one table across COMMITTED partitions only — built
-    from the lineage manifests, never a filesystem glob, so orphaned data
-    from a crash mid-partition or stale part dirs from a previous run with a
-    different num_partitions are never read."""
+    from the lineage manifests (``committed``, when the caller has read
+    them already), never a filesystem glob, so orphaned data from a crash
+    mid-partition or stale part dirs from a previous run with a different
+    num_partitions are never read."""
+    if committed is None:
+        committed = lineage.committed_partitions(out_dir, version)
     return [str(lineage.partition_dir(out_dir, version, pid) / name)
-            for pid in sorted(lineage.committed_partitions(out_dir, version))]
+            for pid in sorted(committed)]
 
 
 def _read_phase1(out_dir: str, version: int, table: str) -> rd.Dataset:
@@ -532,6 +540,31 @@ def _write_edge_part(edir: str, pid: int, tbl: pa.Table) -> int:
     return edges.num_rows
 
 
+class StageClock:
+    """Driver walls between a job's sync points: ``clock(name)`` records
+    the wall since the previous call (or since the clock was made) under
+    ``name``, so the recorded walls sum to the job's wall."""
+
+    def __init__(self):
+        self.walls: dict[str, float] = {}
+        self._t = time.perf_counter()
+
+    def __call__(self, name: str) -> None:
+        t = time.perf_counter()
+        self.walls[name] = round(t - self._t, 4)
+        self._t = t
+
+
+def _link_sig(cfg: KGConfig, link, use_embed_scorer: bool) -> str:
+    """What decides phase 2's tables besides phase 1's rows: the linking
+    parameters, the scorer (off, or the model and whether a loader is
+    injected) and the broadcast cap."""
+    loader = cfg.extra.get("embed_model_loader") is not None
+    scorer = (f"{cfg.embed_model or 'hash'}{'+loader' if loader else ''}"
+              if use_embed_scorer else "off")
+    return f"{link or cz.LinkParams()}:{scorer}:cap{cfg.broadcast_vocab_cap}"
+
+
 def run_canonicalize_job(out_dir: str, cfg: KGConfig,
                          link=None, use_embed_scorer: bool = True,
                          resume: bool = True) -> dict:
@@ -541,12 +574,15 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
     table (LSH-blocked entity linking over distinct surface forms), rewrites
     edges onto canonical ids with a broadcast join, and writes the canonical
     tables under ``version=K/canonical/``. The job is a chain of task waves,
-    each consuming the object refs the previous one returned; only the node
-    read and the edge read are Ray Data executions, and nothing
-    vocabulary-sized is collected on the driver:
+    each consuming the object refs the previous one returned; it runs no
+    Ray Data execution (with the default scorer and no typo tier): the
+    surface and edge waves' tasks read the committed ``nodes.parquet`` and
+    ``edges.parquet`` files themselves, and nothing vocabulary-sized is
+    collected on the driver:
 
-    1. surface wave (``canonicalize.surface_wave``): node read -> mention
-       partials -> exchange on ``norm`` -> one surface block per bucket;
+    1. surface wave (``canonicalize.surface_wave``): node files -> mention
+       partials in the map tasks -> exchange on ``norm`` -> one surface
+       block per bucket;
     2. band wave: band keys per surface block -> exchange on the band key
        -> Jaccard verify per bucket; the driver fetches the verified pairs,
        scores them, adds the typo tier's and runs the union-find
@@ -555,54 +591,70 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
        table directories;
     4. alias wave (``canonicalize.alias_block``), one task per surface
        block: writes the block's unclustered ``aliases`` part and its 1:1
-       ``canonical_nodes`` part and returns its row count, clustered rows
-       and hot partial; the driver reduces the clustered rows per root,
-       writes the clustered ``aliases`` and ``canonical_nodes`` parts and
-       builds the rewrite broadcast;
-    5. edge wave (``canonicalize.edge_wave``): edge read -> rewrite ->
-       exchange on the canonical triple -> one task per bucket merges and
-       writes its ``canonical_edges`` part.
+       ``canonical_nodes`` part and returns its row and mention counts,
+       clustered rows and hot slice; the driver reduces the clustered rows
+       per root, writes the clustered ``aliases`` and ``canonical_nodes``
+       parts and builds the rewrite broadcast, all in Arrow;
+    5. edge wave (``canonicalize.edge_wave``): edge files -> rewrite in the
+       tasks that read them -> exchange on the canonical triple -> one task
+       per bucket merges and writes its ``canonical_edges`` part.
 
     Part names are deterministic (``part-{i:05d}.parquet``, per surface
     block or edge bucket), so a retried task overwrites its own file. The
     clear comes after linking, so a failure while linking leaves the
-    committed tables intact; both reads resolve their files before it. The
-    manifest's ``n_*`` counts are the row counts the writes return, plus
-    the linking counts (``n_candidate_pairs``, ``n_verified_pairs``,
-    ``n_clustered_norms``), and the manifest, written last via a tmp file
-    and a rename, is the commit point: a rerun clears any output it does
-    not cover. ``n_candidate_pairs`` counts the pairs scored per coarse
-    band bucket: a pair whose band buckets fall in several coarse buckets
-    is scored in each, so the count depends on the band wave's bucket
-    count, which ``ops/exchange.auto_partitions`` sizes from the bytes and
-    the cluster's CPUs; the tables do not."""
+    committed tables intact; the file lists come from the committed
+    manifests, read before it. The manifest's ``n_*`` counts are the row
+    counts the writes return, plus the linking counts
+    (``n_candidate_pairs``, ``n_verified_pairs``, ``n_clustered_norms``)
+    and ``n_mentions`` (the surface rows' mention total); ``stage_s``
+    holds the driver walls between the job's sync points (``StageClock``:
+    ``surface``, ``band``, ``link``, ``alias``, ``edge``, ``commit``;
+    ``surface`` includes the resume check). The manifest, written last via
+    a tmp file and a rename, is the commit point: a rerun clears any
+    output it does not cover. A rerun resumes only when both the phase-1
+    fingerprint (``input_fp``) and the linking configuration
+    (``link_sig``: ``LinkParams``, the scorer, the broadcast cap) match.
+    ``n_candidate_pairs`` counts the pairs scored per coarse band bucket:
+    a pair whose band buckets fall in several coarse buckets is scored in
+    each, so the count depends on the band wave's bucket count, which
+    ``ops/exchange.auto_partitions`` sizes from the bytes and the
+    cluster's CPUs; the tables do not."""
     import hashlib
     import shutil
 
     from ..state import schema_evo
 
+    clock = StageClock()
     # phase-2 commit point: a manifest fingerprinting phase 1's committed
-    # partitions. A resume with unchanged inputs skips the whole phase; a
-    # changed phase-1 output invalidates rather than silently reusing.
+    # partitions and the linking configuration. A resume with both
+    # unchanged skips the whole phase; a change invalidates rather than
+    # silently reusing.
     phase1 = lineage.committed_partitions(out_dir, cfg.version)
     fp = hashlib.sha256("\n".join(
         f"{pid}:{m['input_fingerprint']}:{m['n_edges']}:{m['n_nodes']}"
         for pid, m in sorted(phase1.items())).encode()).hexdigest()[:16]
+    link_sig = _link_sig(cfg, link, use_embed_scorer)
     cdir = lineage.version_dir(out_dir, cfg.version) / "canonical"
     cmanifest = cdir / "_manifest.json"
     if resume and cmanifest.exists():
         try:
             prev = json.loads(cmanifest.read_text())
-            if prev.get("input_fp") == fp:
+            if (prev.get("input_fp"), prev.get("link_sig")) == (fp, link_sig):
                 prev["resumed"] = True
                 return prev
         except json.JSONDecodeError:
             pass  # torn manifest == uncommitted
 
-    nodes = read_nodes(out_dir, cfg.version)
-    edges = read_edges(out_dir, cfg.version)
+    if not phase1:
+        raise FileNotFoundError(
+            f"run_canonicalize_job: no committed partitions for version "
+            f"{cfg.version} under {out_dir}")
+    node_files, edge_files = (_committed_files(out_dir, cfg.version, name,
+                                               phase1)
+                              for name in ("nodes.parquet", "edges.parquet"))
     surfaces, roots, counts = cz.link_surfaces(
-        nodes, cfg, link=link, use_embed_scorer=use_embed_scorer)
+        node_files, cfg, link=link, use_embed_scorer=use_embed_scorer,
+        lap=clock)
 
     # clear any uncommitted/stale phase-2 output (manifest first = uncommit
     # order): a previous run may have left parts this one does not rewrite
@@ -619,19 +671,20 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
         ref, roots, cap, (str(adir / _part_name(i)), str(ndir / _part_name(i))))
         for i, ref in enumerate(surfaces)]
     clustered = cz.clustered_aliases(ray.get([o[1] for o in outs]))
-    n_clustered_nodes = 0
-    if len(clustered):
+    cl_nodes = cz.clustered_nodes(clustered)
+    if clustered.num_rows:
         name = _part_name(len(surfaces))
-        pq.write_table(cz.arrow_out(clustered), adir / name)
-        cl_nodes = cz.clustered_nodes(clustered)
+        pq.write_table(clustered, adir / name)
         pq.write_table(cl_nodes, ndir / name)
-        n_clustered_nodes = cl_nodes.num_rows
-    hot = ray.get([o[2] for o in outs])
-    broadcast = cz.concat_frames([clustered, cz.hot_slice(
-        pa.concat_tables(hot).to_pandas() if hot else pd.DataFrame(), cap)])
+    broadcast = cz.hot_slice(
+        pa.concat_tables([clustered, *ray.get([o[2] for o in outs])]), cap)
+    clock("alias")
     n_edges = sum(ray.get(cz.edge_wave(
-        edges, broadcast, functools.partial(_write_edge_part, str(edir)))))
-    n_unclustered = sum(ray.get([o[0] for o in outs]))
+        edge_files, broadcast,
+        functools.partial(_write_edge_part, str(edir)))))
+    alias_counts = ray.get([o[0] for o in outs])
+    n_unclustered = sum(rows for rows, _ in alias_counts)
+    clock("edge")
 
     def _sig(sub: str) -> str:
         files = sorted((cdir / sub).glob("*.parquet"))
@@ -640,17 +693,22 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
 
     summary = {
         "version": cfg.version,
-        "n_aliases": n_unclustered + len(clustered),
-        "n_canonical_entities": n_unclustered + n_clustered_nodes,
+        "n_aliases": n_unclustered + clustered.num_rows,
+        "n_canonical_entities": n_unclustered + cl_nodes.num_rows,
         "n_canonical_edges": n_edges,
         **counts,
-        "n_clustered_norms": len(clustered),
+        "n_clustered_norms": clustered.num_rows,
+        "n_mentions": sum(m for _, m in alias_counts)
+        + (pc.sum(cl_nodes["n_mentions"]).as_py() or 0),
         "input_fp": fp,
+        "link_sig": link_sig,
         # phase-2 schema signatures (footer-only): the canonical tables'
         # analogue of the per-partition schema_sig — one engine version
         # writes phase 2 atomically, so one sig per table suffices
         "schema_sig": {s: _sig(s) for s in CANONICAL_TABLES},
     }
+    clock("commit")
+    summary["stage_s"] = clock.walls
     tmp = cmanifest.with_suffix(".json.tmp")   # manifest written LAST = commit
     tmp.write_text(json.dumps(summary))
     tmp.replace(cmanifest)
@@ -677,9 +735,10 @@ def _read_canonical(out_dir: str, version: int, table: str) -> rd.Dataset:
 
 
 def _drop_schema_metadata(t: pa.Table) -> pa.Table:
-    """``t`` without the ``pandas`` schema metadata the canonical parts
-    carry (``canonicalize.arrow_out``): Ray Data hashes block schemas to
-    dedup them, and that metadata is an unhashable dict."""
+    """``t`` without the ``pandas`` schema metadata the canonical parts of
+    older engines carry (they were written from pandas frames): Ray Data
+    hashes block schemas to dedup them, and that metadata is an
+    unhashable dict."""
     return t.replace_schema_metadata(None)
 
 

@@ -8,18 +8,25 @@ onto canonical ids and deduplicate.
 
 Scale design (SURVEY.md §7.2, shuffles #2/#3/#4). Phase 2 is a chain of
 raw task waves over object refs (``ops/exchange.exchange_refs`` and plain
-tasks), each wave consuming the refs the previous one returned; the public
-Dataset functions wrap the same waves' refs with ``from_arrow_refs``:
+tasks), each wave consuming the refs the previous one returned. The first
+wave's maps and the edge wave's rewrite tasks take
+either a Dataset's blocks or parquet files, which they read themselves:
+the job (``pipelines/kg.run_canonicalize_job``) hands them phase 1's
+committed files and runs no Ray Data execution, while the public Dataset
+functions hand them a Dataset and wrap the waves' refs with
+``from_arrow_refs``:
 
-* **Mention counting is two-phase (the surface wave).** ``map_batches``
-  first collapses each node block to distinct ``(norm, label) -> count``
-  partials (the combiner), so the exchange on ``norm`` moves at most
-  |distinct variants| rows per block, never one row per mention — this is
-  what defuses hot-key skew (a surface form appearing in 30% of
-  conversations contributes one partial row per block, not millions of
-  mention rows); ``alias_salt_buckets`` sets the merge fan-out. The
-  partial is an Arrow ``group_by`` count per label, normalized once per
-  distinct label. Each bucket's surface block stays in the object store
+* **Mention counting is two-phase (the surface wave).** Each map task
+  reads its group of node blocks or ``nodes.parquet`` files (``label``
+  only) and collapses them to distinct ``(norm, label) -> count`` partials
+  (the combiner), so the exchange on ``norm`` moves at most |distinct
+  variants| rows per map, never one row per mention — this is what defuses
+  hot-key skew (a surface form appearing in 30% of conversations
+  contributes one partial row per map, not millions of mention rows);
+  ``alias_salt_buckets`` sets the merge fan-out. The partial is an Arrow
+  ``group_by`` count per label, normalized once per distinct label; the
+  merge is an Arrow ``group_by`` sum and sort that picks each norm's most
+  frequent variant. Each bucket's surface block stays in the object store
   as a ref.
 * **LSH blocking over *distinct norms*, not mentions (the band wave).** The
   MinHash-LSH pieces are the ones near-dedup uses (``ops/lsh.py``), its
@@ -41,27 +48,30 @@ Dataset functions wrap the same waves' refs with ``from_arrow_refs``:
   verified PAIRS** (tiny: bounded by sum of bucket-pair counts), never
   over mentions or the full vocabulary; unlike near-dedup there is no
   ``ops/cc`` path above a pair cap yet, because the pairs come back to the
-  driver for the embed scorer. Its root map is ``ray.put`` once for the
-  alias wave.
-* **The alias wave** runs one task per surface block: the UNCLUSTERED rows
-  (root = the norm itself) become alias rows and their 1:1 canonical
-  nodes in-task, and only the block's pair-bounded CLUSTERED rows and its
-  top-``broadcast_vocab_cap`` partial come back. The driver reduces the
-  clustered rows per root into one frame, which feeds the aliases, the
-  canonical nodes and the rewrite broadcast. The broadcast, one Arrow
-  table ``ray.put`` once, is FREQUENCY-THRESHOLDED — clustered norms plus
-  the ``broadcast_vocab_cap`` hottest unclustered ones, which below the
-  cap is the whole table — and the long tail falls back to identity
-  hashing (which yields the identical canonical id for unclustered
-  norms). A shuffle join on surface form would move the (large) edge
-  table for the benefit of the (small) alias side.
+  driver for the embed scorer. Its root map is ``ray.put`` once, as an
+  Arrow table of (norm, root), for the alias wave.
+* **The alias wave** runs one task per surface block: a ``pc.is_in``
+  against the root table splits the block; the UNCLUSTERED rows (root =
+  the norm itself) become alias rows and their 1:1 canonical nodes
+  in-task, written as Arrow tables, and only the block's pair-bounded
+  CLUSTERED rows and its top-``broadcast_vocab_cap`` slice come back. The
+  driver reduces the clustered rows per root into one Arrow table, which
+  feeds the aliases, the canonical nodes and the rewrite broadcast. The
+  broadcast, one Arrow table ``ray.put`` once, is FREQUENCY-THRESHOLDED —
+  clustered norms plus the ``broadcast_vocab_cap`` hottest unclustered
+  ones, which below the cap is the whole table — and the long tail falls
+  back to identity hashing (which yields the identical canonical id for
+  unclustered norms). A shuffle join on surface form would move the
+  (large) edge table for the benefit of the (small) alias side.
 * **Canonical edge dedup (the edge wave)** is the same partial-count trick
   keyed on the canonical (src, pred, dst) triple; ``weight`` = number of
   supporting extractions, matching the north star's "deduplicated edge
-  IDs". Each edge block is rewritten as a vectorized hash join against
-  the broadcast: its labels are dictionary-encoded, normalized once per
-  distinct label and looked up with ``pc.index_in``, and the rewritten
-  rows are counted with an Arrow ``group_by``.
+  IDs". Each rewrite task reads its group of edge blocks or
+  ``edges.parquet`` files (``subj, pred, obj``) and rewrites them as a
+  vectorized hash join against the broadcast: the labels are
+  dictionary-encoded, normalized once per distinct label and looked up
+  with ``pc.index_in``, and the rewritten rows are counted with an Arrow
+  ``group_by``; the merge per bucket is an Arrow ``group_by`` too.
 """
 
 from __future__ import annotations
@@ -83,7 +93,13 @@ from ray.data.dataset import MaterializedDataset
 
 from ..config import KGConfig
 from ..ops import lsh
-from ..ops.exchange import auto_partitions, exchange_refs
+from ..ops.exchange import (
+    auto_partitions,
+    block_groups,
+    exchange_refs,
+    fetch_tables,
+    source_items,
+)
 from ..ops.hashing import crc32_column
 
 _WS = re.compile(r"\s+")
@@ -107,14 +123,17 @@ def _normalize_distinct(labels: pa.Array) -> pa.Array:
     return pa.array(map(normalize_surface, labels.to_pylist()), pa.string())
 
 
-def _mention_partials(batch: pa.Table) -> pa.Table:
-    """Collapse one block of node rows to (norm, label) -> count partials
-    (the combiner: a hot surface form leaves the block as ONE row — this
-    per-block partial IS the hot-key defense; no extra salt column is
-    needed because a key contributes at most one row per block per
-    variant). The norm is a function of the label, so the block is
-    counted per label and normalized per distinct label."""
-    labels = batch["label"].cast(pa.string())
+def _mention_partials(*blocks: pa.Table) -> pa.Table:
+    """The surface wave's map body over a group of node blocks or files:
+    (norm, label) -> count partials (the combiner: a hot surface form
+    leaves the group as ONE row — this per-map partial IS the hot-key
+    defense; no extra salt column is needed because a key contributes at
+    most one row per map per variant). The norm is a function of the
+    label, so the group is counted per label and normalized per distinct
+    label."""
+    labels = pa.chunked_array([c for b in blocks
+                               for c in b["label"].cast(pa.string()).chunks],
+                              pa.string())
     counts = (pa.table({"label": labels}).filter(pc.is_valid(labels))
               .group_by("label").aggregate([([], "count_all")]))
     return pa.table({"norm": _normalize_distinct(counts["label"]),
@@ -122,36 +141,50 @@ def _mention_partials(batch: pa.Table) -> pa.Table:
                      "cnt": counts["count_all"].cast(pa.int64())})
 
 
-def _pick_variant(df: pd.DataFrame) -> pd.DataFrame:
-    """Final per-norm reduce: total mentions + most frequent original-case
-    variant (ties -> lexicographically smallest, deterministic)."""
-    df = df.sort_values(["cnt", "label"], ascending=[False, True], kind="mergesort")
-    top = df.groupby("norm", sort=False, as_index=False).first()
-    totals = df.groupby("norm", sort=False, as_index=False)["cnt"].sum()
-    out = top[["norm", "label"]].merge(totals, on="norm")
-    return out.rename(columns={"label": "canonical_label", "cnt": "n_mentions"})
+def _first_rows(keys: pa.ChunkedArray | pa.Array
+                ) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+    """Integer codes of a null-free column, numbered in order of first
+    appearance; the row where each code first appears (ascending); and the
+    distinct values in code order."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    enc = keys.dictionary_encode()
+    codes = enc.indices.to_numpy()
+    return codes, np.unique(codes, return_index=True)[1], enc.dictionary
 
 
 def _merge_surface(_pid: int, tbl: pa.Table) -> pa.Table:
     """The surface wave's reduce: one bucket of partials -> its surface
-    rows (merge the partials, then pick the variant)."""
-    df = tbl.to_pandas()
-    df = df.groupby(["norm", "label"], as_index=False, sort=False)["cnt"].sum()
-    return pa.Table.from_pandas(_pick_variant(df), preserve_index=False)
+    rows (norm, canonical_label, n_mentions). The partials are summed per
+    (norm, label) and sorted on (count desc, label asc); a norm's first
+    row in that order picks its canonical label (the most frequent
+    variant, ties -> lexicographically smallest) and its total is the sum
+    over its variants. Norms come in the order of their picked rows."""
+    merged = (tbl.group_by(["norm", "label"]).aggregate([("cnt", "sum")])
+              .sort_by([("cnt_sum", "descending"), ("label", "ascending")]))
+    codes, first, _ = _first_rows(merged["norm"])
+    totals = np.bincount(codes, weights=merged["cnt_sum"].to_numpy(),
+                         minlength=len(first))
+    return pa.table({"norm": merged["norm"].take(first),
+                     "canonical_label": merged["label"].take(first),
+                     "n_mentions": pa.array(totals.astype(np.int64))})
 
 
-def surface_wave(nodes: rd.Dataset, cfg: KGConfig) -> tuple[list, int]:
+def surface_wave(nodes: rd.Dataset | list[str], cfg: KGConfig
+                 ) -> tuple[list, int]:
     """node mentions -> distinct surface blocks (norm, canonical_label,
-    n_mentions) as object refs. ONE exchange, moving per-block (norm,
+    n_mentions) as object refs. ``nodes`` is a Dataset, whose blocks the
+    maps fetch, or a list of ``nodes.parquet`` paths, which the maps read
+    themselves (``label`` only). ONE exchange, moving per-map (norm,
     label) count partials only — a hot surface form contributes at most
-    one row per block per variant, so the merge is skew-proof — bucketed
-    on crc32(norm) into ``alias_salt_buckets`` buckets, so the merge and
-    variant pick run as a vectorized pandas reduce per bucket, never one
+    one row per map per variant, so the merge is skew-proof — bucketed on
+    crc32(norm) into ``alias_salt_buckets`` buckets, so the merge and
+    variant pick run as a vectorized Arrow reduce per bucket, never one
     Python task per distinct surface form. Also returns the partials'
     total bytes (the band wave sizes itself from them)."""
-    partials = nodes.map_batches(_mention_partials, batch_format="pyarrow")
-    refs, sizes, _ = exchange_refs(partials, "norm", cfg.alias_salt_buckets,
-                                   _merge_surface)
+    refs, sizes, _ = exchange_refs(nodes, "norm", cfg.alias_salt_buckets,
+                                   _merge_surface, combine=_mention_partials,
+                                   columns=["label"])
     return refs, int(sizes[1].sum())
 
 
@@ -397,19 +430,24 @@ def _typo_pairs(surfaces: rd.Dataset) -> pd.DataFrame:
     return fz
 
 
-def arrow_out(df: pd.DataFrame) -> pa.Table:
-    """pandas UDF output -> Arrow with object columns cast to pandas
-    'string' first: an EMPTY object column would infer pa.null (schema
-    drift vs non-empty blocks) and trips Ray's pandas size estimator into
-    per-block 'cannot call vectorize on size 0 inputs' log noise."""
-    for c in df.columns:
-        if df[c].dtype == object:
-            df = df.assign(**{c: df[c].astype("string")})
-    return pa.Table.from_pandas(df, preserve_index=False)
+ALIAS_SCHEMA = pa.schema([("norm", pa.string()),
+                          ("canonical_id", pa.string()),
+                          ("canonical_label", pa.string()),
+                          ("cluster_mentions", pa.int64()),
+                          ("is_clustered", pa.bool_())])
+ALIAS_COLS = ALIAS_SCHEMA.names
 
 
-ALIAS_COLS = ["norm", "canonical_id", "canonical_label", "cluster_mentions",
-              "is_clustered"]
+def _alias_rows(norm, canonical_id, canonical_label, mentions,
+                clustered: bool) -> pa.Table:
+    return pa.table([norm, canonical_id, canonical_label,
+                     mentions.cast(pa.int64()),
+                     pa.array(np.full(len(norm), clustered))],
+                    schema=ALIAS_SCHEMA)
+
+
+def _canonical_ids(keys: pa.Array | pa.ChunkedArray) -> pa.Array:
+    return pa.array(map(canonical_id_of, keys.to_pylist()), pa.string())
 
 
 def concat_frames(frames: list[pd.DataFrame]) -> pd.DataFrame:
@@ -420,23 +458,29 @@ def concat_frames(frames: list[pd.DataFrame]) -> pd.DataFrame:
                      ignore_index=True)
 
 
-def link_surfaces(nodes: rd.Dataset, cfg: KGConfig,
+def link_surfaces(nodes: rd.Dataset | list[str], cfg: KGConfig,
                   link: LinkParams | None = None,
-                  use_embed_scorer: bool = True
+                  use_embed_scorer: bool = True, lap=None
                   ) -> tuple[list, ray.ObjectRef, dict]:
-    """The linking waves behind every alias consumer: the surface wave ->
-    the band wave (LSH candidate pairs, Jaccard-verified) -> (optional)
-    embedding-cosine verification and typo tier -> union-find clusters.
+    """The linking waves behind every alias consumer: the surface wave
+    (over a node Dataset or node files, ``surface_wave``) -> the band wave
+    (LSH candidate pairs, Jaccard-verified) -> (optional) embedding-cosine
+    verification and typo tier -> union-find clusters.
 
-    Returns the surface block refs, a ref of ``(root map, clustered norm
-    set)`` for the alias wave (``alias_block``), and the counts
-    ``n_candidate_pairs`` (pairs scored) and ``n_verified_pairs``
-    (distinct pairs at the Jaccard threshold, before the scorer and the
-    typo tier). The surface vocabulary is never collected on the driver:
-    only the verified pairs come back, for the union-find."""
+    Returns the surface block refs, a ref of the root table (``norm``,
+    ``root``: one row per clustered norm) for the alias wave
+    (``alias_block``), and the counts ``n_candidate_pairs`` (pairs scored)
+    and ``n_verified_pairs`` (distinct pairs at the Jaccard threshold,
+    before the scorer and the typo tier). The surface vocabulary is never
+    collected on the driver: only the verified pairs come back, for the
+    union-find. ``lap(name)``, when given, is called after the
+    ``surface``, ``band`` and ``link`` steps."""
+    lap = lap or (lambda _name: None)
     link = link or LinkParams()
     surfaces, partial_bytes = surface_wave(nodes, cfg)
+    lap("surface")
     pairs, n_candidates = _candidate_pairs(surfaces, partial_bytes, link)
+    lap("band")
     counts = {"n_candidate_pairs": int(n_candidates),
               "n_verified_pairs": len(pairs)}
 
@@ -461,107 +505,88 @@ def link_surfaces(nodes: rd.Dataset, cfg: KGConfig,
                               ).drop_duplicates(["norm_a", "norm_b"])
 
     root_of = lsh.union_find_roots(pairs["norm_a"], pairs["norm_b"])
-    return surfaces, ray.put((root_of, frozenset(root_of))), counts
+    roots = ray.put(pa.table({"norm": pa.array(list(root_of), pa.string()),
+                              "root": pa.array(list(root_of.values()),
+                                               pa.string())}))
+    lap("link")
+    return surfaces, roots, counts
 
 
-def hot_partial(df: pd.DataFrame, cap: int) -> pd.DataFrame:
-    """One block's share of the rewrite broadcast: its clustered rows plus
-    its ``cap`` most-mentioned unclustered rows. ``hot_slice`` over every
-    block's partial keeps each norm counted above the global ``cap``-th
-    count; among norms tied at that count, the block layout decides."""
-    keep = df[df["is_clustered"]]
-    # top-k over UNCLUSTERED rows only: clustered rows are kept anyway,
-    # and letting them crowd the per-block top-k could evict globally
-    # hot unclustered norms from the broadcast
-    un = df[~df["is_clustered"]]
-    top = un.nlargest(min(cap, len(un)), "cluster_mentions")
-    return pd.concat([keep, top]).drop_duplicates("norm")[ALIAS_COLS]
-
-
-def hot_slice(parts: pd.DataFrame, cap: int) -> pd.DataFrame:
-    """The broadcast from concatenated ``hot_partial`` outputs (or a whole
-    alias table): every clustered row plus the ``cap`` hottest
-    unclustered ones."""
-    if "norm" not in parts.columns:
-        return pd.DataFrame(columns=ALIAS_COLS)
-    parts = parts.drop_duplicates("norm")
-    clustered = parts[parts["is_clustered"]]
-    hot = parts[~parts["is_clustered"]].nlargest(cap, "cluster_mentions")
-    return pd.concat([clustered, hot], ignore_index=True)
+def hot_slice(aliases: pa.Table, cap: int) -> pa.Table:
+    """The rewrite broadcast's share of alias rows (one row per norm):
+    every clustered row, then the ``cap`` unclustered rows with the most
+    ``cluster_mentions``, most first, ties in row order (a stable sort).
+    The top-``cap`` is over the UNCLUSTERED rows only: clustered rows are
+    kept anyway, and letting them crowd a block's top-``cap`` could evict
+    globally hot unclustered norms from the broadcast. Over the
+    concatenated slices of every block it keeps each norm counted above
+    the global ``cap``-th count; among norms tied at that count, the block
+    layout decides."""
+    clustered = aliases["is_clustered"]
+    un = aliases.filter(pc.invert(clustered))
+    top = np.argsort(-un["cluster_mentions"].to_numpy(), kind="stable")
+    return pa.concat_tables([aliases.filter(clustered),
+                             un.take(top[:cap])]).select(ALIAS_COLS)
 
 
 @ray.remote(num_returns=3)
-def alias_block(block: pa.Table, roots: tuple[dict, frozenset], cap: int,
+def alias_block(block: pa.Table, roots: pa.Table, cap: int,
                 paths: tuple[str, str] | None = None):
     """The alias wave, one task per surface block. Returns:
 
     * the block's UNCLUSTERED alias rows (root = the norm itself) as an
-      Arrow table — or, given ``paths``, their row count after writing
-      them and their 1:1 canonical nodes (``unclustered_nodes``) as the
-      ``aliases`` and ``canonical_nodes`` part files ``paths``;
-    * its CLUSTERED surface rows with their ``root`` (``clustered_aliases``
-      reduces them per root on the driver);
-    * its ``hot_partial`` of the unclustered rows (``cap`` 0: empty)."""
-    rmap, members = roots
-    df = block.to_pandas()
-    # vectorized (a list-comprehension mask on an EMPTY block would be
-    # df[[]] — column selection — and break the schema)
-    member = df["norm"].isin(members)
-    un, cl = df[~member], df[member]
-    out = pd.DataFrame({
-        "norm": un["norm"].astype("string"),
-        "canonical_id": un["norm"].map(canonical_id_of).astype("string"),
-        "canonical_label": un["canonical_label"],
-        "cluster_mentions": un["n_mentions"].astype("int64"),
-    })
-    out["is_clustered"] = False
-    aliases = arrow_out(out[ALIAS_COLS])
-    rooted = arrow_out(cl.assign(root=pd.Series(
-        [rmap[n] for n in cl["norm"]], index=cl.index, dtype="string")))
-    alias_df = aliases.to_pandas()
-    hot = arrow_out(hot_partial(alias_df, cap))
+      Arrow table — or, given ``paths``, their row count and mention sum
+      after writing them and their 1:1 canonical nodes
+      (``unclustered_nodes``) as the ``aliases`` and ``canonical_nodes``
+      part files ``paths``;
+    * its CLUSTERED surface rows (the norms in ``roots``) with their
+      ``root`` (``clustered_aliases`` reduces them per root on the
+      driver);
+    * its ``hot_slice`` of the unclustered rows (``cap`` 0: empty)."""
+    member = pc.is_in(block["norm"], value_set=roots["norm"])
+    un, cl = block.filter(pc.invert(member)), block.filter(member)
+    aliases = _alias_rows(un["norm"], _canonical_ids(un["norm"]),
+                          un["canonical_label"], un["n_mentions"], False)
+    rooted = cl.append_column("root", roots["root"].take(
+        pc.index_in(cl["norm"], value_set=roots["norm"])))
+    hot = hot_slice(aliases, cap)
     if paths is None:
         return aliases, rooted, hot
     if aliases.num_rows:
         pq.write_table(aliases, paths[0])
-        pq.write_table(unclustered_nodes(alias_df), paths[1])
-    return aliases.num_rows, rooted, hot
+        pq.write_table(unclustered_nodes(aliases), paths[1])
+    mentions = pc.sum(aliases["cluster_mentions"]).as_py() or 0
+    return (aliases.num_rows, mentions), rooted, hot
 
 
-def _per_root(df: pd.DataFrame) -> pd.DataFrame:
-    # whole clusters in one frame; vectorized pick
-    df = df.sort_values(["n_mentions", "norm"], ascending=[False, True],
-                        kind="mergesort")
-    rep = df.groupby("root", sort=False)["canonical_label"].first()
-    tot = df.groupby("root", sort=False)["n_mentions"].sum()
-    out = (df[["norm", "root"]]
-           .merge(rep.rename("canonical_label"), on="root")
-           .merge(tot.rename("cluster_mentions"), on="root"))
-    out["canonical_id"] = out["root"].map(canonical_id_of).astype("string")
-    out["is_clustered"] = True
-    return out[ALIAS_COLS]
-
-
-def clustered_aliases(rooted: list[pa.Table]) -> pd.DataFrame:
+def clustered_aliases(rooted: list[pa.Table]) -> pa.Table:
     """The CLUSTERED alias rows (members of a multi-norm cluster) from the
-    alias wave's rooted rows: one driver frame, bounded by 2x|verified
-    pairs| (already a driver-side quantity: the union-find ran on them),
-    empty when nothing clusters."""
-    rooted = [t for t in rooted if t.num_rows]
+    alias wave's rooted rows, reduced per root on the driver: sorted on
+    (n_mentions desc, norm asc), a root's first row gives the cluster its
+    label and its members' sum its ``cluster_mentions``; the id hashes
+    the root. Bounded by 2x|verified pairs| (already a driver-side
+    quantity: the union-find ran on them), empty when nothing clusters."""
     if not rooted:
-        return pd.DataFrame(columns=ALIAS_COLS)
-    return _per_root(pa.concat_tables(rooted).to_pandas())
+        return ALIAS_SCHEMA.empty_table()
+    tbl = pa.concat_tables(rooted).sort_by([("n_mentions", "descending"),
+                                            ("norm", "ascending")])
+    codes, first, roots = _first_rows(tbl["root"])
+    totals = np.bincount(codes, weights=tbl["n_mentions"].to_numpy(),
+                         minlength=len(first))
+    return _alias_rows(tbl["norm"], _canonical_ids(roots).take(codes),
+                       tbl["canonical_label"].take(first[codes]),
+                       pa.array(totals[codes].astype(np.int64)), True)
 
 
 def alias_parts(nodes: rd.Dataset, cfg: KGConfig,
                 link: LinkParams | None = None,
                 use_embed_scorer: bool = True
-                ) -> tuple[rd.Dataset, pd.DataFrame]:
+                ) -> tuple[rd.Dataset, pa.Table]:
     """The alias table (columns ``ALIAS_COLS``, one row per distinct norm)
     in its two parts, from ``link_surfaces`` and the alias wave without
     writes: the UNCLUSTERED rows (singleton clusters, the overwhelming
     majority) as a Dataset over the wave's blocks, and the CLUSTERED rows
-    as one driver frame (``clustered_aliases``). ``is_clustered`` marks
+    as one driver table (``clustered_aliases``). ``is_clustered`` marks
     the clustered rows — the rewrite stage must always have those in its
     broadcast map; everything else can fall back to identity hashing."""
     surfaces, roots, _ = link_surfaces(nodes, cfg, link, use_embed_scorer)
@@ -576,11 +601,11 @@ def build_alias_table(nodes: rd.Dataset, cfg: KGConfig,
     """Full linking pass -> alias DATASET (norm, canonical_id,
     canonical_label, cluster_mentions, is_clustered), one row per distinct
     norm: the union of ``alias_parts``' unclustered Dataset and clustered
-    frame."""
+    table."""
     unclustered, clustered = alias_parts(nodes, cfg, link, use_embed_scorer)
-    if not len(clustered):
+    if not clustered.num_rows:
         return unclustered
-    return unclustered.union(rd.from_arrow(arrow_out(clustered)))
+    return unclustered.union(rd.from_arrow(clustered))
 
 
 def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
@@ -592,15 +617,16 @@ def hot_alias_frame(alias: rd.Dataset, cap: int) -> pd.DataFrame:
 
     Under the cap — a materialized ``alias`` whose row count (block
     metadata, no pass) is at most ``cap`` — the slice is the whole table,
-    collected as is. Above it, per-block ``hot_partial``s bound the driver
+    collected as is. Above it, per-block ``hot_slice``s bound the driver
     collect to clustered + cap x num_blocks rows, never the full
     vocabulary."""
-    if isinstance(alias, MaterializedDataset) and alias.count() <= cap:
-        parts = alias.to_pandas()
-    else:
-        parts = alias.map_batches(functools.partial(hot_partial, cap=cap),
-                                  batch_format="pandas").to_pandas()
-    return hot_slice(parts, cap)
+    if not (isinstance(alias, MaterializedDataset) and alias.count() <= cap):
+        alias = alias.map_batches(functools.partial(hot_slice, cap=cap),
+                                  batch_format="pyarrow")
+    parts = [t for t in ray.get(alias.to_arrow_refs())
+             if "norm" in t.column_names]
+    return hot_slice(pa.concat_tables(parts) if parts
+                     else ALIAS_SCHEMA.empty_table(), cap).to_pandas()
 
 
 # --- phase 3: rewrite edges onto canonical ids + global dedup ---------------
@@ -654,34 +680,65 @@ def merge_edge_partials(_pid: int, tbl: pa.Table) -> pa.Table:
     totals), then reduces to one row per triple: weight = sum over label
     pairs, label pair = the heaviest (ties -> lexicographic min) — fully
     deterministic, and identical to a plain 5-key sum whenever labels
-    really are functions of the ids (the in-broadcast regime)."""
-    df = tbl.to_pandas()
-    by_label = df.groupby(_EDGE_KEYS5, as_index=False, sort=False)["weight"].sum()
-    tot = by_label.groupby(EDGE_KEYS, as_index=False, sort=False)["weight"].sum()
-    rep = (by_label.sort_values(
-        ["weight", "src_label", "dst_label"],
-        ascending=[False, True, True], kind="mergesort")
-        .drop_duplicates(EDGE_KEYS)[_EDGE_KEYS5])
-    return pa.Table.from_pandas(
-        tot.merge(rep, on=EDGE_KEYS)[_EDGE_KEYS5 + ["weight"]],
-        preserve_index=False)
+    really are functions of the ids (the in-broadcast regime). A partial
+    with a null key (a null ``pred``) belongs to no triple and is dropped."""
+    valid = functools.reduce(pc.and_, [pc.is_valid(tbl[c])
+                                       for c in _EDGE_KEYS5])
+    rep = (tbl.filter(valid).group_by(_EDGE_KEYS5)
+           .aggregate([("weight", "sum")])
+           .sort_by([("weight_sum", "descending"), ("src_label", "ascending"),
+                     ("dst_label", "ascending")])
+           # ordered, so "first" is the heaviest label pair's
+           .group_by(EDGE_KEYS, use_threads=False)
+           .aggregate([("src_label", "first"), ("dst_label", "first"),
+                       ("weight_sum", "sum")]))
+    return pa.table({**{c: rep[c] for c in EDGE_KEYS},
+                     "src_label": rep["src_label_first"],
+                     "dst_label": rep["dst_label_first"],
+                     "weight": rep["weight_sum_sum"]})
 
 
-def edge_wave(edges: rd.Dataset, broadcast: pd.DataFrame,
+EDGE_INPUT_COLS = ["subj", "pred", "obj"]
+
+
+@ray.remote(num_returns=2)
+def _rewrite_items(rewrite, items: list) -> tuple[pa.Table, int]:
+    """The edge wave's rewrite task over a group of edge blocks or
+    ``edges.parquet`` files (``exchange.fetch_tables``; files are read
+    projected to ``EDGE_INPUT_COLS``): their ``rewrite`` partial and its
+    bytes."""
+    part = rewrite(pa.concat_tables(fetch_tables(items, EDGE_INPUT_COLS),
+                                    promote_options="permissive"))
+    return part, part.nbytes
+
+
+def _broadcast_table(aliases: pa.Table | pd.DataFrame) -> pa.Table:
+    if isinstance(aliases, pd.DataFrame):
+        return pa.table({c: pa.array(aliases[c], pa.string())
+                         for c in BROADCAST_COLS})
+    return aliases.select(BROADCAST_COLS)
+
+
+def edge_wave(edges: rd.Dataset | list[str],
+              broadcast: pa.Table | pd.DataFrame,
               reduce_fn=merge_edge_partials) -> list:
     """The edge wave: broadcast the ``broadcast`` alias rows (one row per
     norm) as an Arrow table of ``BROADCAST_COLS`` (``ray.put`` once, read
-    per task), rewrite and partially count each edge block, and exchange
-    the partials on the canonical TRIPLE (so every label variant of it
-    co-locates) into ``reduce_fn(pid, partials)`` per bucket. Returns the
-    reduce refs. The bucket count is auto-sized from the partials' bytes,
-    so the rewrite runs to completion before the map."""
-    alias_ref = ray.put(pa.table({c: pa.array(broadcast[c], pa.string())
-                                  for c in BROADCAST_COLS}))
-    partials = edges.map_batches(
-        functools.partial(_rewrite_and_count, alias_ref),
-        batch_format="pyarrow")
-    return exchange_refs(partials, EDGE_KEYS, None, reduce_fn)[0]
+    per task); one task per 4 edge blocks (a Dataset's) or files (a list
+    of ``edges.parquet`` paths, which the task reads itself), as many as
+    an exchange map takes, rewrites and partially counts them; then the
+    partials are exchanged on the canonical TRIPLE (so every label variant
+    of it co-locates) into ``reduce_fn(pid, partials)`` per bucket.
+    Returns the reduce refs. The bucket count is ``auto_partitions`` over
+    the bytes the rewrite tasks return, so the rewrite runs to completion
+    before the exchange's maps."""
+    rewrite = functools.partial(_rewrite_and_count,
+                                ray.put(_broadcast_table(broadcast)))
+    outs = [_rewrite_items.remote(rewrite, group)
+            for group in block_groups(source_items(edges), 4)]
+    total = sum(ray.get([o[1] for o in outs]))
+    return exchange_refs([o[0] for o in outs], EDGE_KEYS,
+                         auto_partitions(total), reduce_fn)[0]
 
 
 def canonicalize_edges(edges: rd.Dataset, alias: rd.Dataset | pd.DataFrame,
@@ -709,31 +766,30 @@ def canonicalize_edges(edges: rd.Dataset, alias: rd.Dataset | pd.DataFrame,
     return as_dataset(edge_wave(edges, alias))
 
 
-CANON_NODE_COLS = ["canonical_id", "canonical_label", "n_mentions",
-                   "n_aliases"]
+CANON_NODE_SCHEMA = pa.schema([("canonical_id", pa.string()),
+                               ("canonical_label", pa.string()),
+                               ("n_mentions", pa.int64()),
+                               ("n_aliases", pa.int64())])
 
 
-def unclustered_nodes(df: pd.DataFrame) -> pa.Table:
-    """Canonical nodes of a batch's UNCLUSTERED alias rows: a 1:1
+def unclustered_nodes(aliases: pa.Table) -> pa.Table:
+    """Canonical nodes of a block's UNCLUSTERED alias rows: a 1:1
     projection (each is its own entity with one alias), no shuffle."""
-    df = df[~df["is_clustered"]]
-    out = pd.DataFrame({
-        "canonical_id": df["canonical_id"],
-        "canonical_label": df["canonical_label"],
-        "n_mentions": df["cluster_mentions"].astype("int64"),
-    })
-    out["n_aliases"] = 1
-    return arrow_out(out[CANON_NODE_COLS])
+    un = aliases.filter(pc.invert(aliases["is_clustered"]))
+    return pa.table([un["canonical_id"], un["canonical_label"],
+                     un["cluster_mentions"],
+                     pa.array(np.ones(un.num_rows, dtype=np.int64))],
+                    schema=CANON_NODE_SCHEMA)
 
 
-def clustered_nodes(clustered: pd.DataFrame) -> pa.Table:
+def clustered_nodes(clustered: pa.Table) -> pa.Table:
     """Canonical nodes of the CLUSTERED alias rows: the cross-row reduce
-    per entity, driver-side (the rows are pair-bounded)."""
-    out = (clustered.groupby(["canonical_id", "canonical_label"], sort=False)
-           .agg(n_mentions=("cluster_mentions", "max"),
-                n_aliases=("norm", "nunique")).reset_index()
-           .sort_values("canonical_id", kind="mergesort"))
-    return arrow_out(out[CANON_NODE_COLS])
+    per entity, driver-side (the rows are pair-bounded), in id order."""
+    g = clustered.group_by(["canonical_id", "canonical_label"]).aggregate(
+        [("cluster_mentions", "max"), ("norm", "count_distinct")])
+    return pa.table([g["canonical_id"], g["canonical_label"],
+                     g["cluster_mentions_max"], g["norm_count_distinct"]],
+                    schema=CANON_NODE_SCHEMA).sort_by("canonical_id")
 
 
 def canonical_nodes_table(alias: rd.Dataset) -> rd.Dataset:
@@ -742,17 +798,15 @@ def canonical_nodes_table(alias: rd.Dataset) -> rd.Dataset:
     ``unclustered_nodes`` per block plus ``clustered_nodes`` over the
     collected clustered rows."""
     def clustered_only(t):
-        # Arrow in/out: a pandas filter here returned empty object-dtype
-        # blocks that Ray's size estimator warns on ("vectorize on size 0
-        # inputs") — Arrow empties carry their schema silently
         return t.filter(pc.fill_null(t["is_clustered"], False))
 
-    un = alias.map_batches(unclustered_nodes, batch_format="pandas")
-    cl_df = alias.map_batches(clustered_only,
-                              batch_format="pyarrow").to_pandas()
-    if len(cl_df) == 0:
+    un = alias.map_batches(unclustered_nodes, batch_format="pyarrow")
+    cl = [t for t in ray.get(alias.map_batches(
+        clustered_only, batch_format="pyarrow").to_arrow_refs())
+        if t.num_rows]
+    if not cl:
         return un
-    return un.union(rd.from_arrow(clustered_nodes(cl_df)))
+    return un.union(rd.from_arrow(clustered_nodes(pa.concat_tables(cl))))
 
 
 # --- fuzzy alias pairing (round 4) ------------------------------------------

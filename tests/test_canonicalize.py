@@ -813,8 +813,10 @@ def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
 
     again = kg.run_canonicalize_job(out, cfg)
     assert "resumed" not in again
-    assert again == clean
-    assert json.loads((cdir / "_manifest.json").read_text()) == clean
+    # equal but for the walls of the job's steps
+    walls = {"stage_s": None}
+    assert {**again, **walls} == {**clean, **walls}
+    assert json.loads((cdir / "_manifest.json").read_text()) == again
     assert not (cdir / "_manifest.json.tmp").exists()
     want, got = _job_tables(clean_out), _job_tables(out)
     for t in TABLES:
@@ -826,12 +828,12 @@ def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
     assert kg.run_canonicalize_job(out, cfg)["resumed"] is True
 
 
-def test_canonicalize_job_starts_two_ray_data_executions(planted_lake,
-                                                         tmp_path,
-                                                         monkeypatch):
-    """Phase 2's plan: the node read and the edge read are its only Ray
-    Data executions (default scorer, fewer than 10k pairs); every other
-    step is a task wave over object refs."""
+def test_canonicalize_job_starts_no_ray_data_execution(planted_lake,
+                                                       tmp_path,
+                                                       monkeypatch):
+    """Phase 2's plan runs no Ray Data execution (default scorer, fewer
+    than 10k pairs): the surface and edge waves' tasks read the phase-1
+    files themselves, and every step is a task wave over object refs."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -849,5 +851,84 @@ def test_canonicalize_job_starts_two_ray_data_executions(planted_lake,
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
     summary = kg.run_canonicalize_job(
         out, KGConfig(num_partitions=4, alias_salt_buckets=4))
-    assert len(starts) == 2
+    assert len(starts) == 0
     assert 0 < summary["n_verified_pairs"] < 10_000
+
+
+def test_canonicalize_resume_requires_the_same_link_config(planted_lake,
+                                                           tmp_path):
+    """A phase-2 rerun over unchanged phase-1 output resumes only under
+    the linking configuration it committed with (``link_sig``): other
+    ``LinkParams``, the scorer switched off or another broadcast cap
+    recompute, and give the tables a fresh run under that configuration
+    gives; an identical rerun still resumes, and a manifest that records
+    no ``link_sig`` is recomputed."""
+    import json
+    from dataclasses import replace
+
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
+
+    cfg = KGConfig(num_partitions=4, alias_salt_buckets=4)
+    loose = cz.LinkParams(jaccard_threshold=0.3)
+    fresh_out = _fresh_lake(planted_lake, tmp_path / "fresh")
+    fresh = kg.run_canonicalize_job(fresh_out, cfg, link=loose)
+    fresh_tables = _job_tables(fresh_out)
+
+    out = _fresh_lake(planted_lake, tmp_path / "lake")
+    default = kg.run_canonicalize_job(out, cfg)
+    assert kg.run_canonicalize_job(out, cfg)["resumed"] is True
+
+    again = kg.run_canonicalize_job(out, cfg, link=loose)
+    assert "resumed" not in again
+    assert again["n_clustered_norms"] == fresh["n_clustered_norms"] \
+        > default["n_clustered_norms"]
+    assert again["n_canonical_entities"] == fresh["n_canonical_entities"] \
+        < default["n_canonical_entities"]
+    got = _job_tables(out)
+    for t in TABLES:
+        cols = list(fresh_tables[t].columns)
+        assert _row_set(got[t], cols) == _row_set(fresh_tables[t], cols), t
+    assert kg.run_canonicalize_job(out, cfg, link=loose)["resumed"] is True
+
+    for kwargs, run_cfg in (({"use_embed_scorer": False}, cfg),
+                            ({}, replace(cfg, broadcast_vocab_cap=10))):
+        assert "resumed" not in kg.run_canonicalize_job(out, run_cfg,
+                                                        **kwargs)
+        assert kg.run_canonicalize_job(out, run_cfg,
+                                       **kwargs)["resumed"] is True
+
+    manifest = tmp_path / "lake" / "version=1" / "canonical" / \
+        "_manifest.json"
+    old = json.loads(manifest.read_text())
+    del old["link_sig"]
+    manifest.write_text(json.dumps(old))
+    assert "resumed" not in kg.run_canonicalize_job(out, cfg)
+
+
+def test_canonical_manifest_records_stage_walls_and_mentions(planted_lake,
+                                                             tmp_path):
+    """The canonical manifest carries the driver walls of the job's steps,
+    which sum to the job's wall within 5%, and the mention total, which
+    equals the node rows with a label and the canonical nodes' mentions."""
+    import json
+    import time
+
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
+
+    out = _fresh_lake(planted_lake, tmp_path / "lake")
+    t0 = time.perf_counter()
+    summary = kg.run_canonicalize_job(
+        out, KGConfig(num_partitions=4, alias_salt_buckets=4))
+    wall = time.perf_counter() - t0
+    manifest = json.loads((tmp_path / "lake" / "version=1" / "canonical"
+                           / "_manifest.json").read_text())
+    assert manifest == summary
+    stages = summary["stage_s"]
+    assert list(stages) == ["surface", "band", "link", "alias", "edge",
+                            "commit"]
+    assert all(v >= 0 for v in stages.values())
+    assert abs(sum(stages.values()) - wall) <= 0.05 * wall
+    nodes = kg.read_nodes(out, 1).to_pandas()
+    assert summary["n_mentions"] == int(nodes["label"].notna().sum()) > 0
+    assert summary["n_mentions"] == int(
+        kg.read_canonical_nodes(out, 1).to_pandas()["n_mentions"].sum())

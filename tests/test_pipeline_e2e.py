@@ -984,3 +984,88 @@ def test_manifests_record_stage_walls(tmp_path):
     assert len(linked) == 3
     for pid in linked:
         assert v2[pid]["stage_s"] == v1[pid]["stage_s"]
+
+
+_LEAK_JOB = r"""
+import os, sys
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from ai_knowledgegraph_extractor_ray.config import KGConfig
+from ai_knowledgegraph_extractor_ray.pipelines import kg
+from ai_knowledgegraph_extractor_ray.sources import transcripts as src
+from tests.test_pipeline_e2e import pids_with_env
+root, marker = sys.argv[1], sys.argv[2]
+pq.write_table(src.synthetic_transcripts_table(n_convs=8, seed=1),
+               root + "/t.parquet")
+cfg = KGConfig(num_partitions=2, alias_salt_buckets=2)
+kg.run_kg_job(src.read_transcripts(root + "/t.parquet"), cfg, root + "/lake")
+kg.run_canonicalize_job(root + "/lake", cfg)
+workers = [p for p, cmd in pids_with_env(marker).items()
+           if p != os.getpid() and cmd.startswith("ray::")]
+print("workers", len(workers))
+ray.shutdown()
+"""
+
+
+def pids_with_env(marker: str) -> dict[int, str]:
+    """pid -> cmdline of every readable process whose environment holds
+    ``marker`` (a ``NAME=value`` entry)."""
+    found = {}
+    for d in Path("/proc").iterdir():
+        if not d.name.isdigit():
+            continue
+        try:
+            if marker.encode() in (d / "environ").read_bytes().split(b"\0"):
+                found[int(d.name)] = (d / "cmdline").read_bytes().replace(
+                    b"\0", b" ").decode(errors="replace").strip()
+        except OSError:
+            continue
+    return found
+
+
+def test_jobs_leave_no_process_behind(tmp_path):
+    """A phase-1 plus phase-2 job ending in ``ray.shutdown()`` leaves no
+    process running. The driver runs in a subprocess whose environment
+    holds a unique marker, which every process Ray starts inherits (a
+    worker's cmdline is ``ray::IDLE``, so the environment is what finds
+    it). Positive control: before the shutdown the driver finds the marker
+    in at least one Ray worker. After the driver exits, no process may
+    hold the marker for more than 30 s."""
+    import os
+    import subprocess
+    import sys
+    import time
+    import uuid
+
+    repo = Path(__file__).resolve().parents[1]
+    marker = f"KG_LEAK_GUARD={uuid.uuid4().hex}"
+    env = {**os.environ, "PYTHONPATH": str(repo),
+           marker.split("=")[0]: marker.split("=")[1]}
+    env.pop("RAY_ADDRESS", None)
+    # output to files, not pipes: a leaked process holding a pipe would
+    # keep the run waiting instead of being found below
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    try:
+        with out.open("w") as o, err.open("w") as e:
+            code = subprocess.run([sys.executable, "-c", _LEAK_JOB,
+                                   str(tmp_path), marker], cwd=repo, env=env,
+                                  timeout=600, stdout=o, stderr=e).returncode
+        assert code == 0, err.read_text()[-3000:]
+        n_workers = [int(line.split()[1])
+                     for line in out.read_text().splitlines()
+                     if line.startswith("workers ")]
+        assert n_workers and n_workers[0] >= 1, out.read_text()
+        deadline = time.monotonic() + 30
+        while (left := pids_with_env(marker)) and time.monotonic() < deadline:
+            time.sleep(0.5)
+        assert not left, left
+    finally:
+        for pid in pids_with_env(marker):
+            try:
+                os.kill(pid, 9)
+            except OSError:
+                pass
