@@ -3133,7 +3133,8 @@ def q_alias_fuzzy(sf_dir: str) -> rd.Dataset:
     perturbation (labels with length % 3 == 0 lose their 2nd character)
     plants them, mirrored exactly in the SQL oracle; the operator under
     test is ``canonicalize.fuzzy_label_pairs`` — deletion-neighborhood
-    blocking, one shuffle, exact linear-time verify."""
+    blocking, one exchange on the deletion variant, exact linear-time
+    verify — whose driver-side pair table becomes the Dataset."""
     ents = q_entities(sf_dir).select_columns(["label"])
 
     def plant(df: pd.DataFrame) -> pd.DataFrame:
@@ -3143,8 +3144,8 @@ def q_alias_fuzzy(sf_dir: str) -> rd.Dataset:
             {"label": pd.concat([lab, typo.str[0] + typo.str[2:]],
                                 ignore_index=True)})
 
-    return cz.fuzzy_label_pairs(
-        ents.map_batches(plant, batch_format="pandas"), col="label")
+    return rd.from_arrow(cz.fuzzy_label_pairs(
+        ents.map_batches(plant, batch_format="pandas"), col="label"))
 
 
 def q_doc_logprob(sf_dir: str) -> rd.Dataset:

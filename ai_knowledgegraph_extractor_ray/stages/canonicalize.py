@@ -72,6 +72,11 @@ functions hand them a Dataset and wrap the waves' refs with
   dictionary-encoded, normalized once per distinct label and looked up
   with ``pc.index_in``, and the rewritten rows are counted with an Arrow
   ``group_by``; the merge per bucket is an Arrow ``group_by`` too.
+* **The typo tier (the typo wave, only with ``LinkParams.typo_tier``)**
+  is ``fuzzy_label_pairs`` over the surface refs: map tasks fan each
+  distinct norm out to its deletion variants, one exchange on the variant
+  co-buckets norms that share one, and each bucket keeps the pairs within
+  one edit. Its pairs join the verified pairs in the union-find.
 """
 
 from __future__ import annotations
@@ -324,8 +329,9 @@ class LinkParams:
     jaccard_threshold: float = 0.66
     cosine_threshold: float = 0.60
     max_bucket: int = 64      # degenerate-bucket guard
-    # typo tier: union edit-distance-1 norm pairs (deletion-neighborhood
-    # blocking, fuzzy_label_pairs) into the LSH candidates — catches short
+    # typo tier: union edit-distance-1 norm pairs (fuzzy_label_pairs over
+    # the surface refs: one exchange on deletion variants, no Ray Data)
+    # into the verified pairs, past the embed scorer — catches short
     # typo'd aliases whose shingle Jaccard falls below the LSH threshold.
     # Off by default: exact reference-parity runs must not cluster extra.
     typo_tier: bool = False
@@ -355,16 +361,6 @@ def _verified_pairs(bucket: np.ndarray, norm: np.ndarray, p: LinkParams
     return len(a), pa.table({"norm_a": pa.array(norms[a[keep]], pa.string()),
                              "norm_b": pa.array(norms[b[keep]], pa.string()),
                              "jaccard": pa.array(jac[keep], pa.float64())})
-
-
-def verify_bucket_pairs(df: pd.DataFrame, p: LinkParams) -> pa.Table:
-    """Verify every candidate pair of one coarse bucket of ``(bucket, norm)``
-    rows in one pass: ``lsh.bucket_pairs`` (per band bucket the
-    ``p.max_bucket`` smallest distinct norms, ``norm_a < norm_b``, each
-    distinct pair once), scored with true Jaccard and kept at
-    ``p.jaccard_threshold``. Returns typed (norm_a, norm_b, jaccard)."""
-    return _verified_pairs(df["bucket"].to_numpy(), df["norm"].to_numpy(),
-                           p)[1]
 
 
 def _band_rows(p: LinkParams, *blocks: pa.Table) -> pa.Table:
@@ -414,22 +410,6 @@ def _candidate_pairs(surfaces: list, partial_bytes: int, p: LinkParams
             sum(n for n, _ in results))
 
 
-def _typo_pairs(surfaces: rd.Dataset) -> pd.DataFrame:
-    """The typo tier's pair list: exact edit-distance-1 norm pairs from
-    the deletion-neighborhood blocking. These BYPASS the embed scorer —
-    for the short strings this tier exists for ('ibm'/'ibn'), shingle
-    overlap is near zero, so a shingle-hash cosine would veto exactly
-    the pairs the exact character-level verify already proved close."""
-    fz = fuzzy_label_pairs(surfaces.select_columns(["norm"]),
-                           col="norm").to_pandas()
-    if "norm_a" not in fz.columns or not len(fz):
-        return pd.DataFrame(columns=["norm_a", "norm_b", "jaccard"])
-    codes, norms = pd.factorize(np.concatenate([fz["norm_a"].to_numpy(),
-                                                 fz["norm_b"].to_numpy()]))
-    fz["jaccard"] = _pair_jaccard(norms, codes[:len(fz)], codes[len(fz):])
-    return fz
-
-
 ALIAS_SCHEMA = pa.schema([("norm", pa.string()),
                           ("canonical_id", pa.string()),
                           ("canonical_label", pa.string()),
@@ -450,14 +430,6 @@ def _canonical_ids(keys: pa.Array | pa.ChunkedArray) -> pa.Array:
     return pa.array(map(canonical_id_of, keys.to_pylist()), pa.string())
 
 
-def concat_frames(frames: list[pd.DataFrame]) -> pd.DataFrame:
-    """``pd.concat`` of the non-empty frames (the first one when all are
-    empty): pandas deprecates letting an empty frame take part in the
-    result dtypes."""
-    return pd.concat([f for f in frames if len(f)] or frames[:1],
-                     ignore_index=True)
-
-
 def link_surfaces(nodes: rd.Dataset | list[str], cfg: KGConfig,
                   link: LinkParams | None = None,
                   use_embed_scorer: bool = True, lap=None
@@ -465,7 +437,8 @@ def link_surfaces(nodes: rd.Dataset | list[str], cfg: KGConfig,
     """The linking waves behind every alias consumer: the surface wave
     (over a node Dataset or node files, ``surface_wave``) -> the band wave
     (LSH candidate pairs, Jaccard-verified) -> (optional) embedding-cosine
-    verification and typo tier -> union-find clusters.
+    verification and the typo wave (``fuzzy_label_pairs`` over the surface
+    refs) -> union-find clusters.
 
     Returns the surface block refs, a ref of the root table (``norm``,
     ``root``: one row per clustered norm) for the alias wave
@@ -499,12 +472,17 @@ def link_surfaces(nodes: rd.Dataset | list[str], cfg: KGConfig,
             ).to_pandas()
         pairs = scored[scored["cos_sim"] >= link.cosine_threshold]
 
-    if link.typo_tier and surfaces:
-        pairs = concat_frames([pairs[["norm_a", "norm_b", "jaccard"]],
-                               _typo_pairs(as_dataset(surfaces))]
-                              ).drop_duplicates(["norm_a", "norm_b"])
+    a, b = pairs["norm_a"].tolist(), pairs["norm_b"].tolist()
+    if link.typo_tier:
+        # edit-distance-1 pairs BYPASS the embed scorer: for the short
+        # norms this tier exists for ('ibm'/'ibn') shingle overlap is near
+        # zero, so a shingle-hash cosine would veto exactly the pairs the
+        # character-level verify already proved close
+        typo = fuzzy_label_pairs(surfaces, col="norm")
+        a += typo["norm_a"].to_pylist()
+        b += typo["norm_b"].to_pylist()
 
-    root_of = lsh.union_find_roots(pairs["norm_a"], pairs["norm_b"])
+    root_of = lsh.union_find_roots(a, b)
     roots = ray.put(pa.table({"norm": pa.array(list(root_of), pa.string()),
                               "root": pa.array(list(root_of.values()),
                                                pa.string())}))
@@ -702,14 +680,29 @@ EDGE_INPUT_COLS = ["subj", "pred", "obj"]
 
 
 @ray.remote(num_returns=2)
-def _rewrite_items(rewrite, items: list) -> tuple[pa.Table, int]:
-    """The edge wave's rewrite task over a group of edge blocks or
-    ``edges.parquet`` files (``exchange.fetch_tables``; files are read
-    projected to ``EDGE_INPUT_COLS``): their ``rewrite`` partial and its
-    bytes."""
-    part = rewrite(pa.concat_tables(fetch_tables(items, EDGE_INPUT_COLS),
-                                    promote_options="permissive"))
+def _map_items(fn, columns: list[str], items: list) -> tuple[pa.Table, int]:
+    """A sized exchange's map task over a group of blocks or parquet files
+    (``exchange.fetch_tables``; files are read projected to ``columns``):
+    ``fn`` of their concatenation, and its bytes."""
+    part = fn(pa.concat_tables(fetch_tables(items, columns),
+                               promote_options="permissive"))
     return part, part.nbytes
+
+
+def _sized_exchange(source: rd.Dataset | list, fn, columns: list[str], key,
+                   reduce_fn) -> list:
+    """One task per 4 blocks of a Dataset or items of a list (block refs
+    or parquet paths, which the task reads itself), as many as an exchange
+    map takes, computes ``fn`` of them (``_map_items``); their outputs are
+    then exchanged on ``key`` into ``reduce_fn(pid, table)`` per bucket.
+    Returns the reduce refs. The bucket count is ``auto_partitions`` over
+    the bytes the tasks return, so they run to completion before the
+    exchange's maps."""
+    outs = [_map_items.remote(fn, columns, group)
+            for group in block_groups(source_items(source), 4)]
+    total = sum(ray.get([o[1] for o in outs]))
+    return exchange_refs([o[0] for o in outs], key, auto_partitions(total),
+                         reduce_fn)[0]
 
 
 def _broadcast_table(aliases: pa.Table | pd.DataFrame) -> pa.Table:
@@ -724,21 +717,15 @@ def edge_wave(edges: rd.Dataset | list[str],
               reduce_fn=merge_edge_partials) -> list:
     """The edge wave: broadcast the ``broadcast`` alias rows (one row per
     norm) as an Arrow table of ``BROADCAST_COLS`` (``ray.put`` once, read
-    per task); one task per 4 edge blocks (a Dataset's) or files (a list
-    of ``edges.parquet`` paths, which the task reads itself), as many as
-    an exchange map takes, rewrites and partially counts them; then the
-    partials are exchanged on the canonical TRIPLE (so every label variant
-    of it co-locates) into ``reduce_fn(pid, partials)`` per bucket.
-    Returns the reduce refs. The bucket count is ``auto_partitions`` over
-    the bytes the rewrite tasks return, so the rewrite runs to completion
-    before the exchange's maps."""
+    per task); a ``_sized_exchange`` over the edge blocks (a Dataset's) or
+    ``edges.parquet`` files (read projected to ``EDGE_INPUT_COLS``) whose
+    tasks rewrite and partially count them, exchanging the partials on
+    the canonical TRIPLE (so every label variant of it co-locates) into
+    ``reduce_fn(pid, partials)`` per bucket. Returns the reduce refs."""
     rewrite = functools.partial(_rewrite_and_count,
                                 ray.put(_broadcast_table(broadcast)))
-    outs = [_rewrite_items.remote(rewrite, group)
-            for group in block_groups(source_items(edges), 4)]
-    total = sum(ray.get([o[1] for o in outs]))
-    return exchange_refs([o[0] for o in outs], EDGE_KEYS,
-                         auto_partitions(total), reduce_fn)[0]
+    return _sized_exchange(edges, rewrite, EDGE_INPUT_COLS, EDGE_KEYS,
+                          reduce_fn)
 
 
 def canonicalize_edges(edges: rd.Dataset, alias: rd.Dataset | pd.DataFrame,
@@ -834,63 +821,77 @@ def _within_one_edit(a: str, b: str) -> bool:
     return a[i:] == b[i + 1:]
 
 
-def fuzzy_label_pairs(labels: rd.Dataset, col: str = "label") -> rd.Dataset:
+def _deletion_variants(col: str, tbl: pa.Table) -> pa.Table:
+    """The typo wave's map body: ``(variant, <col>)`` rows for every
+    distinct non-null value of ``col``, one with the value itself as its
+    variant and one per single-code-point deletion. Deletion ``i`` of
+    every value longer than ``i`` is two ``pc.utf8_slice_codeunits``
+    calls over the column (they count code points, as Python slicing
+    does), so the loop runs once per character position, never per
+    value, as in ``shingle_csr``."""
+    values = pc.unique(pc.drop_null(tbl[col].cast(pa.string())))
+    lens = pc.utf8_length(values).to_numpy()
+    order = np.argsort(-lens, kind="stable")             # longest first
+    values, shorter = values.take(order), -lens[order]   # shorter: ascending
+    variants, owners = [values], [values]
+    for i in range(int(lens.max(initial=0))):
+        live = values.slice(0, int(np.searchsorted(shorter, -i)))
+        variants.append(pc.binary_join_element_wise(
+            pc.utf8_slice_codeunits(live, 0, i),
+            pc.utf8_slice_codeunits(live, i + 1), ""))
+        owners.append(live)
+    return pa.table({"variant": pa.chunked_array(variants, pa.string()),
+                     col: pa.chunked_array(owners, pa.string())})
+
+
+def _label_pairs(col: str, a, b) -> pa.Table:
+    return pa.table({f"{col}_a": pa.array(a, pa.string()),
+                     f"{col}_b": pa.array(b, pa.string())})
+
+
+def _one_edit_pairs(col: str, _pid: int, tbl: pa.Table) -> pa.Table:
+    """The typo wave's reduce: one bucket of ``(variant, <col>)`` rows ->
+    the distinct value pairs ``a < b`` that share a variant
+    (``lsh.bucket_pairs``, uncapped: ``max_bucket`` is the bucket's rows)
+    and are within one edit (``_within_one_edit``)."""
+    a, b = lsh.bucket_pairs(pd.DataFrame({
+        "bucket": tbl["variant"].to_numpy(), "value": tbl[col].to_numpy()}),
+        "value", tbl.num_rows)
+    keep = np.fromiter(map(_within_one_edit, a, b), bool, count=len(a))
+    return _label_pairs(col, a[keep], b[keep])
+
+
+def fuzzy_label_pairs(labels: rd.Dataset | list, col: str = "label"
+                      ) -> pa.Table:
     """Distinct label pairs within Levenshtein distance 1 — the fuzzy
     tier of entity linking (typo'd aliases the exact lower() match in
-    the alias table can't catch).
+    the alias table can't catch). ``labels`` is a Dataset, or a list of
+    block refs or parquet paths, with a string column ``col``; null
+    labels are skipped.
 
     Scale shape (the SymSpell deletion-neighborhood identity): two
     strings are within one edit only if they share an element of
-    {s} ∪ single-deletions(s), so each distinct label fans out to its
-    <= len+1 deletion variants, ONE shuffle co-buckets labels sharing a
-    variant, and in-bucket self-joins emit candidate pairs that a
-    linear-time exact check then verifies. No all-pairs stage anywhere:
-    candidate volume is bounded by variant collisions, which for
-    near-full-length variants stay near-linear in the vocabulary. A
-    pathological corpus (thousands of labels one edit apart in one
-    neighborhood) concentrates its own cluster's pairs in one bucket —
-    the same inherent hot-key caveat as the LSH band buckets.
+    {s} ∪ single-deletions(s). One ``_sized_exchange`` (the typo wave)
+    does it all: its map tasks fan each distinct value of their blocks
+    out to its <= len+1 variants (``_deletion_variants``), ONE exchange
+    on the variant co-buckets values sharing one, and each bucket pairs
+    its values and keeps the pairs a linear-time exact check accepts
+    (``_one_edit_pairs``). No all-pairs stage anywhere: candidate volume
+    is bounded by variant collisions, which for near-full-length
+    variants stay near-linear in the vocabulary. A pathological corpus
+    (thousands of labels one edit apart in one neighborhood)
+    concentrates its own cluster's pairs in one bucket — the same
+    inherent hot-key caveat as the LSH band buckets. The driver
+    concatenates the (small) verified pair lists. They hold no pair
+    twice: two labels one edit apart share exactly one variant (the
+    shorter label itself, or the one deletion that removes the
+    substituted character), so their pair comes from one bucket, once.
 
-    Output: (<col>_a, <col>_b) with <col>_a < <col>_b, distinct."""
-    from ..ops.agg import bucketed_groupby
-
-    ca, cb = f"{col}_a", f"{col}_b"
-
-    def distinct_partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({col: df[col].drop_duplicates()})
-
-    def distinct_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates()
-
-    uniq = bucketed_groupby(
-        labels.map_batches(distinct_partial, batch_format="pandas"),
-        [col], distinct_merge)
-
-    def variants(df: pd.DataFrame) -> pd.DataFrame:
-        vs, ls = [], []
-        for s in df[col].astype(str):
-            vs.append(s)
-            ls.append(s)
-            for i in range(len(s)):
-                vs.append(s[:i] + s[i + 1:])
-                ls.append(s)
-        return pd.DataFrame({"variant": vs, col: ls})
-
-    fan = uniq.map_batches(variants, batch_format="pandas")
-
-    def pair_merge(df: pd.DataFrame) -> pd.DataFrame:
-        m = df.merge(df, on="variant")
-        m = m[m[f"{col}_x"] < m[f"{col}_y"]]
-        return (m[[f"{col}_x", f"{col}_y"]]
-                .drop_duplicates()
-                .rename(columns={f"{col}_x": ca, f"{col}_y": cb}))
-
-    cand = bucketed_groupby(fan, ["variant"], pair_merge)
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates()      # same pair from multiple variants
-        keep = [_within_one_edit(a, b)
-                for a, b in zip(df[ca], df[cb])]
-        return df[np.array(keep, dtype=bool)] if len(df) else df
-
-    return bucketed_groupby(cand, [ca, cb], verify, buckets=4)
+    Output: a table of (<col>_a, <col>_b) with <col>_a < <col>_b,
+    distinct, sorted."""
+    refs = _sized_exchange(labels, functools.partial(_deletion_variants, col),
+                          [col], "variant",
+                          functools.partial(_one_edit_pairs, col))
+    return pa.concat_tables([_label_pairs(col, [], []), *ray.get(refs)]
+                            ).sort_by([(f"{col}_a", "ascending"),
+                                       (f"{col}_b", "ascending")])

@@ -143,10 +143,13 @@ def _random_bucket_frame(seed: int) -> pd.DataFrame:
 
 
 def test_verify_bucket_pairs_matches_brute_force():
+    """The band wave's reduce (``_verify_band_bucket``) over one coarse
+    bucket equals the brute-force per-band-bucket pair list."""
     p = cz.LinkParams()
     for seed in range(4):
         df = _random_bucket_frame(seed)
-        out = cz.verify_bucket_pairs(df, p)
+        n, out = cz._verify_band_bucket(p, 0, pa.table(df))
+        assert n >= out.num_rows
         got = list(zip(*(out[c].to_pylist()
                          for c in ("norm_a", "norm_b", "jaccard"))))
         assert len(got) == len(set(got))        # each pair scored once
@@ -159,10 +162,10 @@ def test_verify_bucket_pairs_matches_brute_force():
         assert ("acme corporatio", "acme corporation") in {
             (a, b) for a, b, _ in got}
 
-    empty = cz.verify_bucket_pairs(
-        pd.DataFrame({"bucket": pd.Series([], dtype=object),
-                      "norm": pd.Series([], dtype=object)}), p)
-    assert empty.num_rows == 0
+    n, empty = cz._verify_band_bucket(
+        p, 0, pa.table({"bucket": pa.array([], pa.string()),
+                        "norm": pa.array([], pa.string())}))
+    assert n == 0 and empty.num_rows == 0
     assert empty.schema == pa.schema([("norm_a", pa.string()),
                                       ("norm_b", pa.string()),
                                       ("jaccard", pa.float64())])
@@ -614,6 +617,16 @@ def test_fuzzy_label_pairs_blocking_and_verify():
     assert not out.duplicated().any()
 
 
+def test_fuzzy_label_pairs_skips_null_labels():
+    """A null label is no label: it pairs with nothing (as the surface
+    wave skips it), instead of standing in as the string 'None'."""
+    ds = rd.from_arrow(pa.table({"label": pa.array(
+        ["Nonf", None, "acme", "acne", "Done"], pa.string())}))
+    out = cz.fuzzy_label_pairs(ds).to_pandas()
+    assert set(out[["label_a", "label_b"]].itertuples(
+        index=False, name=None)) == {("acme", "acne")}
+
+
 def test_typo_tier_links_short_aliases():
     """'IBM'/'IBN' share no trigram shingles, so LSH+cosine never links
     them; the typo tier (edit-distance-1, scorer-bypassed) does. Off by
@@ -828,12 +841,16 @@ def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
     assert kg.run_canonicalize_job(out, cfg)["resumed"] is True
 
 
+@pytest.mark.parametrize("typo_tier", [False, True],
+                         ids=["typo_off", "typo_on"])
 def test_canonicalize_job_starts_no_ray_data_execution(planted_lake,
                                                        tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       typo_tier):
     """Phase 2's plan runs no Ray Data execution (default scorer, fewer
-    than 10k pairs): the surface and edge waves' tasks read the phase-1
-    files themselves, and every step is a task wave over object refs."""
+    than 10k pairs), with the typo tier off or on: the surface and edge
+    waves' tasks read the phase-1 files themselves, and every step,
+    the typo wave included, is a task wave over object refs."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -850,7 +867,8 @@ def test_canonicalize_job_starts_no_ray_data_execution(planted_lake,
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
     summary = kg.run_canonicalize_job(
-        out, KGConfig(num_partitions=4, alias_salt_buckets=4))
+        out, KGConfig(num_partitions=4, alias_salt_buckets=4),
+        link=cz.LinkParams(typo_tier=typo_tier))
     assert len(starts) == 0
     assert 0 < summary["n_verified_pairs"] < 10_000
 

@@ -1,7 +1,8 @@
 """Differential tests of phase 2's Arrow kernels against the pandas kernels
 they replaced, kept here as oracles: the surface merge, the alias wave's
 task body, the driver's clustered-alias, canonical-node and broadcast
-assembly (row order included), and the edge merge (as a row set)."""
+assembly (row order included), the edge merge (as a row set) and the
+typo tier's edit-distance-1 pairing (as a pair set)."""
 
 import random
 import zlib
@@ -350,3 +351,144 @@ def test_edge_merge_matches_pandas_oracle(n):
     g = got.to_pandas().sort_values(cols).reset_index(drop=True)
     w = want.to_pandas().sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(g, w)
+
+
+# --- the typo tier: edit-distance-1 label pairs -------------------------------
+
+def oracle_fuzzy_label_pairs(df: pd.DataFrame, col: str = "label"
+                             ) -> pd.DataFrame:
+    """The pandas body of the three-exchange typo tier the Arrow typo wave
+    replaced, over one frame (its hash bucketing never split a variant's
+    rows, so the result is the same). A null label becomes the string
+    'None' (``astype(str)``)."""
+    ca, cb = f"{col}_a", f"{col}_b"
+
+    def distinct_partial(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({col: df[col].drop_duplicates()})
+
+    def distinct_merge(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates()
+
+    def variants(df: pd.DataFrame) -> pd.DataFrame:
+        vs, ls = [], []
+        for s in df[col].astype(str):
+            vs.append(s)
+            ls.append(s)
+            for i in range(len(s)):
+                vs.append(s[:i] + s[i + 1:])
+                ls.append(s)
+        return pd.DataFrame({"variant": vs, col: ls})
+
+    def pair_merge(df: pd.DataFrame) -> pd.DataFrame:
+        m = df.merge(df, on="variant")
+        m = m[m[f"{col}_x"] < m[f"{col}_y"]]
+        return (m[[f"{col}_x", f"{col}_y"]]
+                .drop_duplicates()
+                .rename(columns={f"{col}_x": ca, f"{col}_y": cb}))
+
+    def verify(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.drop_duplicates()      # same pair from multiple variants
+        keep = [cz._within_one_edit(a, b)
+                for a, b in zip(df[ca], df[cb])]
+        return df[np.array(keep, dtype=bool)] if len(df) else df
+
+    return verify(pair_merge(variants(distinct_merge(distinct_partial(df)))))
+
+
+def brute_force_one_edit(labels: list) -> set[tuple[str, str]]:
+    """Every pair ``a < b`` of distinct non-null labels within one edit."""
+    import itertools
+    vocab = sorted({x for x in labels if x is not None})
+    return {(a, b) for a, b in itertools.combinations(vocab, 2)
+            if cz._within_one_edit(a, b)}
+
+
+# single code points, so Python and Arrow slice them alike: sharp s, dotted
+# capital I, a titlecase digraph, final and plain sigma, combining marks,
+# emoji with a skin-tone modifier, regional indicators and a zero-width
+# joiner
+FUZZY_ALPHABET = ["a", "b", "c", "d", " ", "ß", "İ", "ǅ", "Σ", "σ", "ς",
+                  "\u0301", "\u0308", "😀", "👍", "\U0001F3FD", "🇫",
+                  "🇷", "\u200d"]
+
+
+def _fuzzy_vocab(seed: int) -> list:
+    """Labels from 0 to 7 code points with planted one- and two-edit
+    neighbours (substitutions, deletions, insertions, transpositions),
+    "" and one-code-point labels, a few nulls and duplicates, plus 200
+    labels that share the deletion variant 'qrs'."""
+    rng = random.Random(seed)
+
+    def pick() -> str:
+        return rng.choice(FUZZY_ALPHABET)
+
+    bases = ["".join(pick() for _ in range(rng.randint(0, 7)))
+             for _ in range(120)]
+    out = list(bases) + ["", "a", "ß", "😀"] + [None] * 3
+    for b in bases:
+        i = rng.randint(0, len(b))
+        out.append(b[:i] + pick() + b[i + 1:])             # substitution
+        out.append(b[:i] + pick() + b[i:])                 # insertion
+        out.append(b[:i] + b[i + 1:])                      # deletion
+        if len(b) >= 2:
+            j = rng.randrange(len(b) - 1)
+            out.append(b[:j] + b[j + 1] + b[j] + b[j + 2:])  # two edits
+    out += [f"q{chr(0x4E00 + k)}rs" for k in range(200)]
+    out += rng.sample(out, 80)                             # duplicates
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("source", ["dataset", "refs"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fuzzy_label_pairs_match_pandas_oracle_and_brute_force(seed, source):
+    """The typo wave's pairs equal the pandas oracle's, bar the pairs of
+    the 'None' a null became there, and the O(n^2) brute force's, over
+    labels split across five blocks (duplicates in several), read from a
+    Dataset or from block refs; the 'qrs' variant bucket alone holds 200
+    labels, all within one edit of each other."""
+    import ray.data as rd
+    labels = _fuzzy_vocab(seed)
+    blocks = [pa.table({"label": pa.array(labels[i::5], pa.string())})
+              for i in range(5)]
+    src = (rd.from_arrow(blocks) if source == "dataset"
+           else [ray.put(b) for b in blocks])
+    out = cz.fuzzy_label_pairs(src)
+    assert out.column_names == ["label_a", "label_b"]
+    got = list(zip(out["label_a"].to_pylist(), out["label_b"].to_pylist()))
+    assert len(got) == len(set(got)) and got == sorted(got)
+    oracle = oracle_fuzzy_label_pairs(
+        pd.DataFrame({"label": pd.Series(labels, dtype=object)}))
+    want = {p for p in oracle.itertuples(index=False, name=None)
+            if "None" not in p}
+    assert set(got) == want == brute_force_one_edit(labels)
+    assert sum(a.startswith("q") and b.startswith("q")
+               for a, b in got) >= 200 * 199 // 2
+
+
+def test_one_edit_pairs_share_exactly_one_variant():
+    """Why ``fuzzy_label_pairs`` drops no duplicates: over every string of
+    up to five letters of a three-letter alphabet, two strings one edit
+    apart share exactly one element of {s} ∪ single-deletions(s), so
+    exactly one variant bucket emits their pair."""
+    import itertools
+
+    def neighbourhood(s: str) -> set[str]:
+        return {s} | {s[:i] + s[i + 1:] for i in range(len(s))}
+
+    words = ["".join(p) for n in range(6)
+             for p in itertools.product("abc", repeat=n)]
+    shared = {len(neighbourhood(a) & neighbourhood(b))
+              for a, b in itertools.combinations(words, 2)
+              if cz._within_one_edit(a, b)}
+    assert shared == {1}
+
+
+def test_fuzzy_label_pairs_of_nothing():
+    """No labels, or only nulls: an empty, typed pair table."""
+    for src in ([], [ray.put(pa.table({"label": pa.array([None, None],
+                                                         pa.string())}))]):
+        out = cz.fuzzy_label_pairs(src)
+        assert out.num_rows == 0
+        assert out.schema == pa.schema([("label_a", pa.string()),
+                                        ("label_b", pa.string())])
