@@ -2,8 +2,9 @@
 
 Replaces the reference's env-var settings surface (reference: config.py:7-25)
 with one dataclass. Limits that are semantic (entity cap, window size) mirror
-the reference's constants; limits that are physical (batch sizes, pool sizes)
-are sized for a 32-CPU node and meant to be overridden per cluster.
+the reference's constants; limits that are physical (partition and bucket
+counts, the broadcast cap) are sized for a 32-CPU node and meant to be
+overridden per cluster.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class KGConfig:
     # --- physical ----------------------------------------------------------
     num_partitions: int = 64          # output/commit granularity; hash(conv_id)
     alias_salt_buckets: int = 16      # salted partial-agg fan-out for hot keys
-    link_scorer_concurrency: int = 2  # embedding-scorer actor pool size
     broadcast_vocab_cap: int = 1_000_000  # max unclustered norms in the
     # rewrite broadcast; the long tail uses identity canonical hashing
     partition_bytes_warn: int = 2 << 30   # one partition materializes as one
@@ -47,14 +47,15 @@ class KGConfig:
     skew_split_threshold: float = 4.0
     # Incremental cross-version update (round-3 VERDICT #2): when building
     # version K, partitions whose CURRENT input fingerprint equals the one
-    # recorded by the latest prior committed version are LINKED (data files
-    # copied with the version column restamped — IO only, no re-assembly,
-    # no re-extraction) instead of recomputed. The reference's update
-    # endpoint re-extracts one document (main.py:202-285); at 10^12 turns
-    # re-running unchanged conversations for version K+1 wastes the
-    # cluster. Requires an identical partition layout (num_partitions +
-    # skew-split map) and extraction config between the versions; anything
-    # else recomputes. Only consulted when run_kg_job(resume=True).
+    # recorded by the latest prior committed version are LINKED (its
+    # version-free data files hard-linked, plus a new manifest — no data
+    # read, no re-assembly, no re-extraction) instead of recomputed. The
+    # reference's update endpoint re-extracts one document
+    # (main.py:202-285); at 10^12 turns re-running unchanged conversations
+    # for version K+1 wastes the cluster. Requires an identical partition
+    # layout (num_partitions + skew-split map) and extraction config
+    # between the versions; anything else recomputes. Only consulted when
+    # run_kg_job(resume=True).
     reuse_prior_version: bool = True
     max_nodes_per_unit: int = 1000    # validation caps, reference services.py:143-149
     max_edges_per_unit: int = 2000
@@ -74,7 +75,8 @@ class KGConfig:
     llm_openai_base_url: str = ""     # chat-completions endpoint; defaults
     # to llm_base_url when unset (single-endpoint deployments)
     # Entity-linking scorer (stage A4): a sentence-transformers-compatible
-    # model name loads per actor when set; empty = deterministic hash
-    # embeddings. Tests inject extra["embed_model_loader"] instead.
+    # model name, loaded in each band-wave verify task that has pairs to
+    # score; empty = deterministic hash embeddings. Tests inject
+    # extra["embed_model_loader"] instead.
     embed_model: str = ""
     extra: dict = field(default_factory=dict)

@@ -39,9 +39,10 @@ as a chain of raw task waves over object refs (``ops/exchange.exchange_refs``
 and plain tasks), each consuming the refs the previous wave returned:
 
     node files -> surface wave (maps read the files; exchange on norm) ->
-      band wave (exchange on the band key, Jaccard verify) -> driver:
-      scorer -> [typo tier: typo wave over the surface refs (exchange on
-      deletion variants, edit-distance-1 verify)] -> driver: union-find
+      band wave (exchange on the band key, Jaccard verify, embed scorer)
+      -> driver: cosine threshold -> [typo tier: typo wave over the
+      surface refs (exchange on deletion variants, edit-distance-1
+      verify)] -> driver: union-find
       -> clear the old canonical output (manifest first)
       -> alias wave (one task per surface block; writes its aliases and
          canonical_nodes parts) -> driver: clustered parts + broadcast
@@ -49,9 +50,9 @@ and plain tasks), each consuming the refs the previous wave returned:
          on the canonical triple; each bucket writes its canonical_edges
          part) -> manifest
 
-Phase 2 runs no Ray Data execution (with the default scorer below 10k
-pairs, with the typo tier on or off): its file lists come from the
-committed manifests, and the tasks that compute on the files read them.
+Phase 2 runs no Ray Data execution, with the typo tier on or off: its
+file lists come from the committed manifests, and the tasks that compute
+on the files read them.
 Each canonical table is written by the tasks that compute it, as
 deterministic ``part-{i:05d}.parquet`` files, so a retried task overwrites
 its own part; the driver writes only the clustered alias and node parts.
@@ -576,19 +577,20 @@ def run_canonicalize_job(out_dir: str, cfg: KGConfig,
     edges onto canonical ids with a broadcast join, and writes the canonical
     tables under ``version=K/canonical/``. The job is a chain of task waves,
     each consuming the object refs the previous one returned; it runs no
-    Ray Data execution (with the default scorer below 10k pairs, with the
-    typo tier on or off): the surface and edge waves' tasks read the
-    committed ``nodes.parquet`` and ``edges.parquet`` files themselves, and
-    nothing vocabulary-sized is collected on the driver:
+    Ray Data execution, with the typo tier on or off: the surface and
+    edge waves' tasks read the committed ``nodes.parquet`` and
+    ``edges.parquet`` files themselves, and nothing vocabulary-sized is
+    collected on the driver:
 
     1. surface wave (``canonicalize.surface_wave``): node files -> mention
        partials in the map tasks -> exchange on ``norm`` -> one surface
        block per bucket;
     2. band wave: band keys per surface block -> exchange on the band key
-       -> Jaccard verify per bucket; the driver fetches the verified pairs,
-       scores them, adds the typo wave's (``canonicalize.fuzzy_label_pairs``
-       over the surface refs, when ``link.typo_tier``) and runs the
-       union-find (``canonicalize.link_surfaces``);
+       -> Jaccard verify and embed scoring per bucket; the driver fetches
+       the scored pairs, keeps those at the cosine threshold, adds the
+       typo wave's (``canonicalize.fuzzy_label_pairs`` over the surface
+       refs, when ``link.typo_tier``) and runs the union-find
+       (``canonicalize.link_surfaces``);
     3. clear: the old manifest (first: uncommit order), then the three
        table directories;
     4. alias wave (``canonicalize.alias_block``), one task per surface

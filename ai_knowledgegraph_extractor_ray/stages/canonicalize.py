@@ -40,15 +40,15 @@ functions hand them a Dataset and wrap the waves' refs with
   norms (factorized in string order): ``lsh.bucket_pairs`` drops singleton
   band buckets and yields each distinct pair of the coarse bucket once
   however many of its bands collide, and ``lsh.pair_jaccard`` scores all of
-  them with exact Jaccard at once (then an embedding-cosine score from a
-  hash-feature scorer runs on the driver below 10k pairs and in an actor
-  pool above). Band buckets are size-capped: a degenerate bucket degrades to
-  "no link" for the norms past the cap instead of an O(n^2) blowup.
+  them with exact Jaccard at once; the same task then appends the embed
+  scorer's cosine to the pairs that pass. Band buckets are size-capped: a
+  degenerate bucket degrades to "no link" for the norms past the cap
+  instead of an O(n^2) blowup.
 * **Cluster merge is the driver-side ``lsh.union_find_roots`` over
   verified PAIRS** (tiny: bounded by sum of bucket-pair counts), never
   over mentions or the full vocabulary; unlike near-dedup there is no
-  ``ops/cc`` path above a pair cap yet, because the pairs come back to the
-  driver for the embed scorer. Its root map is ``ray.put`` once, as an
+  ``ops/cc`` path above a pair cap yet: the pairs come back to the
+  driver for the union-find. Its root map is ``ray.put`` once, as an
   Arrow table of (norm, root), for the alias wave.
 * **The alias wave** runs one task per surface block: a ``pc.is_in``
   against the root table splits the block; the UNCLUSTERED rows (root =
@@ -244,9 +244,11 @@ def shingle_csr(norms: pa.Array | pa.ChunkedArray, k: int = 3
 
 
 class _PairScorer:
-    """Shared per-batch body of the embed-scorer actor pool (stage A4):
-    embed both sides, append the pair cosine. Subclasses provide
-    ``_embed_batch`` (rows -> L2-normalized (n, dim) float32)."""
+    """Shared body of the embed scorers (stage A4), called on a band
+    bucket's verified pairs: embed both sides, append the pair cosine.
+    Subclasses provide ``_embed_batch`` (rows -> L2-normalized (n, dim)
+    float32, each row a function of its text alone, so a pair's cosine
+    does not depend on the pairs scored with it)."""
 
     def _embed_batch(self, texts: list[str]) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
@@ -260,9 +262,9 @@ class _PairScorer:
 
 class HashEmbedScorer(_PairScorer):
     """Deterministic hash-feature embeddings (char-3-gram feature hashing
-    into R^dim, L2 normalized) — the CI/default scorer; no model runtime
-    exists in this sandbox (SURVEY.md §2.3). The actor-pool plumbing,
-    batching and cosine math are the real production shape."""
+    into R^dim, L2 normalized) — the CI/default scorer, with no model
+    runtime behind it (SURVEY.md §2.3). It runs where a model scorer
+    would, in the band wave's verify tasks, with the same cosine math."""
 
     def __init__(self, dim: int = 64):
         self.dim = dim
@@ -282,11 +284,12 @@ class HashEmbedScorer(_PairScorer):
 
 class ModelEmbedScorer(_PairScorer):
     """Learned-model scorer: loads a sentence-transformers-compatible model
-    ONCE PER ACTOR in ``__init__`` (the map_batches actor-pool contract) and
-    batch-encodes in ``__call__``. Mirrors the LLM-client pattern — real
-    implementation behind an import gate, injectable ``loader`` for CI (any
-    object with ``encode(list[str]) -> array``). Selected by
-    ``KGConfig(embed_model=...)`` or ``extra['embed_model_loader']``."""
+    in ``__init__`` — once per band-wave verify task that has pairs to
+    score — and batch-encodes in ``__call__``. Mirrors the LLM-client
+    pattern — real implementation behind an import gate, injectable
+    ``loader`` for CI (any object with ``encode(list[str]) -> array``).
+    Selected by ``KGConfig(embed_model=...)`` or
+    ``extra['embed_model_loader']``."""
 
     def __init__(self, model_name: str = "", loader=None):
         if loader is not None:
@@ -310,9 +313,10 @@ class ModelEmbedScorer(_PairScorer):
 
 
 def make_embed_scorer(cfg: KGConfig) -> tuple[type, dict]:
-    """(scorer class, constructor kwargs) for the configured A4 scorer —
-    passed to ``map_batches(cls, fn_constructor_kwargs=...)`` so each actor
-    builds its own model exactly once."""
+    """(scorer class, constructor kwargs) for the configured A4 scorer.
+    The pair (with a picklable loader, never a loaded model) travels to the
+    band wave's verify tasks, and each one that has pairs builds the
+    scorer itself."""
     loader = cfg.extra.get("embed_model_loader")
     if cfg.embed_model or loader is not None:
         return ModelEmbedScorer, {"model_name": cfg.embed_model,
@@ -374,21 +378,29 @@ def _band_rows(p: LinkParams, *blocks: pa.Table) -> pa.Table:
                      "norm": norms.take(rep)})
 
 
-def _verify_band_bucket(p: LinkParams, _pid: int, tbl: pa.Table
-                        ) -> tuple[int, pa.Table]:
+def _verify_band_bucket(p: LinkParams, scorer: tuple[type, dict] | None,
+                        _pid: int, tbl: pa.Table) -> tuple[int, pa.Table]:
     """The band wave's reduce: one coarse bucket -> (candidate pairs
-    scored, the Jaccard-verified pairs)."""
-    return _verified_pairs(tbl["bucket"].to_numpy(),
-                           tbl["norm"].to_numpy(zero_copy_only=False), p)
+    scored, the Jaccard-verified pairs). Given ``scorer`` (the
+    ``make_embed_scorer`` pair), a bucket with verified pairs builds it
+    and appends their ``cos_sim``; a bucket without builds nothing."""
+    n, pairs = _verified_pairs(tbl["bucket"].to_numpy(),
+                               tbl["norm"].to_numpy(zero_copy_only=False), p)
+    if scorer is not None and pairs.num_rows:
+        cls, kwargs = scorer
+        pairs = cls(**kwargs)(pairs)
+    return n, pairs
 
 
-def _candidate_pairs(surfaces: list, partial_bytes: int, p: LinkParams
+def _candidate_pairs(surfaces: list, partial_bytes: int, p: LinkParams,
+                     scorer: tuple[type, dict] | None
                      ) -> tuple[pd.DataFrame, int]:
     """LSH blocking over the surface refs: the band wave's maps band the
     norms in-task and route on the band key, and one ``verify`` task per
-    coarse bucket drops singleton band buckets and scores each distinct
-    pair of the bucket once. Returns the (small) verified pair list and
-    the number of candidate pairs scored.
+    coarse bucket drops singleton band buckets, Jaccard-scores each
+    distinct pair of the bucket once and embed-scores the verified ones
+    with ``scorer`` (``_verify_band_bucket``). Returns the (small)
+    verified pair list and the number of candidate pairs scored.
 
     Bucket count: ``auto_partitions`` over ``bands`` x the surface wave's
     partial bytes, an upper bound of the band rows' bytes (a surface
@@ -399,12 +411,14 @@ def _candidate_pairs(surfaces: list, partial_bytes: int, p: LinkParams
     bucket count."""
     refs, _, _ = exchange_refs(
         surfaces, ["bucket"], auto_partitions(p.bands * partial_bytes),
-        functools.partial(_verify_band_bucket, p),
+        functools.partial(_verify_band_bucket, p, scorer),
         combine=functools.partial(_band_rows, p))
     results = ray.get(refs)   # verified pairs only: tiny vs mention volume
     if not results:           # no surface rows
         return pd.DataFrame(columns=["norm_a", "norm_b", "jaccard"]), 0
-    df = pa.concat_tables([t for _, t in results]).to_pandas()
+    # a bucket without pairs has no ``cos_sim`` column (and no rows)
+    df = pa.concat_tables([t for _, t in results],
+                          promote_options="default").to_pandas()
     # a pair colliding in band buckets of two coarse buckets arrives twice
     return (df.drop_duplicates(["norm_a", "norm_b"]),
             sum(n for n, _ in results))
@@ -436,9 +450,9 @@ def link_surfaces(nodes: rd.Dataset | list[str], cfg: KGConfig,
                   ) -> tuple[list, ray.ObjectRef, dict]:
     """The linking waves behind every alias consumer: the surface wave
     (over a node Dataset or node files, ``surface_wave``) -> the band wave
-    (LSH candidate pairs, Jaccard-verified) -> (optional) embedding-cosine
-    verification and the typo wave (``fuzzy_label_pairs`` over the surface
-    refs) -> union-find clusters.
+    (LSH candidate pairs, Jaccard-verified and, optionally, embed-scored
+    in the same tasks) -> the cosine threshold and the typo wave
+    (``fuzzy_label_pairs`` over the surface refs) -> union-find clusters.
 
     Returns the surface block refs, a ref of the root table (``norm``,
     ``root``: one row per clustered norm) for the alias wave
@@ -452,25 +466,14 @@ def link_surfaces(nodes: rd.Dataset | list[str], cfg: KGConfig,
     link = link or LinkParams()
     surfaces, partial_bytes = surface_wave(nodes, cfg)
     lap("surface")
-    pairs, n_candidates = _candidate_pairs(surfaces, partial_bytes, link)
+    scorer = make_embed_scorer(cfg) if use_embed_scorer else None
+    pairs, n_candidates = _candidate_pairs(surfaces, partial_bytes, link,
+                                           scorer)
     lap("band")
     counts = {"n_candidate_pairs": int(n_candidates),
               "n_verified_pairs": len(pairs)}
-
-    if use_embed_scorer and len(pairs):
-        scorer_cls, scorer_kw = make_embed_scorer(cfg)
-        if len(pairs) < 10_000:
-            # actor-pool spawn (~1 s) dwarfs scoring a small pair list;
-            # the pool pays off only on duplicate-heavy corpora
-            scored = scorer_cls(**scorer_kw)(
-                pa.Table.from_pandas(pairs, preserve_index=False)).to_pandas()
-        else:
-            scored = rd.from_pandas(pairs).map_batches(
-                scorer_cls, fn_constructor_kwargs=scorer_kw,
-                batch_format="pyarrow",
-                concurrency=cfg.link_scorer_concurrency, num_cpus=1,
-            ).to_pandas()
-        pairs = scored[scored["cos_sim"] >= link.cosine_threshold]
+    if scorer is not None and len(pairs):
+        pairs = pairs[pairs["cos_sim"] >= link.cosine_threshold]
 
     a, b = pairs["norm_a"].tolist(), pairs["norm_b"].tolist()
     if link.typo_tier:

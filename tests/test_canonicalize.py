@@ -4,6 +4,7 @@ rewrite, global weighted edge dedup."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
@@ -11,7 +12,7 @@ from ai_knowledgegraph_extractor_ray.config import KGConfig
 from ai_knowledgegraph_extractor_ray.ops import lsh
 from ai_knowledgegraph_extractor_ray.stages import canonicalize as cz
 
-CFG = KGConfig(alias_salt_buckets=4, link_scorer_concurrency=1)
+CFG = KGConfig(alias_salt_buckets=4)
 
 
 def nodes_ds(labels):
@@ -148,7 +149,7 @@ def test_verify_bucket_pairs_matches_brute_force():
     p = cz.LinkParams()
     for seed in range(4):
         df = _random_bucket_frame(seed)
-        n, out = cz._verify_band_bucket(p, 0, pa.table(df))
+        n, out = cz._verify_band_bucket(p, None, 0, pa.table(df))
         assert n >= out.num_rows
         got = list(zip(*(out[c].to_pylist()
                          for c in ("norm_a", "norm_b", "jaccard"))))
@@ -163,8 +164,8 @@ def test_verify_bucket_pairs_matches_brute_force():
             (a, b) for a, b, _ in got}
 
     n, empty = cz._verify_band_bucket(
-        p, 0, pa.table({"bucket": pa.array([], pa.string()),
-                        "norm": pa.array([], pa.string())}))
+        p, None, 0, pa.table({"bucket": pa.array([], pa.string()),
+                              "norm": pa.array([], pa.string())}))
     assert n == 0 and empty.num_rows == 0
     assert empty.schema == pa.schema([("norm_a", pa.string()),
                                       ("norm_b", pa.string()),
@@ -540,28 +541,6 @@ def test_model_embed_scorer_drives_clustering():
     assert len(set(by_norm.loc[data, "canonical_id"])) == 2   # model said no
 
 
-def test_model_embed_scorer_actor_pool_path():
-    """>=10k pairs routes through map_batches(cls, fn_constructor_kwargs):
-    each actor constructs the model itself (picklable loader, not model)."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from ai_knowledgegraph_extractor_ray.stages.canonicalize import (
-        ModelEmbedScorer,
-    )
-
-    pairs = pd.DataFrame({
-        "norm_a": ["acme a"] * 50, "norm_b": ["acme b"] * 50,
-        "jaccard": [0.9] * 50})
-    scored = rd.from_pandas(pairs).map_batches(
-        ModelEmbedScorer,
-        fn_constructor_kwargs={"model_name": "",
-                               "loader": _load_tiny_model},
-        batch_format="pyarrow", concurrency=2, num_cpus=1).to_pandas()
-    assert np.allclose(scored["cos_sim"], 1.0)
-
-
 def test_model_scorer_without_runtime_raises_importerror():
     import pytest
 
@@ -841,23 +820,12 @@ def test_canonicalize_rerun_recovers_stale_and_torn_output(planted_lake,
     assert kg.run_canonicalize_job(out, cfg)["resumed"] is True
 
 
-@pytest.mark.parametrize("typo_tier", [False, True],
-                         ids=["typo_off", "typo_on"])
-def test_canonicalize_job_starts_no_ray_data_execution(planted_lake,
-                                                       tmp_path,
-                                                       monkeypatch,
-                                                       typo_tier):
-    """Phase 2's plan runs no Ray Data execution (default scorer, fewer
-    than 10k pairs), with the typo tier off or on: the surface and edge
-    waves' tasks read the phase-1 files themselves, and every step,
-    the typo wave included, is a task wave over object refs."""
+def _count_ray_data_executions(monkeypatch) -> list:
+    """A list that gains one item per Ray Data execution started."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
 
-    from ai_knowledgegraph_extractor_ray.pipelines import kg
-
-    out = _fresh_lake(planted_lake, tmp_path / "lake")
     starts = []
     execute = StreamingExecutor.execute
 
@@ -866,11 +834,77 @@ def test_canonicalize_job_starts_no_ray_data_execution(planted_lake,
         return execute(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return starts
+
+
+@pytest.mark.parametrize("typo_tier,extra", [
+    (False, {}), (True, {}),
+    (False, {"embed_model_loader": _load_tiny_model})],
+    ids=["typo_off", "typo_on", "model_scorer"])
+def test_canonicalize_job_starts_no_ray_data_execution(planted_lake,
+                                                       tmp_path,
+                                                       monkeypatch,
+                                                       typo_tier, extra):
+    """Phase 2's plan runs no Ray Data execution, with the typo tier off
+    or on and with an injected model loader (which has to reach the band
+    wave's verify tasks): the surface and edge waves' tasks read the
+    phase-1 files themselves, and every step, the typo wave and the embed
+    scorer included, runs in a task wave over object refs."""
+    from ai_knowledgegraph_extractor_ray.pipelines import kg
+
+    out = _fresh_lake(planted_lake, tmp_path / "lake")
+    starts = _count_ray_data_executions(monkeypatch)
     summary = kg.run_canonicalize_job(
-        out, KGConfig(num_partitions=4, alias_salt_buckets=4),
+        out, KGConfig(num_partitions=4, alias_salt_buckets=4, extra=extra),
         link=cz.LinkParams(typo_tier=typo_tier))
     assert len(starts) == 0
-    assert 0 < summary["n_verified_pairs"] < 10_000
+    assert summary["n_verified_pairs"] > 0
+
+
+def test_link_surfaces_scores_10k_pairs_without_ray_data(tmp_path,
+                                                         monkeypatch):
+    """Linking a vocabulary whose blocking verifies over 10k pairs (6
+    clusters of 64 labels, each a shared 48-character base and a 2-digit
+    suffix, over 4 node files) scores them in the band wave's tasks: it
+    starts no Ray Data execution, and its root table equals an in-process
+    reference — one ``_verified_pairs`` pass over every band row, the
+    hash scorer at the cosine threshold and ``lsh.union_find_roots``."""
+    import random
+
+    import pyarrow.parquet as pq
+    import ray
+
+    rng = random.Random(23)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    labels = [f"{base} {i:02d}"
+              for base in ("".join(rng.choice(letters) for _ in range(48))
+                           for _ in range(6))
+              for i in range(64)]
+    rng.shuffle(labels)
+    paths = []
+    for k in range(4):
+        paths.append(str(tmp_path / f"nodes-{k}.parquet"))
+        pq.write_table(pa.table({"label": labels[k::4]}), paths[-1])
+
+    p = cz.LinkParams()
+    band = cz._band_rows(p, pa.table({"norm": sorted(set(labels))}))
+    _, pairs = cz._verified_pairs(
+        band["bucket"].to_numpy(),
+        band["norm"].to_numpy(zero_copy_only=False), p)
+    scored = cz.HashEmbedScorer()(pairs)
+    scored = scored.filter(pc.greater_equal(scored["cos_sim"],
+                                            p.cosine_threshold))
+    want = lsh.union_find_roots(scored["norm_a"].to_pylist(),
+                                scored["norm_b"].to_pylist())
+
+    starts = _count_ray_data_executions(monkeypatch)
+    _, roots, counts = cz.link_surfaces(paths, CFG, link=p)
+    assert len(starts) == 0
+    assert counts["n_verified_pairs"] == pairs.num_rows >= 10_000
+    got = ray.get(roots)
+    assert dict(zip(got["norm"].to_pylist(), got["root"].to_pylist())) \
+        == want
+    assert len(set(want.values())) == 6
 
 
 def test_canonicalize_resume_requires_the_same_link_config(planted_lake,
