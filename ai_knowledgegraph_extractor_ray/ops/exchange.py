@@ -15,7 +15,9 @@ Two pieces, shared by every shuffle in the package:
   (or ``combine``s them), computes a partition id per row with a picklable
   ``route(table) -> pids``, stable-sorts by pid and returns ``n``
   zero-copy slices plus a ``(rows, bytes)`` size matrix — always
-  ``n + 1`` returns, so no caller special-cases ``n == 1``;
+  ``n + 1`` returns, so no caller special-cases ``n == 1``. The last
+  return also carries an optional ``partial_fn`` over the map's rows and
+  their partition ids (the KG job's input fingerprints);
 * the DRIVER LOOP (``run_maps``): streams the Dataset's blocks out of
   ``iter_internal_ref_bundles`` (or walks a list of block refs or paths)
   in groups of ``blocks_per_map``, launches the maps as blocks arrive (the
@@ -145,21 +147,31 @@ def _read_file(path: str, columns: list[str] | None) -> pa.Table:
 
 
 @ray.remote
-def _map(items, route, n: int, combine=None, columns=None):
+def _map(items, route, n: int, combine=None, columns=None, partial_fn=None):
     tables = fetch_tables(items, columns)
     tbl = (combine(*tables) if combine is not None
            else pa.concat_tables(tables, promote_options="permissive"))
+    part = None
+    # a HashRoute computes its fine pids once; an empty table is never
+    # routed (``split_table``), so it has no partial either
+    if partial_fn is not None and tbl.num_rows:
+        fine = route.fine(tbl)
+        part, group = partial_fn(tbl, fine), route.group
+        route = lambda _: fine // group    # noqa: E731
     slices, sizes = split_table(tbl, route, n)
-    return (*slices, sizes)
+    return (*slices, (sizes, part))
 
 
-def launch_map(items: list, route, n: int, combine=None, columns=None):
+def launch_map(items: list, route, n: int, combine=None, columns=None,
+               partial_fn=None):
     """Submit one map task over ``items`` (block refs or parquet paths, as
     in ``fetch_tables``): returns its ``n`` slice refs and its size-matrix
-    ref. ``combine(*tables)`` replaces the default concatenation of the
-    fetched tables."""
+    ref, which holds ``(size matrix, partial)``. ``combine(*tables)``
+    replaces the default concatenation of the fetched tables. ``partial``
+    is ``partial_fn(table, fine pids)`` (a ``HashRoute`` only), or None
+    without one or rows."""
     outs = _map.options(num_returns=n + 1).remote(items, route, n, combine,
-                                                   columns)
+                                                   columns, partial_fn)
     return outs[:n], outs[n]
 
 
@@ -205,22 +217,25 @@ def buffer_blocks(ds: rd.Dataset) -> tuple[list, int]:
 
 
 def run_maps(source: rd.Dataset | list, route, n: int,
-             blocks_per_map: int = 4, combine=None, columns=None
-             ) -> tuple[list[list], np.ndarray]:
+             blocks_per_map: int = 4, combine=None, columns=None,
+             partial_fn=None) -> tuple[list[list], np.ndarray, list]:
     """The map wave: one map per ``blocks_per_map`` items of ``source``
-    (``source_items``), ``combine`` and ``columns`` as in ``launch_map`` and
-    ``fetch_tables``. Returns the slice refs per pid and the ``(2, n)``
-    rows/bytes matrix summed over maps."""
+    (``source_items``), ``combine``, ``columns`` and ``partial_fn`` as in
+    ``launch_map`` and ``fetch_tables``. Returns the slice refs per pid,
+    the ``(2, n)`` rows/bytes matrix summed over maps and the non-None
+    ``partial_fn`` outputs of the maps."""
     refs_per_pid: list[list] = [[] for _ in range(n)]
     size_refs: list = []
     for group in block_groups(source_items(source), blocks_per_map):
-        slices, size_ref = launch_map(group, route, n, combine, columns)
+        slices, size_ref = launch_map(group, route, n, combine, columns,
+                                      partial_fn)
         for p, r in enumerate(slices):
             refs_per_pid[p].append(r)
         size_refs.append(size_ref)
-    sizes = (np.sum(ray.get(size_refs), axis=0) if size_refs
+    outs = ray.get(size_refs)
+    sizes = (np.sum([s for s, _ in outs], axis=0) if outs
              else np.zeros((2, n), dtype=np.int64))
-    return refs_per_pid, sizes
+    return refs_per_pid, sizes, [p for _, p in outs if p is not None]
 
 
 def _stamp_pids(tbl: pa.Table, pids: np.ndarray) -> pa.Table:
@@ -254,32 +269,27 @@ def _reduce_range(reduce_fn, route: HashRoute, c: int, skip: frozenset,
     return out
 
 
-def _hash_exchange(ds: rd.Dataset, route: HashRoute, reduce_fn,
-                   blocks_per_map: int, skip) -> list:
-    refs, (rows, nbytes) = run_maps(ds, route, route.n, blocks_per_map)
-    todo = []
-    for c in np.argsort(-nbytes, kind="stable"):       # largest first
-        fine = range(c * route.group,
-                     min((c + 1) * route.group, route.n_fine))
-        if rows[c] and any(p not in skip for p in fine):
-            todo.append((int(c), frozenset(p for p in fine if p in skip)))
-    futures = [reduce_slices.remote(
-        functools.partial(_reduce_range, reduce_fn, route, c, s), *refs[c])
-        for c, s in todo]
-    results = dict(zip((c for c, _ in todo), ray.get(futures)))
-    return [r for c in sorted(results) for r in results[c]]
-
-
 def hash_exchange(ds: rd.Dataset, num_partitions: int,
                   reduce_fn: Callable[[int, pa.Table], object], *,
                   key: str = "conv_id", blocks_per_map: int = 4,
-                  skip: frozenset[int] | set[int] = frozenset(),
+                  skip: frozenset[int] | set[int]
+                  | Callable[[list], set[int]] = frozenset(),
+                  partial_fn: Callable[[pa.Table, np.ndarray], object]
+                  | None = None,
                   split_map: dict[int, tuple[int, int]] | None = None) -> list:
     """Run ``reduce_fn(pid, table)`` once per non-skipped, non-empty
     partition, where ``table`` holds every input row with ``crc32(key) %
     num_partitions == pid`` (stamped as a ``partition_id`` column). Returns
     the non-None reduce results in partition order. ``skip`` suppresses
     the reduce for already-committed partitions (resume).
+
+    ``skip`` is decided after the map wave and before any reduce starts:
+    a set is used as given; a callable receives the maps' outputs of
+    ``partial_fn(table, pids)`` — run in every map task over its rows and
+    their partition ids — and returns the set. That lets a caller derive
+    what to skip from the one pass over the input the maps make. Skipped
+    partitions' slices are never fetched; they are freed when this
+    returns.
 
     ``split_map`` ({base_pid: (offset, n_subsplits)}) is the straggler
     mitigation: rows of an oversized base partition are re-hashed across
@@ -293,23 +303,23 @@ def hash_exchange(ds: rd.Dataset, num_partitions: int,
     partitions the exchange runs two levels (module docstring)."""
     n = effective_num_partitions(num_partitions, split_map)
     group = 1 if n <= TWO_LEVEL_ABOVE else -(-n // COARSE)
-    return _hash_exchange(ds, HashRoute(key, num_partitions, split_map,
-                                        group), reduce_fn, blocks_per_map,
-                          skip)
-
-
-def hash_exchange_hierarchical(
-        ds: rd.Dataset, num_partitions: int,
-        reduce_fn: Callable[[int, pa.Table], object], *,
-        key: str = "conv_id", blocks_per_map: int = 4, coarse: int = 64,
-        skip: frozenset[int] | set[int] = frozenset()) -> list:
-    """``hash_exchange`` forced onto the two-level shape with ``coarse``
-    level-1 ranges. Pick ``coarse`` >= cluster slots so the level-2 wave
-    still fills the cluster (each level-2 task runs P/coarse reduces
-    sequentially)."""
-    group = -(-num_partitions // min(coarse, num_partitions))
-    return _hash_exchange(ds, HashRoute(key, num_partitions, None, group),
-                          reduce_fn, blocks_per_map, skip)
+    route = HashRoute(key, num_partitions, split_map, group)
+    refs, (rows, nbytes), partials = run_maps(ds, route, route.n,
+                                              blocks_per_map,
+                                              partial_fn=partial_fn)
+    if callable(skip):
+        skip = skip(partials)
+    todo = []
+    for c in np.argsort(-nbytes, kind="stable"):       # largest first
+        fine = range(c * route.group,
+                     min((c + 1) * route.group, route.n_fine))
+        if rows[c] and any(p not in skip for p in fine):
+            todo.append((int(c), frozenset(p for p in fine if p in skip)))
+    futures = [reduce_slices.remote(
+        functools.partial(_reduce_range, reduce_fn, route, c, s), *refs[c])
+        for c, s in todo]
+    results = dict(zip((c for c, _ in todo), ray.get(futures)))
+    return [r for c in sorted(results) for r in results[c]]
 
 
 # Auto-sizing bounds for hash_exchange_dataset(num_partitions=None).
@@ -348,8 +358,8 @@ def auto_partitions(total_bytes: int,
             f"auto-sized exchange wants {p} partitions for "
             f"{total_bytes} input bytes; capping at {MAX_AUTO_PARTITIONS} "
             f"(~{total_bytes // MAX_AUTO_PARTITIONS} bytes/partition) — "
-            "pass num_partitions explicitly and use the hierarchical "
-            "exchange for larger layouts", ResourceWarning, stacklevel=3)
+            "pass num_partitions explicitly for larger layouts",
+            ResourceWarning, stacklevel=3)
         p = MAX_AUTO_PARTITIONS
     return p
 
@@ -375,8 +385,9 @@ def exchange_refs(source: rd.Dataset | list, key: str | Sequence[str],
     if num_partitions is None:
         source, total_bytes = buffer_blocks(source)
         num_partitions = auto_partitions(total_bytes)
-    refs, sizes = run_maps(source, HashRoute(key, num_partitions),
-                           num_partitions, blocks_per_map, combine, columns)
+    refs, sizes, _ = run_maps(source, HashRoute(key, num_partitions),
+                              num_partitions, blocks_per_map, combine,
+                              columns)
     out = [reduce_slices.remote(functools.partial(reduce_fn, p), *refs[p])
            for p in np.flatnonzero(sizes[0]).tolist()]
     return out, sizes, refs[0][:1]

@@ -150,7 +150,7 @@ def _pr_bucket_tables(ds: rd.Dataset, key: str, P: int) -> list:
     a lost bucket."""
     from .exchange import HashRoute, reduce_slices, run_maps
 
-    refs, _ = run_maps(ds, HashRoute(key, P), P)
+    refs, _, _ = run_maps(ds, HashRoute(key, P), P)
     if not refs[0]:
         return []
     return [reduce_slices.remote(None, *refs[p]) for p in range(P)]

@@ -115,9 +115,9 @@ def range_sort(ds: rd.Dataset, order_cols: list[str], *,
         return rd.from_items([])
     cut_idx = np.linspace(0, len(samples) - 1,
                           num_partitions + 1)[1:-1].astype(np.int64)
-    refs, (rows, _) = run_maps(block_refs, RangeRoute(primary,
-                                                      samples[cut_idx]),
-                               num_partitions, blocks_per_map)
+    refs, (rows, _), _ = run_maps(block_refs, RangeRoute(primary,
+                                                         samples[cut_idx]),
+                                  num_partitions, blocks_per_map)
 
     visit = (range(num_partitions) if ascending[0]
              else range(num_partitions - 1, -1, -1))

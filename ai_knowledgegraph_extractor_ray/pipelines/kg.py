@@ -5,12 +5,15 @@ extractor backend (reference lifecycle analogue: SURVEY.md §3; reference
 entry point main.py:81-132):
 
     read transcripts (column-pruned)
-      -> [resume] one fingerprint scan validates this version's committed
-         partitions and finds the prior version's unchanged ones; link
-         those (three hard links and a manifest each, no data read), drop
-         rows of committed/linked partitions
       -> hash exchange on crc32(conv_id) % P           [ops/exchange.py;
-           optional skew split map, two levels above 1024 partitions]
+           optional skew split map, two levels above 1024 partitions]:
+         the map wave, the job's one pass over the input (a fresh
+         skew-split run adds ``_compute_split_map``'s pre-pass), also
+         returns per-partition fingerprint partials
+      -> [resume] driver, between the map and reduce waves: fold the
+         partials, uncommit this version's committed partitions whose
+         input changed, link the prior version's unchanged ones (three
+         hard links and a manifest each, no data read), skip both
       -> one fused reduce per partition, Arrow from the exchange slice to
          the files: ``partition_graph_rows`` (``assemble_table``: sort
          within conversation, join; ``Extractor``: rules per text unit,
@@ -83,7 +86,8 @@ from ..stages import canonicalize as cz
 from ..stages.conversation import (
     add_partition_id,
     assemble_table,
-    partition_fingerprints,
+    fingerprint_partials,
+    fold_fingerprints,
 )
 from ..stages.extract import (
     GRAPH_ROWS,
@@ -251,15 +255,17 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     read, so a misconfigured LLM provider fails fast.
 
     Resume and linking read the manifests of this version and of the
-    newest prior version with a committed partition, once each, and run
-    ONE fingerprint scan (``partition_fingerprints``: a streaming crc pass,
-    no shuffle, no extraction) over the partitions they need: this
-    version's committed partitions whose ``config_sig`` matches this config
-    (when ``validate_input``) and the prior version's under the same
-    ``config_sig`` and split map. A committed partition whose fingerprint
-    changed is uncommitted (manifest deleted first, so a crash mid-rerun
-    can't resurrect it) and recomputed; a prior partition whose fingerprint
-    is unchanged is linked. ``validate_input=False`` trusts this version's
+    newest prior version with a committed partition, once each, and read
+    the input once: the exchange's map tasks also run the fingerprint
+    kernel (``fingerprint_partials``) over the partitions that need it —
+    this version's committed partitions whose ``config_sig`` matches this
+    config (when ``validate_input``) and the prior version's under the
+    same ``config_sig`` and split map. After the map wave and before any
+    reduce, the driver folds the partials: a committed partition whose
+    fingerprint changed is uncommitted (manifest deleted first, so a crash
+    mid-rerun can't resurrect it) and recomputed; a prior partition whose
+    fingerprint is unchanged is linked; committed and linked partitions
+    get no reduce. ``validate_input=False`` trusts this version's
     committed partitions without hashing them, for immutable inputs."""
     extractor = Extractor(cfg)
 
@@ -289,7 +295,8 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     # a committed partition is trusted only under this config (layout,
     # extractor and file format) and, when validated, this input; a prior
     # partition is linked only under the same config and split map when
-    # its input is unchanged. One fingerprint scan covers both.
+    # its input is unchanged. The exchange's maps fingerprint the
+    # partitions both need, in the job's one pass over the input.
     sig = _config_sig(cfg)
     committed = lineage.committed_partitions(out_dir, cfg.version) if resume else {}
     stale = {pid for pid, m in committed.items()
@@ -299,52 +306,28 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
              if m.get("config_sig") == sig}
             if prev_split == split_map else {})
     only = (own if validate_input else set()) | (set(cand) - own)
-    current = partition_fingerprints(
-        add_partition_id(transcripts, cfg.num_partitions,
-                         split_map=split_map),
-        version_cutoff=cfg.version_cutoff, only=only) if only else {}
-    if validate_input:
-        stale |= {pid for pid in own
-                  if not lineage.validate_manifest(committed[pid],
-                                                   current.get(pid, ""))}
-    for pid in stale:
-        lineage.uncommit_partition(out_dir, cfg.version, pid)
-        del committed[pid]
+    linked: dict[int, dict] = {}
 
-    # incremental cross-version update: link the prior version's unchanged
-    # partitions — three hard links and a manifest per partition, in a
-    # driver loop: no data read, no re-assembly or re-extraction (round-3
-    # VERDICT #2; the reference's update endpoint is likewise per-document,
-    # main.py:202-285)
-    own_resumed = len(committed)
-    linked = {pid: lineage.link_partition(out_dir, prev_v, cfg.version,
-                                          pid, m)
-              for pid, m in cand.items()
-              if pid not in committed
-              and lineage.validate_manifest(m, current.get(pid, ""))}
-    committed.update(linked)
-
-    # committed/linked partitions' rows never need to enter the exchange:
-    # prefilter them out so the map wave stamps/sorts/ships only the
-    # uncommitted remainder (``skip`` alone only suppresses reduces — the
-    # map cost over skipped rows was pure waste on a mostly-committed resume
-    # or an incremental version build)
-    if committed:
-        from ..ops.hashing import crc32_column, effective_pids
-        skip_arr = np.array(sorted(committed), dtype=np.int64)
-
-        def drop_committed_rows(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return t
-            pids = effective_pids(crc32_column(t["conv_id"]),
-                                  cfg.num_partitions, split_map or None)
-            keep = ~np.isin(pids, skip_arr)
-            if keep.all():
-                return t
-            return t.filter(pa.array(keep))
-
-        transcripts = transcripts.map_batches(
-            drop_committed_rows, batch_format="pyarrow")
+    def decide_skip(partials: list) -> set[int]:
+        # between the map wave and the reduce wave: a committed partition
+        # whose input changed is uncommitted (manifest first, so a crash
+        # mid-rerun can't resurrect it) before any reduce starts; the prior
+        # version's unchanged partitions are linked — three hard links and
+        # a manifest each, no data read (the reference's update endpoint
+        # is likewise per-document, main.py:202-285)
+        current = fold_fingerprints(partials)
+        if validate_input:
+            stale.update(pid for pid in own if not lineage.validate_manifest(
+                committed[pid], current.get(pid, "")))
+        for pid in stale:
+            lineage.uncommit_partition(out_dir, cfg.version, pid)
+            del committed[pid]
+        linked.update({pid: lineage.link_partition(out_dir, prev_v,
+                                                   cfg.version, pid, m)
+                       for pid, m in cand.items()
+                       if pid not in committed
+                       and lineage.validate_manifest(m, current.get(pid, ""))})
+        return set(committed) | set(linked)
 
     def reduce_fn(pid: int, tbl: pa.Table):
         t_start = time.perf_counter()
@@ -357,13 +340,13 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
             started_at=t_start, config_sig=sig,
             stage_s=stage_s).to_dict("records")[0]
 
-    records = hash_exchange(transcripts, cfg.num_partitions, reduce_fn,
-                            skip=frozenset(committed),
-                            split_map=split_map or None)
-    fresh = (pd.DataFrame(records)[lineage.MANIFEST_COLS]
-             if records else lineage.empty_manifest_frame())
-
-    all_manifests = list(committed.values()) + fresh.to_dict("records")
+    fresh = hash_exchange(
+        transcripts, cfg.num_partitions, reduce_fn, skip=decide_skip,
+        partial_fn=functools.partial(
+            fingerprint_partials, version_cutoff=cfg.version_cutoff,
+            only=only) if only else None,
+        split_map=split_map or None)
+    all_manifests = [*committed.values(), *linked.values(), *fresh]
 
     # partition-sizing guard: each partition materializes as ONE worker-
     # resident frame inside its reduce task, so num_partitions must scale
@@ -384,13 +367,11 @@ def run_kg_job(transcripts: rd.Dataset, cfg: KGConfig, out_dir: str,
     summary = {
         "version": cfg.version,
         "partitions_total": len(all_manifests),
-        "partitions_resumed": own_resumed,
+        "partitions_resumed": len(committed),
         "partitions_linked": len(linked),
         "partitions_computed": len(fresh),
-        "n_conversations": int(sum(m["n_conversations"] for m in all_manifests)),
-        "n_turns": int(sum(m["n_turns"] for m in all_manifests)),
-        "n_nodes": int(sum(m["n_nodes"] for m in all_manifests)),
-        "n_edges": int(sum(m["n_edges"] for m in all_manifests)),
+        **{k: int(sum(m[k] for m in all_manifests))
+           for k in ("n_conversations", "n_turns", "n_nodes", "n_edges")},
         # observability: straggler detection without reading any data —
         # a max far above the mean says partitions are skewed (hot conv_id
         # prefix or num_partitions too low)

@@ -21,8 +21,12 @@ This module also defines phase 1's two lineage keys, once each:
 * the input fingerprint: ``turn_hashes`` per turn, xored per key by
   ``xor_by_key`` — per conversation in ``assemble_table`` (the
   ``conv_fp`` column ``lineage.write_partition`` folds into the manifest)
-  and per partition in ``partition_fingerprints`` (what a resume compares
-  with the manifest).
+  and per partition in ``fingerprint_partials``, the kernel the exchange
+  maps of a resumed ``run_kg_job`` run on their rows; the driver folds
+  the partials (``fold_fingerprints``) and compares them with the
+  manifests between the map wave and the reduce wave, so the job reads
+  its input once. ``partition_fingerprints`` runs the same kernel over a
+  Dataset.
 """
 
 from __future__ import annotations
@@ -83,38 +87,54 @@ def xor_by_key(keys: np.ndarray, vals: np.ndarray
     return k[starts], np.bitwise_xor.reduceat(vals[order], starts)
 
 
+def fingerprint_partials(t: pa.Table, pids: np.ndarray, *,
+                         version_cutoff: int | None = None,
+                         only: set[int] | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The fingerprint kernel: ``(distinct pids, xor of turn_hashes per
+    pid)`` over the rows of ``t``, whose partition ids are ``pids``. Keeps
+    only turns with ``turn_idx <= version_cutoff`` and, with ``only``, the
+    named partitions. xor is associative and commutative, so the partials
+    of any split of the input fold (``fold_fingerprints``) to exactly the
+    xor-of-``conv_fp`` value ``lineage.write_partition`` records."""
+    keep = (np.ones(len(pids), dtype=bool) if only is None
+            else np.isin(pids, list(only)))
+    if version_cutoff is not None:
+        keep &= t["turn_idx"].to_numpy() <= version_cutoff
+    if not keep.all():
+        t, pids = t.filter(pa.array(keep)), pids[keep]
+    return xor_by_key(pids, turn_hashes(t))
+
+
+def fold_fingerprints(partials) -> dict[int, str]:
+    """``fingerprint_partials`` outputs -> {pid: the partition's
+    fingerprint as ``lineage.validate_manifest`` compares it}."""
+    partials = list(partials)
+    if not partials:
+        return {}
+    pids, fps = xor_by_key(np.concatenate([p for p, _ in partials]),
+                           np.concatenate([f for _, f in partials]))
+    return {int(p): f"{int(v):016x}" for p, v in zip(pids, fps)}
+
+
 def partition_fingerprints(ds: rd.Dataset, *, version_cutoff: int | None = None,
                            only: set[int] | None = None) -> dict[int, str]:
-    """Current per-partition input fingerprints, computed as a streaming
-    Arrow pass (per-block xor partials per partition_id) + a tiny
-    driver-side merge — xor is associative/commutative, so the per-block
-    partials combine to exactly the xor-of-conv_fp value that
-    ``lineage.write_partition`` records. No text shuffle: only
-    (partition_id, partial) pairs leave each block.
-
-    ``ds`` must already carry partition_id (``add_partition_id``). ``only``
-    restricts the hash work to the named partitions (resume validation only
-    cares about committed ones)."""
-    only_arr = None if only is None else np.array(sorted(only), np.int64)
+    """Current per-partition input fingerprints of a Dataset that carries
+    partition_id (``add_partition_id``): ``fingerprint_partials`` per block
+    in a streaming pass, folded on the driver. ``run_kg_job`` does not call
+    it: its exchange maps run the same kernel."""
 
     def partial(t: pa.Table) -> pa.Table:
-        keep = np.ones(t.num_rows, dtype=bool)
-        if version_cutoff is not None:
-            keep &= t["turn_idx"].to_numpy() <= version_cutoff
-        if only_arr is not None:
-            keep &= np.isin(t["partition_id"].to_numpy(), only_arr)
-        if not keep.all():
-            t = t.filter(pa.array(keep))
-        pids, fps = xor_by_key(t["partition_id"].to_numpy(), turn_hashes(t))
+        pids, fps = fingerprint_partials(
+            t, t["partition_id"].to_numpy(), version_cutoff=version_cutoff,
+            only=only)
         return pa.table({"partition_id": pa.array(pids, pa.int32()),
                          "fp": pa.array(fps, pa.uint64())})
 
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if not len(parts):
-        return {}
-    pids, fps = xor_by_key(parts["partition_id"].to_numpy(),
-                           parts["fp"].to_numpy(np.uint64))
-    return {int(p): f"{int(v):016x}" for p, v in zip(pids, fps)}
+    return fold_fingerprints([(parts["partition_id"].to_numpy(np.int64),
+                               parts["fp"].to_numpy(np.uint64))]
+                             if len(parts) else [])
 
 
 def _assembled(conv_ids: pa.Array, window_ids: np.ndarray, texts: pa.Array,

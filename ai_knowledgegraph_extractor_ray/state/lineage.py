@@ -29,9 +29,11 @@ hashes, order-insensitive): a resume over *changed* input is detected by
 ``validate_manifest`` rather than silently reusing stale output. The
 fingerprint is defined once, in ``stages/conversation.py``: ``turn_hashes``
 hashes each turn and ``xor_by_key`` folds them. ``write_partition`` xors the
-``conv_fp`` column ``assemble_table`` computes with them, and a resume
-compares it with ``partition_fingerprints``, which computes it from the
-input.
+``conv_fp`` column ``assemble_table`` computes with them. A resume
+compares it with the fingerprint the exchange's map tasks compute from
+the input (``fingerprint_partials``, folded on the driver between the map
+wave and the reduce wave), so validating, uncommitting and linking need no
+pass over the input of their own.
 """
 
 from __future__ import annotations
@@ -111,8 +113,7 @@ def write_partition(group: pa.Table | pd.DataFrame, out_dir: str,
                     stage_s: dict | None = None) -> pd.DataFrame:
     """Commit one partition's graph rows (``extract.GRAPH_ROWS``; a
     DataFrame is converted to them first). Runs inside the partition's
-    reduce task, returning the manifest as a one-row DataFrame so the
-    manifests themselves form a small Dataset the driver can aggregate.
+    reduce task, returning the manifest as a one-row DataFrame.
     ``started_at`` (a perf_counter value) lets the caller charge the whole
     partition task (assemble+extract+write) to ``wall_time_s``; the
     default times only the commit. The manifest's ``stage_s`` holds the

@@ -79,22 +79,23 @@ def test_exchange_deterministic_across_block_layout():
     db = {r["pid"]: r["vals"] for r in b}
     assert da == db
 
-def test_hierarchical_exchange_matches_single_level():
+def test_hierarchical_exchange_matches_single_level(monkeypatch):
     """Two-level exchange: identical results to the single-level one for
-    several coarse factors, including skip sets and coarse == 1 / == P."""
-    from ai_knowledgegraph_extractor_ray.ops.exchange import (
-        hash_exchange_hierarchical,
-    )
+    several coarse factors, including skip sets and coarse == 1 / == P.
+    The thresholds are lowered so a 16-partition exchange runs two
+    levels."""
+    from ai_knowledgegraph_extractor_ray.ops import exchange
     P = 16
     want = {r["pid"]: r["vals"]
             for r in hash_exchange(_corpus(60, 2), P, collect_rows)}
+    monkeypatch.setattr(exchange, "TWO_LEVEL_ABOVE", 0)
     for coarse in (1, 3, 8, 16, 64):
+        monkeypatch.setattr(exchange, "COARSE", coarse)
         got = {r["pid"]: r["vals"]
-               for r in hash_exchange_hierarchical(
-                   _corpus(60, 2), P, collect_rows, coarse=coarse)}
+               for r in hash_exchange(_corpus(60, 2), P, collect_rows)}
         assert got == want, coarse
-    skipped = hash_exchange_hierarchical(
-        _corpus(60, 2), P, collect_rows, coarse=4, skip={1, 5, 9})
+    monkeypatch.setattr(exchange, "COARSE", 4)
+    skipped = hash_exchange(_corpus(60, 2), P, collect_rows, skip={1, 5, 9})
     assert {r["pid"] for r in skipped} == set(want) - {1, 5, 9}
 
 
@@ -144,7 +145,7 @@ def test_exchange_property_random_layouts():
             for v in df["val"]:
                 want.setdefault(int(np.searchsorted(cuts, v, "right")),
                                 []).append(v)
-            refs, sizes = run_maps(ds, RangeRoute("val", cuts), P, bpm)
+            refs, sizes, _ = run_maps(ds, RangeRoute("val", cuts), P, bpm)
             got = {p: sorted(v for t in ray.get(r) for v in
                              t["val"].to_pylist())
                    for p, r in enumerate(refs)}

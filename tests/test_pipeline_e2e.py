@@ -831,16 +831,13 @@ def test_crash_resumed_incremental_version_scans_input_once(tmp_path,
                                                             monkeypatch):
     """Rerunning an incremental version after a crash lost one linked
     partition validates the committed partitions and relinks the lost one
-    from one fingerprint scan: two Ray Data executions (that scan and the
-    exchange), the same counts and the same tables."""
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
+    from the exchange's map wave: one Ray Data execution, the same counts
+    and the same tables."""
     from ai_knowledgegraph_extractor_ray.stages.conversation import (
         partition_of,
     )
     from ai_knowledgegraph_extractor_ray.state import lineage
+    from tests.test_canonicalize import _count_ray_data_executions
 
     P = 4
     out, p2, convs, s2 = _incremental_lake(tmp_path, P)
@@ -848,18 +845,10 @@ def test_crash_resumed_incremental_version_scans_input_once(tmp_path,
     lost = min(set(range(P)) - {partition_of(convs[0], P)})
     lineage.uncommit_partition(out, 2, lost)
 
-    starts = []
-    execute = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        starts.append(1)
-        return execute(self, *args, **kwargs)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(StreamingExecutor, "execute", counting)
-        s = kg.run_kg_job(src.read_transcripts(p2),
-                          KGConfig(num_partitions=P, version=2), out)
-    assert len(starts) == 2
+    starts = _count_ray_data_executions(monkeypatch)
+    s = kg.run_kg_job(src.read_transcripts(p2),
+                      KGConfig(num_partitions=P, version=2), out)
+    assert len(starts) == 1
     assert (s["partitions_resumed"], s["partitions_linked"],
             s["partitions_computed"]) == (P - 1, 1, 0)
     counts = ["partitions_total", "n_conversations", "n_turns", "n_nodes",
@@ -868,6 +857,62 @@ def test_crash_resumed_incremental_version_scans_input_once(tmp_path,
     assert lineage.committed_partitions(out, 2)[lost][
         "linked_from_version"] == 1
     _assert_tables_equal(_phase1_tables(out, 2), want)
+
+
+def test_stale_own_partition_is_uncommitted_before_any_reduce(tmp_path,
+                                                              monkeypatch):
+    """Rerunning version 2 after the input of one of its committed (linked)
+    partitions changed: in one Ray Data execution, that partition is
+    uncommitted before any reduce is submitted and is then recomputed,
+    not linked; the others resume. The tables equal a from-scratch build
+    of the changed input."""
+    import pyarrow.parquet as pq
+
+    from ai_knowledgegraph_extractor_ray.ops import exchange
+    from ai_knowledgegraph_extractor_ray.stages.conversation import (
+        partition_of,
+    )
+    from ai_knowledgegraph_extractor_ray.state import lineage
+    from tests.test_canonicalize import _count_ray_data_executions
+
+    P = 4
+    out, p2, convs, _ = _incremental_lake(tmp_path, P)
+    changed = next(c for c in convs
+                   if partition_of(c, P) != partition_of(convs[0], P))
+    stale = partition_of(changed, P)
+    assert "linked_from_version" in lineage.committed_partitions(out, 2)[stale]
+    p3 = str(tmp_path / "v2b.parquet")
+    _with_changed_convs(pq.read_table(p2), [changed], "again").to_parquet(
+        p3, index=False)
+
+    events = []
+    uncommit, reduce_slices = lineage.uncommit_partition, exchange.reduce_slices
+
+    class RecordingReduce:
+        def remote(self, *args):
+            events.append("reduce")
+            return reduce_slices.remote(*args)
+
+    def recording_uncommit(out_dir, version, pid):
+        events.append(("uncommit", version, pid))
+        uncommit(out_dir, version, pid)
+
+    monkeypatch.setattr(lineage, "uncommit_partition", recording_uncommit)
+    monkeypatch.setattr(exchange, "reduce_slices", RecordingReduce())
+    starts = _count_ray_data_executions(monkeypatch)
+    s = kg.run_kg_job(src.read_transcripts(p3),
+                      KGConfig(num_partitions=P, version=2), out)
+    assert len(starts) == 1
+    assert events == [("uncommit", 2, stale), "reduce"]
+    assert (s["partitions_resumed"], s["partitions_linked"],
+            s["partitions_computed"]) == (P - 1, 0, 1)
+    assert "linked_from_version" not in lineage.committed_partitions(
+        out, 2)[stale]
+    monkeypatch.undo()
+    ref = str(tmp_path / "ref")
+    kg.run_kg_job(src.read_transcripts(p3),
+                  KGConfig(num_partitions=P, version=2), ref, resume=False)
+    _assert_tables_equal(_phase1_tables(out, 2), _phase1_tables(ref, 2))
 
 
 @pytest.mark.parametrize("auto_split_skew", [False, True],
@@ -990,24 +1035,32 @@ _LEAK_JOB = r"""
 import os, sys
 import pyarrow.parquet as pq
 import ray
-ray.init(address="local", num_cpus=1, include_dashboard=False,
-         logging_level="ERROR")
 from ray.data import DataContext
-DataContext.get_current().enable_progress_bars = False
 from ai_knowledgegraph_extractor_ray.config import KGConfig
 from ai_knowledgegraph_extractor_ray.pipelines import kg
 from ai_knowledgegraph_extractor_ray.sources import transcripts as src
-from tests.test_pipeline_e2e import pids_with_env
-root, marker = sys.argv[1], sys.argv[2]
-pq.write_table(src.synthetic_transcripts_table(n_convs=8, seed=1),
-               root + "/t.parquet")
-cfg = KGConfig(num_partitions=2, alias_salt_buckets=2)
-kg.run_kg_job(src.read_transcripts(root + "/t.parquet"), cfg, root + "/lake")
-kg.run_canonicalize_job(root + "/lake", cfg)
-workers = [p for p, cmd in pids_with_env(marker).items()
-           if p != os.getpid() and cmd.startswith("ray::")]
-print("workers", len(workers))
-ray.shutdown()
+from tests.test_pipeline_e2e import _with_changed_convs, pids_with_env
+root, marker, sessions = sys.argv[1], sys.argv[2], int(sys.argv[3])
+t = src.synthetic_transcripts_table(n_convs=8, seed=1)
+pq.write_table(t, root + "/t.parquet")
+_with_changed_convs(t, t["conv_id"][:1].to_pylist(), "v2").to_parquet(
+    root + "/t2.parquet", index=False)
+for i in range(sessions):
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    lake = f"{root}/lake{i}"
+    cfg = KGConfig(num_partitions=2, alias_salt_buckets=2)
+    kg.run_kg_job(src.read_transcripts(root + "/t.parquet"), cfg, lake)
+    if sessions > 1:
+        # perfbench's shape: sequential sessions, each resuming a version
+        cfg = KGConfig(num_partitions=2, alias_salt_buckets=2, version=2)
+        kg.run_kg_job(src.read_transcripts(root + "/t2.parquet"), cfg, lake)
+    kg.run_canonicalize_job(lake, cfg)
+    workers = [p for p, cmd in pids_with_env(marker).items()
+               if p != os.getpid() and cmd.startswith("ray::")]
+    print("workers", len(workers))
+    ray.shutdown()
 """
 
 
@@ -1027,14 +1080,17 @@ def pids_with_env(marker: str) -> dict[int, str]:
     return found
 
 
-def test_jobs_leave_no_process_behind(tmp_path):
+@pytest.mark.parametrize("sessions", [1, 3],
+                         ids=["one_session", "three_sessions"])
+def test_jobs_leave_no_process_behind(tmp_path, sessions):
     """A phase-1 plus phase-2 job ending in ``ray.shutdown()`` leaves no
-    process running. The driver runs in a subprocess whose environment
-    holds a unique marker, which every process Ray starts inherits (a
-    worker's cmdline is ``ray::IDLE``, so the environment is what finds
-    it). Positive control: before the shutdown the driver finds the marker
-    in at least one Ray worker. After the driver exits, no process may
-    hold the marker for more than 30 s."""
+    process running; so do three sequential sessions (perfbench's shape),
+    each running a version 1, a resumed version 2 and phase 2. The driver
+    runs in a subprocess whose environment holds a unique marker, which
+    every process Ray starts inherits (a worker's cmdline is ``ray::IDLE``,
+    so the environment is what finds it). Positive control: before each
+    shutdown the driver finds the marker in at least one Ray worker. After
+    the driver exits, no process may hold the marker for more than 30 s."""
     import os
     import subprocess
     import sys
@@ -1052,13 +1108,15 @@ def test_jobs_leave_no_process_behind(tmp_path):
     try:
         with out.open("w") as o, err.open("w") as e:
             code = subprocess.run([sys.executable, "-c", _LEAK_JOB,
-                                   str(tmp_path), marker], cwd=repo, env=env,
-                                  timeout=600, stdout=o, stderr=e).returncode
+                                   str(tmp_path), marker, str(sessions)],
+                                  cwd=repo, env=env, timeout=600, stdout=o,
+                                  stderr=e).returncode
         assert code == 0, err.read_text()[-3000:]
         n_workers = [int(line.split()[1])
                      for line in out.read_text().splitlines()
                      if line.startswith("workers ")]
-        assert n_workers and n_workers[0] >= 1, out.read_text()
+        assert len(n_workers) == sessions and min(n_workers) >= 1, \
+            out.read_text()
         deadline = time.monotonic() + 30
         while (left := pids_with_env(marker)) and time.monotonic() < deadline:
             time.sleep(0.5)

@@ -168,12 +168,17 @@ def _reference_fingerprints(tbl, key, cutoff):
 
 @pytest.mark.parametrize("cutoff", [None, 2])
 def test_fingerprints_match_per_turn_reference(cutoff):
-    """The per-conversation ``conv_fp`` of ``assemble_partition`` and the
-    per-partition ``partition_fingerprints`` equal a per-turn Python
-    reference, over several blocks and with an ``only`` subset."""
+    """The per-conversation ``conv_fp`` of ``assemble_partition``, the
+    per-partition ``partition_fingerprints`` and the folded partials of
+    the ``fingerprint_partials`` kernel equal a per-turn Python reference,
+    over several blocks and with an ``only`` subset."""
+    import numpy as np
+
     from ai_knowledgegraph_extractor_ray.stages.conversation import (
         add_partition_id,
         assemble_partition,
+        fingerprint_partials,
+        fold_fingerprints,
         partition_fingerprints,
         partition_of,
     )
@@ -194,6 +199,16 @@ def test_fingerprints_match_per_turn_reference(cutoff):
     only = {1, 3}
     assert partition_fingerprints(ds, version_cutoff=cutoff, only=only) \
         == {pid: fp for pid, fp in want.items() if pid in only}
+
+    blocks = [tbl.slice(0, 50), tbl.slice(50, 70), tbl.slice(120),
+              tbl.slice(0, 0)]
+    pids = [np.array([partition_of(c, P) for c in b["conv_id"].to_pylist()],
+                     np.int32) for b in blocks]
+    for sub in (None, only, set()):
+        assert fold_fingerprints(
+            fingerprint_partials(b, p, version_cutoff=cutoff, only=sub)
+            for b, p in zip(blocks, pids)) == \
+            {pid: fp for pid, fp in want.items() if sub is None or pid in sub}
 
 
 # --- bucketed aggregation helper --------------------------------------------
